@@ -52,7 +52,6 @@ class RunConfig:
     ell0: float = 10.0  # largest admissible boundary length
     family_i_max: int = 2
     family_b: int = 8
-    torus_n: int = 50
     seed: int = 0
     budget: int = 400
     format: str = "table"
@@ -62,8 +61,8 @@ class RunConfig:
             raise ValidationError("ell0 must be positive")
         if self.family_i_max < 1 or self.family_b < 0:
             raise ValidationError("family bounds must be positive")
-        if self.torus_n < 1 or self.budget < 1:
-            raise ValidationError("torus_n and budget must be positive")
+        if self.budget < 1:
+            raise ValidationError("budget must be positive")
         self.params()  # enforces the eps ordering
 
     def params(self) -> CollarParams:
@@ -71,14 +70,22 @@ class RunConfig:
 
 
 _FLOAT_KEYS = ("eps0", "eps1", "margulis", "ell0")
-_INT_KEYS = ("family_i_max", "family_b", "torus_n", "seed", "budget")
+_INT_KEYS = ("family_i_max", "family_b", "seed", "budget")
+
+
+def _number(kind, text: str, what: str, error=ValidationError):
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise error(f"{what} must be {noun}, got {text!r}") from None
 
 
 def _coerce(key: str, value: str):
     if key in _FLOAT_KEYS:
-        return float(value)
+        return _number(float, value, key, ParseError)
     if key in _INT_KEYS:
-        return int(value)
+        return _number(int, value, key, ParseError)
     if key == "format":
         if value not in ("table", "rows"):
             raise ValidationError(f"format must be 'table' or 'rows', got {value!r}")
@@ -89,15 +96,14 @@ def _coerce(key: str, value: str):
 def load_config(path: str | None, overrides: dict) -> RunConfig:
     values: dict = {}
     if path is not None:
-        with open(path) as handle:
-            for line_no, raw in enumerate(handle, start=1):
-                line = raw.split("#")[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ParseError("config lines are 'key = value'", line_no)
-                key, _, value = line.partition("=")
-                values[key.strip()] = _coerce(key.strip(), value.strip())
+        for line_no, raw in enumerate(_read(path).splitlines(), start=1):
+            line = raw.split("#")[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ParseError("config lines are 'key = value'", line_no)
+            key, _, value = line.partition("=")
+            values[key.strip()] = _coerce(key.strip(), value.strip())
     for key in _FLOAT_KEYS + _INT_KEYS + ("format",):
         env = os.environ.get(ENV_PREFIX + key.upper())
         if env is not None:
@@ -252,11 +258,11 @@ def cmd_product(args, config: RunConfig, out) -> int:
 def _make_space(spec: str):
     kind, _, arg = spec.partition(":")
     if kind == "euclidean":
-        return euclidean_space(int(arg))
+        return euclidean_space(_number(int, arg, "euclidean dimension"))
     if kind == "supprod":
-        return sup_product_space(int(arg))
+        return sup_product_space(_number(int, arg, "supprod dimension"))
     if kind == "hyp-product":
-        return hyp_product_space(int(arg))
+        return hyp_product_space(_number(int, arg, "hyp-product factor count"))
     if kind == "pi-image":
         from .spaces import pi_image_space
 
@@ -266,7 +272,8 @@ def _make_space(spec: str):
 
 def cmd_instability(args, config: RunConfig, out) -> int:
     space = _make_space(args.space)
-    ladder = [float(token) for token in args.ladder.split(",") if token]
+    ladder = [_number(float, token, "--ladder value")
+              for token in args.ladder.split(",") if token]
     results = [
         instability_lower_bound(space, args.delta, L, budget=config.budget,
                                 seed=config.seed)
@@ -298,8 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--eps1", type=float, help="thin threshold")
     parser.add_argument("--family-b", type=int, dest="family_b",
                         help="twist-offset bound of the default curve family")
-    parser.add_argument("--torus-n", type=int, dest="torus_n",
-                        help="coprime bound for torus estimates")
     parser.add_argument("--format", choices=("table", "rows"))
     parser.add_argument("--seed", type=int, help="search seed")
     parser.add_argument("--budget", type=int, help="search budget")
@@ -352,7 +357,6 @@ def main(argv=None, out=None) -> int:
         "eps0": args.eps0,
         "eps1": args.eps1,
         "family_b": args.family_b,
-        "torus_n": args.torus_n,
         "format": args.format,
         "seed": args.seed,
         "budget": args.budget,

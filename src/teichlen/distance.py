@@ -6,8 +6,10 @@ and returns half its log.  Inside the estimator the annulus terms are
 evaluated at height m/pi rather than m, which puts twist-direction and
 pinch-direction ratios on the same hyperbolic scale as the product
 coordinates (s, 1/l); the public extremal-length estimate keeps the raw
-modulus.  For the torus the exact formula is available as
-``torus_family_estimate`` / ``hyp_distance``.
+modulus.  This m/pi height is applied in one place: the estimator
+builds its ``extremal.ComponentEvaluator`` with modulus_unit = pi.  For
+the torus the exact formula is available as ``torus_family_estimate`` /
+``hyp_distance``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable
 
@@ -23,7 +25,7 @@ import numpy as np
 
 from .collar import DEFAULT_PARAMS, CollarParams, collar_decomposition
 from .errors import ValidationError
-from .extremal import _ortho_cached, _pants_cuff_lengths, arc_multiplicities
+from .extremal import ComponentEvaluator
 from .halfplane import UHPoint, hyp_distance
 from .surface import CURVE, CurveSystem, FNPoint, Marking, core_curve
 
@@ -33,10 +35,15 @@ class CurveFamily:
     """Finite stand-in for the full set of curve classes."""
 
     members: tuple[CurveSystem, ...]
+    curves: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.members:
             raise ValidationError("curve family must be nonempty")
+        curves = self.members[0].data.keys()
+        if any(beta.data.keys() != curves for beta in self.members):
+            raise ValidationError("curve family members must share one curve set")
+        object.__setattr__(self, "curves", frozenset(curves))
 
     def __len__(self):
         return len(self.members)
@@ -79,78 +86,6 @@ def default_curve_family(marking: Marking, i_max: int = 2,
     return CurveFamily(tuple(members))
 
 
-class _RatioEvaluator:
-    """Per-point component evaluator used by the distance estimator.
-
-    Precomputes the collar decomposition, annulus heights, and per-pants
-    orthogeodesic tables so that evaluating one curve system is cheap.
-    """
-
-    def __init__(self, marking: Marking, sigma: FNPoint, params: CollarParams):
-        sigma.validate_for(marking)
-        self.marking = marking
-        self.sigma = sigma
-        self.params = params
-        dec = collar_decomposition(marking, sigma, params)
-        self.thin = [
-            (a.curve, a.modulus / math.pi, sigma.twist(a.curve))
-            for a in dec.thin
-            if not a.peripheral
-        ]
-        self.thick = []
-        pants_ends = {}
-        for p in marking.decomposition.pants:
-            _, cuffs = _pants_cuff_lengths(marking, sigma, p.name)
-            curve_ends = tuple(
-                e.name if e.kind == CURVE else None for e in p.ends
-            )
-            pants_ends[p.name] = (curve_ends, cuffs)
-        for comp in dec.thick:
-            cuff_terms = [
-                (cuff, sigma.length(cuff), sigma.twist(cuff))
-                for cuff in comp.internal_cuffs
-                if sigma.length(cuff) > params.eps1
-            ]
-            self.thick.append(
-                ([pants_ends[name] for name in comp.pants], cuff_terms)
-            )
-
-    def value(self, beta: CurveSystem) -> float:
-        best = 0.0
-        for curve, height, twist in self.thin:
-            i, b, n = beta.data[curve]
-            if i > 0:
-                t = b + twist
-                v = i * i * (height + t * t / height)
-            elif n > 0:
-                v = n * n / height
-            else:
-                v = 0.0
-            if v > best:
-                best = v
-        for pants_list, cuff_terms in self.thick:
-            length = 0.0
-            for curve_ends, cuffs in pants_list:
-                counts = tuple(
-                    beta.data[name][0] if name is not None else 0
-                    for name in curve_ends
-                )
-                if sum(counts) == 0:
-                    continue
-                ortho = _ortho_cached(cuffs)
-                for (i, j), count in arc_multiplicities(*counts).pairs():
-                    if count:
-                        length += count * ortho.between(i, j)
-            for cuff, ell, twist in cuff_terms:
-                i, b, _ = beta.data[cuff]
-                if i > 0:
-                    length += abs(b + twist) * ell * i
-            v = length * length
-            if v > best:
-                best = v
-        return best
-
-
 def kerckhoff_distance_estimate(sigma: FNPoint, tau: FNPoint,
                                 family: CurveFamily, marking: Marking,
                                 params: CollarParams = DEFAULT_PARAMS) -> float:
@@ -161,14 +96,20 @@ def kerckhoff_distance_estimate(sigma: FNPoint, tau: FNPoint,
     contributions is conventionally 1).  The result is a lower-bound
     style estimate: enlarging the family can only increase it.
     """
-    if len(family) == 0:
-        raise ValidationError("curve family must be nonempty")
-    ev_sigma = _RatioEvaluator(marking, sigma, params)
-    ev_tau = _RatioEvaluator(marking, tau, params)
+    if family.curves != set(marking.curves):
+        raise ValidationError(
+            f"curve family over {sorted(family.curves)} does not match "
+            f"marking curves {sorted(marking.curves)}"
+        )
+    ev_sigma, ev_tau = (
+        ComponentEvaluator(collar_decomposition(marking, point, params), point,
+                           modulus_unit=math.pi)
+        for point in (sigma, tau)
+    )
     sup = 1.0
     for beta in family:
-        a = ev_sigma.value(beta)
-        b = ev_tau.value(beta)
+        a = max(ev_sigma.contributions(beta))
+        b = max(ev_tau.contributions(beta))
         if a == 0.0 or b == 0.0:
             continue
         r = a / b if a > b else b / a

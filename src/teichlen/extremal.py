@@ -8,6 +8,11 @@ component contributes the square of a concrete length proxy: summed
 orthogeodesic arc lengths inside each pants plus a twist-travel term
 |t| * l * i on moderate internal cuffs.  The proxy is validated by
 property tests, not by matching any particular multiplicative constant.
+
+``ComponentEvaluator`` computes every contribution, for these estimators
+and for the distance estimator alike.  It evaluates a thin annulus at
+height m / modulus_unit: the ``lambda_*`` estimators here use the raw
+modulus (modulus_unit = 1) and the distance estimator uses m / pi.
 """
 
 from __future__ import annotations
@@ -25,7 +30,15 @@ from .collar import (
 )
 from .errors import ValidationError
 from .pants import PantsCuffs, pants_orthogeodesics
-from .surface import BOUNDARY, CURVE, CurveSystem, FNPoint, Marking, estimated_twist
+from .surface import CURVE, PUNCTURE, CurveSystem, FNPoint, Marking
+
+
+def _annulus_term(i: int, n: int, height: float, t: float) -> float:
+    if i > 0:
+        return i * i * (height + t * t / height)
+    if n > 0:
+        return n * n / height
+    return 0.0
 
 
 def lambda_annulus(i: int, n: int, m: float, t_hat: float | None = None) -> float:
@@ -34,13 +47,9 @@ def lambda_annulus(i: int, n: int, m: float, t_hat: float | None = None) -> floa
         raise ValidationError("counts must be nonnegative")
     if not m > 0:
         raise ValidationError("modulus must be positive")
-    if i > 0:
-        if t_hat is None or not math.isfinite(t_hat):
-            raise ValidationError("crossing arcs need a finite twist estimate")
-        return i * i * (m + t_hat * t_hat / m)
-    if n > 0:
-        return n * n / m
-    return 0.0
+    if i > 0 and (t_hat is None or not math.isfinite(t_hat)):
+        raise ValidationError("crossing arcs need a finite twist estimate")
+    return _annulus_term(i, n, m, t_hat)
 
 
 @dataclass(frozen=True)
@@ -93,40 +102,78 @@ def arc_multiplicities(m1: int, m2: int, m3: int) -> ArcMultiplicities:
 
 
 @lru_cache(maxsize=65536)
-def _ortho_cached(cuffs: tuple[float, float, float]):
-    return pants_orthogeodesics(PantsCuffs(*cuffs))
+def _ortho_row(cuffs: tuple[float, float, float]) -> tuple[float, ...]:
+    """Orthogeodesic lengths of one pants in ``ArcMultiplicities.pairs()`` order."""
+    o = pants_orthogeodesics(PantsCuffs(*cuffs))
+    return (o.d11, o.d22, o.d33, o.d12, o.d13, o.d23)
 
 
-def _pants_cuff_lengths(marking: Marking, sigma: FNPoint, pants_name: str):
-    pants = marking.pants_by_name()[pants_name]
-    lengths = []
-    for end in pants.ends:
-        if end.kind == CURVE:
-            lengths.append(sigma.length(end.name))
-        elif end.kind == BOUNDARY:
-            lengths.append(sigma.length(end.name))
-        else:
-            lengths.append(0.0)
-    return pants, tuple(lengths)
+class ComponentEvaluator:
+    """Per-point table of the component contributions of a decomposition.
 
+    Built once per point sigma; ``contributions(beta)`` then returns one
+    value per component in the decomposition's order (thin annuli, then
+    thick components), labelled by ``labels``.  A thin annulus of modulus
+    m is evaluated at height m / modulus_unit; peripheral annuli always
+    contribute 0.  Cuffs longer than the decomposition's eps1 inside a
+    thick component add the twist-travel term.
+    """
 
-def _pants_arc_length(marking: Marking, sigma: FNPoint, pants_name: str,
-                      beta: CurveSystem) -> float:
-    """Summed orthogeodesic length of beta's arcs through one pair of pants."""
-    pants, cuffs = _pants_cuff_lengths(marking, sigma, pants_name)
-    counts = tuple(
-        beta.intersection(end.name) if end.kind == CURVE else 0
-        for end in pants.ends
-    )
-    if sum(counts) == 0:
-        return 0.0
-    mults = arc_multiplicities(*counts)
-    ortho = _ortho_cached(cuffs)
-    total = 0.0
-    for (i, j), count in mults.pairs():
-        if count:
-            total += count * ortho.between(i, j)
-    return total
+    def __init__(self, decomposition: CollarDecomposition, sigma: FNPoint,
+                 modulus_unit: float = 1.0):
+        pants_by_name = decomposition.marking.pants_by_name()
+        eps1 = decomposition.params.eps1
+        self.labels = tuple(
+            [(a.curve, "annulus") for a in decomposition.thin]
+            + [(c.component_id, "thick") for c in decomposition.thick]
+        )
+        self._thin = tuple(
+            None if a.peripheral
+            else (a.curve, a.modulus / modulus_unit, sigma.twist(a.curve))
+            for a in decomposition.thin
+        )
+        self._thick = []
+        for comp in decomposition.thick:
+            pants_rows = []
+            for name in comp.pants:
+                ends = pants_by_name[name].ends
+                curve_ends = tuple(e.name if e.kind == CURVE else None for e in ends)
+                cuffs = tuple(0.0 if e.kind == PUNCTURE else sigma.length(e.name)
+                              for e in ends)
+                pants_rows.append((curve_ends, cuffs))
+            cuff_terms = tuple(
+                (cuff, sigma.length(cuff), sigma.twist(cuff))
+                for cuff in comp.internal_cuffs
+                if sigma.length(cuff) > eps1
+            )
+            self._thick.append((tuple(pants_rows), cuff_terms))
+
+    def contributions(self, beta: CurveSystem) -> list[float]:
+        data = beta.data
+        values = []
+        for entry in self._thin:
+            if entry is None:
+                values.append(0.0)
+                continue
+            curve, height, twist = entry
+            i, b, n = data[curve]
+            values.append(_annulus_term(i, n, height, b + twist))
+        for pants_rows, cuff_terms in self._thick:
+            length = 0.0
+            for curve_ends, cuffs in pants_rows:
+                counts = [0 if name is None else data[name][0] for name in curve_ends]
+                if not any(counts):
+                    continue
+                ortho = _ortho_row(cuffs)
+                for (_, count), d in zip(arc_multiplicities(*counts).pairs(), ortho):
+                    if count:
+                        length += count * d
+            for cuff, ell, twist in cuff_terms:
+                i, b, _ = data[cuff]
+                if i > 0:
+                    length += abs(b + twist) * ell * i
+            values.append(length * length)
+        return values
 
 
 def lambda_thick(component: ThickComponent, beta: CurveSystem, sigma: FNPoint,
@@ -136,15 +183,9 @@ def lambda_thick(component: ThickComponent, beta: CurveSystem, sigma: FNPoint,
     Core components parallel to a thin cuff contribute nothing here; they
     are counted by the annulus term alone.
     """
-    length = 0.0
-    for pants_name in component.pants:
-        length += _pants_arc_length(marking, sigma, pants_name, beta)
-    for cuff in component.internal_cuffs:
-        if sigma.length(cuff) > params.eps1:
-            i = beta.intersection(cuff)
-            if i > 0:
-                length += abs(estimated_twist(beta, sigma, cuff)) * sigma.length(cuff) * i
-    return length * length
+    beta.validate_for(marking)
+    single = CollarDecomposition(marking, params, (), (component,))
+    return ComponentEvaluator(single, sigma).contributions(beta)[0]
 
 
 @dataclass(frozen=True)
@@ -176,32 +217,16 @@ def lambda_surface_estimate(beta: CurveSystem, sigma: FNPoint, marking: Marking,
 
     Returns the maximum together with the per-component breakdown.  When
     ``decomposition`` is omitted the full collar decomposition of sigma
-    is used; a partial decomposition gives the coarser estimate.
+    is used; a partial decomposition gives the coarser estimate.  The
+    decomposition's own params set the moderate-cuff threshold.
     """
     beta.validate_for(marking)
     sigma.validate_for(marking)
     if decomposition is None:
         decomposition = collar_decomposition(marking, sigma, params)
-    rows = []
-    for annulus in decomposition.thin:
-        if annulus.peripheral:
-            rows.append(ComponentLength(annulus.curve, "annulus", 0.0))
-            continue
-        i = beta.intersection(annulus.curve)
-        n = beta.core_copies(annulus.curve)
-        t_hat = estimated_twist(beta, sigma, annulus.curve) if i > 0 else None
-        rows.append(
-            ComponentLength(
-                annulus.curve, "annulus", lambda_annulus(i, n, annulus.modulus, t_hat)
-            )
-        )
-    for component in decomposition.thick:
-        rows.append(
-            ComponentLength(
-                component.component_id,
-                "thick",
-                lambda_thick(component, beta, sigma, marking, params),
-            )
-        )
-    value = max((row.value for row in rows), default=0.0)
-    return EstimateResult(value, tuple(rows))
+    ev = ComponentEvaluator(decomposition, sigma)
+    rows = tuple(
+        ComponentLength(component, kind, value)
+        for (component, kind), value in zip(ev.labels, ev.contributions(beta))
+    )
+    return EstimateResult(max((row.value for row in rows), default=0.0), rows)

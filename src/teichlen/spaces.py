@@ -2,25 +2,17 @@
 
 Points are images of the pinching projection with a fixed base point, so
 the search explores the half-plane factor directions while the base
-distance (computed by the surface estimator, cached) stays zero.  This
-is the product geometry the distance comparison experiments measure.
+distance stays zero; a point off that base is rejected.  This is the
+product geometry the distance comparison experiments measure.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
-from .collar import DEFAULT_PARAMS, CollarParams
-from .distance import (
-    ProductPoint,
-    default_curve_family,
-    kerckhoff_distance_estimate,
-    pi_map,
-    product_distance,
-)
+from .distance import ProductPoint, pi_map, product_distance
 from .errors import ValidationError
 from .halfplane import UHPoint, geodesic_point
 from .instability import MetricSpaceHandle
@@ -36,36 +28,24 @@ def _default_base_point(marking: Marking) -> FNPoint:
 
 
 def pi_image_space(marking: Marking, gamma: tuple[str, ...] | None = None,
-                   base: FNPoint | None = None,
-                   params: CollarParams = DEFAULT_PARAMS) -> MetricSpaceHandle:
+                   base: FNPoint | None = None) -> MetricSpaceHandle:
     """Sup-metric space of product points over a fixed pinched base.
 
     ``gamma`` defaults to all internal pants curves.  Factor segments are
     half-plane geodesics parameterized proportionally; the base segment
-    is constant since all points share the base.
+    is constant since all points share the base, and the base distance is
+    0 between points on it.
     """
     gamma = tuple(sorted(gamma if gamma is not None else marking.curves))
     if not gamma:
         raise ValidationError("need at least one pinched curve")
     base_point = base if base is not None else _default_base_point(marking)
     template = pi_map(base_point, gamma, marking)
-    pinched = marking.pinch(gamma)
-    # pinching every curve leaves a union of rigid thrice-punctured pieces
-    base_family = default_curve_family(pinched) if pinched.curves else None
-
-    @lru_cache(maxsize=128)
-    def _base_distance_keyed(key1, key2):
-        if key1 == key2 or base_family is None:
-            return 0.0
-        rho1 = FNPoint(dict(key1[0]), dict(key1[1]))
-        rho2 = FNPoint(dict(key2[0]), dict(key2[1]))
-        return kerckhoff_distance_estimate(rho1, rho2, base_family, pinched, params)
-
-    def _key(rho: FNPoint):
-        return (tuple(rho.lengths.items()), tuple(rho.twists.items()))
 
     def base_metric(rho1: FNPoint, rho2: FNPoint) -> float:
-        return _base_distance_keyed(_key(rho1), _key(rho2))
+        if rho1 != template.base or rho2 != template.base:
+            raise ValidationError("pi-image points must share the space's base point")
+        return 0.0
 
     def make_point(factors) -> ProductPoint:
         return ProductPoint(template.base, gamma, tuple(factors))

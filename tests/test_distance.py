@@ -1,5 +1,6 @@
 """Distance estimation, the pinching projection, and the product metric."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,14 +8,17 @@ import pytest
 
 from teichlen import (
     CurveFamily,
+    CurveSystem,
     UHPoint,
     ValidationError,
     annulus_ratio_check,
+    collar_decomposition,
     default_curve_family,
     fn_dehn_twist,
     hyp_distance,
     k_ratio_sup,
     kerckhoff_distance_estimate,
+    lambda_surface_estimate,
     pi_map,
     pi_map_inverse,
     product_distance,
@@ -117,6 +121,56 @@ class TestKerckhoffDistanceEstimate:
     def test_empty_family_rejected(self, genus2):
         with pytest.raises(ValidationError):
             CurveFamily(())
+
+    def test_member_missing_a_curve_rejected(self, genus2):
+        family = CurveFamily((CurveSystem({"g1": (1, 0, 0), "g2": (1, 0, 0)}),))
+        sigma = genus2_point()
+        with pytest.raises(ValidationError):
+            kerckhoff_distance_estimate(sigma, sigma, family, genus2)
+
+    def test_member_with_extra_curve_rejected(self, genus2):
+        family = CurveFamily((CurveSystem(
+            {"g1": (1, 0, 0), "g2": (1, 0, 0), "g3": (0, 0, 0), "g4": (2, 0, 0)}
+        ),))
+        sigma = genus2_point()
+        with pytest.raises(ValidationError):
+            kerckhoff_distance_estimate(sigma, sigma, family, genus2)
+
+    def test_members_over_different_curves_rejected(self, genus2):
+        members = default_curve_family(genus2, i_max=1, twist_bound=0).members
+        with pytest.raises(ValidationError):
+            CurveFamily(members + (CurveSystem({"g1": (0, 0, 1)}),))
+
+    def test_agrees_with_surface_estimate_at_height_m_over_pi(self, genus2):
+        # reference: ratio sup of lambda_surface_estimate over collar
+        # decompositions whose thin moduli are divided by pi
+        family = default_curve_family(genus2, i_max=1, twist_bound=2)
+        rng = np.random.default_rng(44)
+
+        def scaled(point):
+            dec = collar_decomposition(genus2, point)
+            thin = tuple(dataclasses.replace(a, modulus=a.modulus / math.pi)
+                         for a in dec.thin)
+            return dataclasses.replace(dec, thin=thin)
+
+        for _ in range(8):
+            sigma, tau = (
+                genus2_point(*np.exp(rng.uniform(np.log(1e-3), np.log(2.0), size=3)),
+                             *rng.uniform(-5, 5, size=3))
+                for _ in range(2)
+            )
+            d_sigma, d_tau = scaled(sigma), scaled(tau)
+            sup = 1.0
+            for beta in family:
+                a = lambda_surface_estimate(beta, sigma, genus2,
+                                            decomposition=d_sigma).value
+                b = lambda_surface_estimate(beta, tau, genus2,
+                                            decomposition=d_tau).value
+                if a > 0.0 and b > 0.0:
+                    sup = max(sup, a / b, b / a)
+            assert kerckhoff_distance_estimate(sigma, tau, family, genus2) == (
+                pytest.approx(0.5 * math.log(sup), rel=1e-12)
+            )
 
     def test_twist_growth_slopes_match_product_metric(self, genus2):
         # twist-only deformations: both distances grow like log(shift) and

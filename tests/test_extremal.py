@@ -9,6 +9,7 @@ import pytest
 
 from teichlen import (
     CollarParams,
+    CurveSystem,
     PantsCuffs,
     ValidationError,
     arc_multiplicities,
@@ -23,6 +24,7 @@ from teichlen import (
     pants_orthogeodesics,
     partial_decomposition,
 )
+from teichlen.extremal import ComponentEvaluator
 
 from conftest import genus2_curve, genus2_point, fn_point
 
@@ -135,6 +137,29 @@ class TestLambdaThick:
         l0 = math.sqrt(lambda_thick(dec.thick[0], beta0, sigma, genus2))
         l5 = math.sqrt(lambda_thick(dec.thick[0], beta5, sigma, genus2))
         assert l5 - l0 == pytest.approx(5 * 0.6 * 2, rel=1e-12)
+
+
+class TestComponentEvaluator:
+    def test_labels_follow_decomposition_with_peripheral_zero(self, holed_torus):
+        sigma = fn_point(holed_torus, {"g1": 0.05, "b1": 0.05}, {"g1": 0.3})
+        dec = collar_decomposition(holed_torus, sigma)
+        ev = ComponentEvaluator(dec, sigma)
+        assert ev.labels == (("g1", "annulus"), ("b1", "annulus"), ("thick[p]", "thick"))
+        values = ev.contributions(CurveSystem({"g1": (2, 1, 0)}))
+        m = dec.annulus("g1").modulus
+        assert values[0] == lambda_annulus(2, 0, m, 1.3)
+        assert values[1] == 0.0
+
+    def test_modulus_unit_scales_annulus_height(self, genus2):
+        sigma = genus2_point(l1=0.05, s1=0.2)
+        dec = collar_decomposition(genus2, sigma)
+        m = dec.annulus("g1").modulus
+        beta = genus2_curve(i1=2, b1=3, i2=2)
+        scaled = ComponentEvaluator(dec, sigma, modulus_unit=math.pi).contributions(beta)
+        raw = ComponentEvaluator(dec, sigma).contributions(beta)
+        assert scaled[0] == lambda_annulus(2, 0, m / math.pi, 3.2)
+        assert raw[0] == lambda_annulus(2, 0, m, 3.2)
+        assert scaled[1:] == raw[1:]
 
 
 class TestLambdaSurfaceEstimate:

@@ -247,3 +247,32 @@ class TestConfigResolution:
         code, _ = run_cli("--config", os.devnull, "collar",
                           str(marking_path), str(DATA / "holed_torus.fn"))
         assert code == 0
+
+
+class TestCliBadInput:
+    INSTABILITY = ("instability", "--delta", "0", "--ladder", "1,10,100,1000,10000")
+
+    @pytest.mark.parametrize("config_text, env, argv, code", [
+        (None, {}, ("--config", "{tmp}/missing.cfg", "validate", str(SURFACE)), 2),
+        ("eps1 = abc\n", {}, ("validate", str(SURFACE)), 2),
+        (None, {"TEICHLEN_EPS1": "abc"}, ("validate", str(SURFACE)), 2),
+        ("torus_n = 5\n", {}, ("validate", str(SURFACE)), 3),
+        (None, {}, INSTABILITY + ("--space", "supprod:x"), 3),
+        (None, {}, INSTABILITY + ("--space", "euclidean:"), 3),
+        (None, {}, ("instability", "--space", "supprod:2", "--delta", "0",
+                    "--ladder", "1,a"), 3),
+    ], ids=["missing-config", "config-not-a-number", "env-not-a-number",
+            "config-torus_n", "space-bad-size", "space-empty-size", "ladder-not-a-number"])
+    def test_exit_codes(self, tmp_path, monkeypatch, config_text, env, argv, code):
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+        if config_text is not None:
+            config = tmp_path / "run.cfg"
+            config.write_text(config_text)
+            argv = ["--config", str(config), *argv]
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        assert run_cli(*argv)[0] == code
+
+    def test_torus_n_flag_removed(self):
+        with pytest.raises(SystemExit):
+            run_cli("--torus-n", "5", "validate", str(SURFACE))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from teichlen import (
+    FNPoint,
     UHPoint,
     ValidationError,
     growth_rate_estimate,
@@ -62,3 +63,11 @@ class TestPiImageSpace:
     def test_requires_a_pinched_curve(self, genus2):
         with pytest.raises(ValidationError):
             pi_image_space(genus2, gamma=())
+
+    def test_point_off_the_base_rejected(self, genus2):
+        space = pi_image_space(genus2, gamma=("g1",))
+        rng = np.random.default_rng(74)
+        x, y, _ = space.random_triple(rng, 0.1, 2.0)
+        off = FNPoint({**x.base.lengths, "g2": 2.0}, x.base.twists)
+        with pytest.raises(ValidationError):
+            space.distance(x, ProductPoint(off, y.gamma, y.factors))
