@@ -137,12 +137,7 @@ def collar_decomposition(marking: Marking, sigma: FNPoint,
     """Split the marked surface into thin collars and thick components."""
     sigma.validate_for(marking)
     internal, peripheral = _thin_sets(marking, sigma, params)
-    thin = tuple(
-        [_annulus(c, sigma, params, False) for c in sorted(internal)]
-        + [_annulus(b, sigma, params, True) for b in sorted(peripheral)]
-    )
-    thick = _components(marking, internal)
-    return CollarDecomposition(marking, params, thin, thick)
+    return partial_decomposition(marking, sigma, params, internal | peripheral)
 
 
 def partial_decomposition(marking: Marking, sigma: FNPoint, params: CollarParams,

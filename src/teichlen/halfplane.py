@@ -169,34 +169,31 @@ class MobiusMap:
 
 
 def hyp_distance(z1: UHPoint, z2: UHPoint) -> float:
-    """Half the hyperbolic distance between two half-plane points."""
-    if z1 == z2:
-        return 0.0
-    if max(z1.y, z2.y, abs(z1.x), abs(z2.x)) > 1e150:
-        # ratio form avoids overflow for coordinates up to ~1e300
-        dx = z1.x - z2.x
-        ratio = z1.y / z2.y
-        u = 0.5 * (ratio + 1.0 / ratio) - 1.0 + 0.5 * (dx / z1.y) * (dx / z2.y)
-        return 0.5 * math.acosh(1.0 + u) if math.isfinite(u) else math.inf
-    d2 = (z1.x - z2.x) ** 2 + (z1.y - z2.y) ** 2
-    return 0.5 * math.acosh(1.0 + d2 / (2.0 * z1.y * z2.y))
+    """Half the hyperbolic distance between two half-plane points.
+
+    asinh of |z1 - z2| / (2 sqrt(y1 y2)): no cancellation at small
+    separations, and no overflow while x1 - x2 is a finite double.
+    """
+    chord = math.hypot(z1.x - z2.x, z1.y - z2.y)
+    return math.asinh(chord / (2.0 * math.sqrt(z1.y) * math.sqrt(z2.y)))
 
 
 def geodesic_point(z: UHPoint, w: UHPoint, t: float) -> UHPoint:
-    """Point at arclength fraction t along the geodesic from z to w."""
-    if z == w:
-        return z
-    if z.x == w.x:
+    """Point at arclength fraction t along the geodesic from z to w.
+
+    Off a vertical line: the circle x = c - r tanh u, y = r sech u in the
+    arclength u = asinh((c - x)/y), evaluated relative to z so that nearly
+    vertical geodesics keep their digits.
+    """
+    dx = w.x - z.x
+    if dx == 0.0:
         return UHPoint(z.x, z.y * (w.y / z.y) ** t)
-    # endpoints of the circle through z and w centered on the real axis
-    c = ((w.x * w.x + w.y * w.y) - (z.x * z.x + z.y * z.y)) / (2.0 * (w.x - z.x))
-    r = math.hypot(z.x - c, z.y)
-    m = MobiusMap.to_zero_infinity(c - r, c + r)
-    a = m.apply(z)
-    b = m.apply(w)
-    lifted = UHPoint(0.0, a.y * (b.y / a.y) ** t)
-    # the lift has x == 0 up to roundoff; project back through the inverse
-    return m.inverse().normalized().apply(lifted)
+    cz = (dx * dx + (w.y - z.y) * (w.y + z.y)) / (2.0 * dx)  # c - z.x
+    u_z = math.asinh(cz / z.y)
+    step = t * (math.asinh((cz - dx) / w.y) - u_z)  # u - u_z
+    cosh_z = math.cosh(u_z)
+    y = z.y * cosh_z / math.cosh(u_z + step)
+    return UHPoint(z.x - y * math.sinh(step) / cosh_z, y)
 
 
 def _ratio_at(t: float, z1: UHPoint, z2: UHPoint) -> float:

@@ -105,8 +105,8 @@ def instability_lower_bound(space: MetricSpaceHandle, delta: float, L: float,
     diameter constraints (betweenness accepted up to closure tolerance,
     so exact-geodesic witnesses count at delta = 0).
     """
-    if delta < 0 or L <= 0:
-        raise ValidationError("need delta >= 0 and L > 0")
+    if not (0 <= delta < math.inf and 0 < L < math.inf):
+        raise ValidationError("need finite delta >= 0 and L > 0")
     best = 0.0
     best_witness = None
     rng = np.random.default_rng(seed)
@@ -155,6 +155,8 @@ def growth_rate_estimate(space: MetricSpaceHandle | None, delta: float,
     synthetic data).  Zero estimates are excluded with a warning.
     """
     L_values = [float(L) for L in L_values]
+    if not (math.isfinite(delta) and all(0 < L < math.inf for L in L_values)):
+        raise ValidationError("need finite delta and finite ladder values L > 0")
     if len(L_values) < 5:
         raise ValidationError("need at least 5 ladder values")
     if max(L_values) < 1000.0 * min(L_values) * (1.0 - 1e-12):
@@ -320,13 +322,13 @@ def sup_product_space(dim: int) -> MetricSpaceHandle:
     )
 
 
-def hyp_product_space(factors: int) -> MetricSpaceHandle:
-    """Product of half-planes with the sup of the (halved) hyperbolic metrics."""
-    if factors < 1:
-        raise ValidationError("need at least one factor")
+def _halfplane_product_hooks(k: int):
+    """Segment, witness and random-triple hooks on k-tuples of UHPoints.
 
-    def distance(p, q):
-        return max(hyp_distance(zp, zq) for zp, zq in zip(p, q))
+    Returns ``(segment, witnesses, random_triple)``; ``witnesses`` is
+    None for a single factor.  Segments move every factor along its
+    half-plane geodesic at proportional speed.
+    """
 
     def segment(p, q):
         def sampler(t: float):
@@ -338,13 +340,11 @@ def hyp_product_space(factors: int) -> MetricSpaceHandle:
         # move distance L in factor 0; offset the midpoint in factor 1
         if 2.0 * L > 600.0:  # heights would overflow doubles
             return
-        base = UHPoint(0.0, 1.0)
-        x = tuple(base for _ in range(factors))
+        x = (UHPoint(0.0, 1.0),) * k
         y = (UHPoint(0.0, math.exp(2.0 * L)),) + x[1:]
-        mid_y = math.exp(L)
         for frac in np.linspace(0.05, 1.0, 40):
             height = math.exp(2.0 * min(L / 2.0 + delta, L) * frac)
-            z = (UHPoint(0.0, mid_y), UHPoint(0.0, height)) + x[2:]
+            z = (UHPoint(0.0, math.exp(L)), UHPoint(0.0, height)) + x[2:]
             yield x, y, z
 
     def random_triple(rng, delta, L):
@@ -353,17 +353,29 @@ def hyp_product_space(factors: int) -> MetricSpaceHandle:
         def rand_point():
             return UHPoint(rng.normal() * scale, math.exp(rng.normal() * scale))
 
-        x = tuple(rand_point() for _ in range(factors))
-        y = tuple(rand_point() for _ in range(factors))
+        x = tuple(rand_point() for _ in range(k))
+        y = tuple(rand_point() for _ in range(k))
         z = tuple(
             geodesic_point(zx, zy, 0.5 + rng.normal() * 0.1) for zx, zy in zip(x, y)
         )
         return x, y, z
 
+    return segment, (witnesses if k >= 2 else None), random_triple
+
+
+def hyp_product_space(factors: int) -> MetricSpaceHandle:
+    """Product of half-planes with the sup of the (halved) hyperbolic metrics."""
+    if factors < 1:
+        raise ValidationError("need at least one factor")
+
+    def distance(p, q):
+        return max(hyp_distance(zp, zq) for zp, zq in zip(p, q))
+
+    segment, witnesses, random_triple = _halfplane_product_hooks(factors)
     return MetricSpaceHandle(
         name=f"hyp-product:{factors}",
         distance=distance,
         segment=segment,
-        witnesses=witnesses if factors >= 2 else None,
+        witnesses=witnesses,
         random_triple=random_triple,
     )

@@ -2,7 +2,8 @@
 
 Cuff length 0 encodes a cusp; every formula takes the continuous limit
 (right-angled pentagon with one ideal vertex).  Orthogeodesics that run
-into a cusp are reported as ``math.inf``.
+into a cusp are reported as ``math.inf``; lengths whose cosh formulas
+leave double range raise NumericDomainError.
 """
 
 from __future__ import annotations
@@ -10,7 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateHexagonError, NoCollarError, ValidationError
+from .errors import (
+    DegenerateHexagonError,
+    NoCollarError,
+    NumericDomainError,
+    ValidationError,
+)
 
 
 @dataclass(frozen=True)
@@ -58,7 +64,12 @@ def hexagon_side(a: float, gamma: float, b: float) -> float:
     """
     if min(a, gamma, b) < 0:
         raise ValidationError("hexagon sides must be nonnegative")
-    value = math.sinh(a) * math.sinh(b) * math.cosh(gamma) - math.cosh(a) * math.cosh(b)
+    try:
+        value = _finite(
+            math.sinh(a) * math.sinh(b) * math.cosh(gamma) - math.cosh(a) * math.cosh(b)
+        )
+    except OverflowError:
+        raise NumericDomainError(f"sides ({a}, {gamma}, {b}) overflow double range") from None
     if value <= 1.0:
         raise DegenerateHexagonError(
             f"sides ({a}, {gamma}, {b}) do not bound a right-angled hexagon"
@@ -87,12 +98,19 @@ class OrthoLengths:
             raise ValidationError(f"no orthogeodesic ({i}, {j})") from None
 
 
+def _finite(value: float) -> float:
+    """The value of a cosh formula, or OverflowError if it left double range."""
+    if not math.isfinite(value):
+        raise OverflowError
+    return value
+
+
 def _seam(half: tuple, i: int, j: int, k: int) -> float:
     ci, cj, ck = math.cosh(half[i]), math.cosh(half[j]), math.cosh(half[k])
     si, sj = math.sinh(half[i]), math.sinh(half[j])
     if si == 0.0 or sj == 0.0:
         return math.inf
-    return math.acosh((ck + ci * cj) / (si * sj))
+    return math.acosh(_finite((ck + ci * cj) / (si * sj)))
 
 
 def _self_seam(half: tuple, i: int) -> float:
@@ -103,7 +121,7 @@ def _self_seam(half: tuple, i: int) -> float:
     if si == 0.0:
         return math.inf
     sym = c[0] ** 2 + c[1] ** 2 + c[2] ** 2 + 2.0 * c[0] * c[1] * c[2] - 1.0
-    return 2.0 * math.acosh(math.sqrt(sym) / si)
+    return 2.0 * math.acosh(_finite(math.sqrt(sym) / si))
 
 
 def pants_orthogeodesics(cuffs: PantsCuffs) -> OrthoLengths:
@@ -114,14 +132,17 @@ def pants_orthogeodesics(cuffs: PantsCuffs) -> OrthoLengths:
     infinite length.
     """
     half = tuple(l / 2.0 for l in cuffs.as_tuple())
-    return OrthoLengths(
-        d11=_self_seam(half, 0),
-        d22=_self_seam(half, 1),
-        d33=_self_seam(half, 2),
-        d12=_seam(half, 0, 1, 2),
-        d13=_seam(half, 0, 2, 1),
-        d23=_seam(half, 1, 2, 0),
-    )
+    try:
+        return OrthoLengths(
+            d11=_self_seam(half, 0),
+            d22=_self_seam(half, 1),
+            d33=_self_seam(half, 2),
+            d12=_seam(half, 0, 1, 2),
+            d13=_seam(half, 0, 2, 1),
+            d23=_seam(half, 1, 2, 0),
+        )
+    except OverflowError:
+        raise NumericDomainError(f"cuffs {cuffs.as_tuple()} overflow double range") from None
 
 
 def collar_modulus(delta: float, eps0: float) -> float:

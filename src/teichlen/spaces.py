@@ -3,19 +3,17 @@
 Points are images of the pinching projection with a fixed base point, so
 the search explores the half-plane factor directions while the base
 distance stays zero; a point off that base is rejected.  This is the
-product geometry the distance comparison experiments measure.
+product geometry the distance comparison experiments measure.  The
+segment, witness and random-triple hooks of the half-plane factors are
+those of ``instability.hyp_product_space``, applied to the factor
+tuples of the product points.
 """
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
-
 from .distance import ProductPoint, pi_map, product_distance
 from .errors import ValidationError
-from .halfplane import UHPoint, geodesic_point
-from .instability import MetricSpaceHandle
+from .instability import MetricSpaceHandle, _halfplane_product_hooks
 from .surface import FNPoint, Marking
 
 
@@ -48,52 +46,28 @@ def pi_image_space(marking: Marking, gamma: tuple[str, ...] | None = None,
         return 0.0
 
     def make_point(factors) -> ProductPoint:
-        return ProductPoint(template.base, gamma, tuple(factors))
+        return ProductPoint(template.base, gamma, factors)
 
     def distance(p: ProductPoint, q: ProductPoint) -> float:
         return product_distance(p, q, base_metric)
 
+    factor_segment, factor_witnesses, factor_triple = _halfplane_product_hooks(len(gamma))
+
     def segment(p: ProductPoint, q: ProductPoint):
-        def sampler(t: float) -> ProductPoint:
-            return make_point(
-                geodesic_point(zp, zq, t) for zp, zq in zip(p.factors, q.factors)
-            )
-
-        return sampler
-
-    k = len(gamma)
+        path = factor_segment(p.factors, q.factors)
+        return lambda t: make_point(path(t))
 
     def witnesses(delta: float, L: float):
-        if k < 2 or 2.0 * L > 600.0:
-            return
-        rest = tuple(UHPoint(0.0, 1.0) for _ in range(k - 2))
-        x = make_point((UHPoint(0.0, 1.0), UHPoint(0.0, 1.0)) + rest)
-        y = make_point((UHPoint(0.0, math.exp(2.0 * L)), UHPoint(0.0, 1.0)) + rest)
-        for frac in np.linspace(0.05, 1.0, 40):
-            height = math.exp(2.0 * min(L / 2.0 + delta, L) * frac)
-            z = make_point(
-                (UHPoint(0.0, math.exp(L)), UHPoint(0.0, height)) + rest
-            )
-            yield x, y, z
+        for triple in factor_witnesses(delta, L):
+            yield tuple(map(make_point, triple))
 
     def random_triple(rng, delta, L):
-        scale = min(L / 4.0, 5.0)
-
-        def rand_point():
-            return UHPoint(rng.normal() * scale, math.exp(rng.normal() * scale))
-
-        x = make_point(rand_point() for _ in range(k))
-        y = make_point(rand_point() for _ in range(k))
-        z = make_point(
-            geodesic_point(zx, zy, 0.5 + rng.normal() * 0.1)
-            for zx, zy in zip(x.factors, y.factors)
-        )
-        return x, y, z
+        return tuple(map(make_point, factor_triple(rng, delta, L)))
 
     return MetricSpaceHandle(
         name=f"pi-image[{','.join(gamma)}]",
         distance=distance,
         segment=segment,
-        witnesses=witnesses if k >= 2 else None,
+        witnesses=witnesses if factor_witnesses is not None else None,
         random_triple=random_triple,
     )

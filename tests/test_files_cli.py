@@ -261,8 +261,13 @@ class TestCliBadInput:
         (None, {}, INSTABILITY + ("--space", "euclidean:"), 3),
         (None, {}, ("instability", "--space", "supprod:2", "--delta", "0",
                     "--ladder", "1,a"), 3),
+        (None, {}, ("instability", "--space", "euclidean:2", "--delta", "0",
+                    "--ladder", "1,10,100,1000,inf"), 3),
+        (None, {}, ("instability", "--space", "euclidean:2", "--delta", "nan",
+                    "--ladder", "1,10,100,1000,10000"), 3),
     ], ids=["missing-config", "config-not-a-number", "env-not-a-number",
-            "config-torus_n", "space-bad-size", "space-empty-size", "ladder-not-a-number"])
+            "config-torus_n", "space-bad-size", "space-empty-size", "ladder-not-a-number",
+            "ladder-inf", "delta-nan"])
     def test_exit_codes(self, tmp_path, monkeypatch, config_text, env, argv, code):
         argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
         if config_text is not None:
@@ -272,6 +277,13 @@ class TestCliBadInput:
         for key, value in env.items():
             monkeypatch.setenv(key, value)
         assert run_cli(*argv)[0] == code
+
+    @pytest.mark.parametrize("command", ["distance", "extremal"])
+    def test_overflowing_curve_length_exits_4(self, tmp_path, command):
+        fn = tmp_path / "long.fn"
+        fn.write_text("[fn]\ng1 = 2000 0.0\ng2 = 1.2 0.1\ng3 = 0.8 -0.2\n")
+        other = FN_CORE if command == "distance" else CURVES
+        assert run_cli(command, str(SURFACE), str(fn), str(other))[0] == 4
 
     def test_torus_n_flag_removed(self):
         with pytest.raises(SystemExit):

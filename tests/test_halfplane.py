@@ -3,8 +3,11 @@ lengths, projections, and twisting numbers."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from teichlen import (
     HGeodesic,
@@ -81,6 +84,82 @@ class TestHypDistance:
             UHPoint(0.0, -1.0)
         with pytest.raises(ValidationError):
             UHPoint(0.0, 0.0)
+
+
+ORACLE_DPS = 60
+# fixed examples and no example database, so every run checks the same inputs
+ORACLE_SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=300)
+
+
+def oracle_distance(z1, z2):
+    """Half distance in 60-digit arithmetic from the exact float inputs."""
+    with mpmath.workdps(ORACLE_DPS):
+        x1, y1, x2, y2 = map(mpmath.mpf, (z1.x, z1.y, z2.x, z2.y))
+        return mpmath.asinh(mpmath.hypot(x1 - x2, y1 - y2) / (2 * mpmath.sqrt(y1 * y2)))
+
+
+def oracle_geodesic_point(z, w, t):
+    """Arclength parametrisation x = c - r tanh u, y = r sech u in 60 digits."""
+    with mpmath.workdps(ORACLE_DPS):
+        zx, zy, wx, wy, t = map(mpmath.mpf, (z.x, z.y, w.x, w.y, t))
+        if zx == wx:
+            return zx, zy * (wy / zy) ** t
+        c = (wx ** 2 + wy ** 2 - zx ** 2 - zy ** 2) / (2 * (wx - zx))
+        r = mpmath.hypot(zx - c, zy)
+        u_z = mpmath.asinh((c - zx) / zy)
+        u = u_z + t * (mpmath.asinh((c - wx) / wy) - u_z)
+        return c - r * mpmath.tanh(u), r * mpmath.sech(u)
+
+
+class TestHalfPlaneOracles:
+    """Property tests against 60-digit mpmath oracles."""
+
+    @ORACLE_SETTINGS
+    @given(
+        log_y=st.floats(-150, 150),
+        x_over_y=st.floats(-10, 10),
+        log_sep=st.floats(-14, 2),
+        angle=st.floats(0, 2 * math.pi),
+    )
+    @example(log_y=-200, x_over_y=0.0, log_sep=0.0, angle=1.0)
+    def test_distance_relative_error(self, log_y, x_over_y, log_sep, angle):
+        # the second point sits at relative separation sep from the first
+        y = 10.0 ** log_y
+        sep = 10.0 ** log_sep
+        z1 = UHPoint(x_over_y * y, y)
+        z2 = UHPoint(z1.x + sep * y * math.cos(angle), y * math.exp(sep * math.sin(angle)))
+        exact = oracle_distance(z1, z2)
+        if exact == 0:
+            assert hyp_distance(z1, z2) == 0.0
+            return
+        assert abs(hyp_distance(z1, z2) - exact) <= 1e-15 * exact
+
+    @ORACLE_SETTINGS
+    @given(
+        scale=st.floats(-100, 100),
+        z=st.tuples(st.floats(-10, 10), st.floats(-3, 3)),
+        w_y=st.floats(-3, 3),
+        log_gap=st.one_of(st.none(), st.floats(-14, 1)),
+        sign=st.sampled_from((-1.0, 1.0)),
+        t=st.floats(0, 1),
+    )
+    def test_geodesic_point_against_arclength(self, scale, z, w_y, log_gap, sign, t):
+        # coordinates are relative to 10**scale; log_gap None is a vertical geodesic
+        s = 10.0 ** scale
+        start = UHPoint(z[0] * s, s * 10.0 ** z[1])
+        gap = 0.0 if log_gap is None else sign * s * 10.0 ** log_gap
+        end = UHPoint(start.x + gap, s * 10.0 ** w_y)
+        point = geodesic_point(start, end, t)
+        x, y = oracle_geodesic_point(start, end, t)
+        assert abs(point.x - x) <= 1e-13 * (abs(x) + y)
+        assert abs(point.y - y) <= 1e-13 * y
+
+    def test_geodesic_point_near_vertical_midpoint(self):
+        z, w = UHPoint(0.0, 1.0), UHPoint(1e-7, 4.0)
+        x, y = oracle_geodesic_point(z, w, 0.5)
+        mid = geodesic_point(z, w, 0.5)
+        assert abs(mid.x - x) <= 1e-13 * abs(x)
+        assert abs(mid.y - y) <= 1e-13 * y
 
 
 class TestKRatioSup:

@@ -98,6 +98,13 @@ class TestInstabilityLowerBound:
             assert witness is not None
             assert witness.delta_slack <= 1e-12
 
+    @pytest.mark.parametrize("delta, L", [
+        (math.nan, 1.0), (math.inf, 1.0), (0.0, math.nan), (0.0, math.inf), (-0.1, 1.0), (0.0, 0.0),
+    ])
+    def test_invalid_inputs_rejected(self, delta, L):
+        with pytest.raises(ValidationError):
+            instability_lower_bound(euclidean_space(2), delta, L, budget=5)
+
     def test_euclidean_tracks_closed_form(self):
         space = euclidean_space(2)
         for delta, L in ((0.02, 1.0), (0.2, 10.0)):
@@ -163,6 +170,18 @@ class TestGrowthRateEstimate:
             growth_rate_estimate(None, 0.0, [1.0, 10.0], s_values=[1.0, 2.0])
         with pytest.raises(ValidationError):
             growth_rate_estimate(None, 0.0, [1, 2, 4, 8, 16], s_values=[1] * 5)
+
+    @pytest.mark.parametrize("delta, ladder", [
+        (math.nan, [1.0, 10.0, 100.0, 1000.0, 10000.0]),
+        (math.inf, [1.0, 10.0, 100.0, 1000.0, 10000.0]),
+        (0.0, [1.0, 10.0, 100.0, 1000.0, math.inf]),
+        (0.0, [1.0, 10.0, math.nan, 1000.0, 10000.0]),
+    ])
+    def test_non_finite_inputs_rejected(self, delta, ladder):
+        with pytest.raises(ValidationError):
+            growth_rate_estimate(None, delta, ladder, s_values=[1.0] * 5)
+        with pytest.raises(ValidationError):
+            growth_rate_estimate(euclidean_space(2), delta, ladder, budget=5)
 
     def test_zero_points_excluded_with_warning(self):
         with pytest.warns(UserWarning):

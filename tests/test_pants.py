@@ -15,6 +15,7 @@ from teichlen import (
     DegenerateHexagonError,
     FlatAnnulus,
     NoCollarError,
+    NumericDomainError,
     PantsCuffs,
     ValidationError,
     annulus_arc_crossings,
@@ -147,6 +148,12 @@ class TestHexagonSide:
         with pytest.raises(DegenerateHexagonError):
             hexagon_side(1, 1, 1)
 
+    @pytest.mark.parametrize("sides", [(800, 1, 800), (400, 1, 400), (1, 1, 1500)])
+    def test_overflow_raises_domain_error(self, sides):
+        # sinh/cosh overflow, or inf - inf = nan, must not escape or return nan
+        with pytest.raises(NumericDomainError):
+            hexagon_side(*sides)
+
     def test_full_cyclic_relation(self):
         # build all six sides from alternating sides, then check the cosine
         # law at every rotation of the cyclic order
@@ -182,6 +189,12 @@ class TestPantsOrthogeodesics:
         expected = math.acosh((math.cosh(1) + math.cosh(1) ** 2) / math.sinh(1) ** 2)
         assert ortho.d12 == pytest.approx(expected, abs=1e-12)
         assert ortho.d12 == ortho.d13 == ortho.d23
+
+    @pytest.mark.parametrize("cuffs", [(2000, 1, 1), (1500, 0, 0), (700, 700, 700)])
+    def test_overflow_raises_domain_error(self, cuffs):
+        # (700, 700, 700) used to return d11 = inf for finite cuffs
+        with pytest.raises(NumericDomainError):
+            pants_orthogeodesics(PantsCuffs(*cuffs))
 
     def test_permutation_equivariance(self):
         base = pants_orthogeodesics(PantsCuffs(1.0, 2.0, 3.0))

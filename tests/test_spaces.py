@@ -9,6 +9,7 @@ from teichlen import (
     ValidationError,
     growth_rate_estimate,
     hyp_distance,
+    hyp_product_space,
     instability_lower_bound,
     pi_image_space,
 )
@@ -48,6 +49,17 @@ class TestPiImageSpace:
             value, witness = instability_lower_bound(space, 0.0, L, budget=60)
             assert value >= L / 2 - 1e-9
             assert witness is not None
+
+    @pytest.mark.parametrize("L", [1.0, 100.0, 1000.0])
+    def test_factor_hooks_match_hyp_product(self, genus2, L):
+        # L = 1, 100 run the structured witnesses; L = 1000 only random triples
+        pi_value, pi_witness = instability_lower_bound(
+            pi_image_space(genus2, gamma=("g1", "g2")), 0.1, L, budget=50, seed=5)
+        hyp_value, hyp_witness = instability_lower_bound(
+            hyp_product_space(2), 0.1, L, budget=50, seed=5)
+        assert pi_value == hyp_value > 0.0
+        for name in ("x", "y", "z"):
+            assert getattr(pi_witness, name).factors == getattr(hyp_witness, name)
 
     def test_growth_rate_slope_one(self, genus2):
         space = pi_image_space(genus2)
