@@ -15,7 +15,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .collar import MARGULIS_2D, CollarParams, collar_decomposition
+from .collar import CollarParams, collar_decomposition
 from .distance import (
     CurveFamily,
     default_curve_family,
@@ -48,7 +48,6 @@ class RunConfig:
 
     eps0: float = 0.5
     eps1: float = 0.1
-    margulis: float = MARGULIS_2D
     ell0: float = 10.0  # largest admissible boundary length
     family_i_max: int = 2
     family_b: int = 8
@@ -66,10 +65,10 @@ class RunConfig:
         self.params()  # enforces the eps ordering
 
     def params(self) -> CollarParams:
-        return CollarParams(self.eps0, self.eps1, self.margulis)
+        return CollarParams(self.eps0, self.eps1)
 
 
-_FLOAT_KEYS = ("eps0", "eps1", "margulis", "ell0")
+_FLOAT_KEYS = ("eps0", "eps1", "ell0")
 _INT_KEYS = ("family_i_max", "family_b", "seed", "budget")
 
 

@@ -21,17 +21,16 @@ MARGULIS_2D = 2.0 * math.asinh(1.0)
 
 @dataclass(frozen=True)
 class CollarParams:
-    """Thin-thin thresholds 0 < eps1 < eps0 < margulis."""
+    """Thin-thin thresholds 0 < eps1 < eps0 < MARGULIS_2D."""
 
     eps0: float = 0.5
     eps1: float = 0.1
-    margulis: float = MARGULIS_2D
 
     def __post_init__(self):
-        if not (0 < self.eps1 < self.eps0 < self.margulis):
+        if not (0 < self.eps1 < self.eps0 < MARGULIS_2D):
             raise ValidationError(
-                f"need 0 < eps1 < eps0 < margulis, got "
-                f"({self.eps0}, {self.eps1}, {self.margulis})"
+                f"need 0 < eps1 < eps0 < {MARGULIS_2D:.6g} (Margulis), "
+                f"got eps0 = {self.eps0}, eps1 = {self.eps1}"
             )
 
 
@@ -136,8 +135,7 @@ def collar_decomposition(marking: Marking, sigma: FNPoint,
                          params: CollarParams = DEFAULT_PARAMS) -> CollarDecomposition:
     """Split the marked surface into thin collars and thick components."""
     sigma.validate_for(marking)
-    internal, peripheral = _thin_sets(marking, sigma, params)
-    return partial_decomposition(marking, sigma, params, internal | peripheral)
+    return _decomposition(marking, sigma, params, *_thin_sets(marking, sigma, params))
 
 
 def partial_decomposition(marking: Marking, sigma: FNPoint, params: CollarParams,
@@ -153,9 +151,14 @@ def partial_decomposition(marking: Marking, sigma: FNPoint, params: CollarParams
     stray = subset - internal - peripheral
     if stray:
         raise ValidationError(f"curves {sorted(stray)} are not thin for this point")
+    return _decomposition(marking, sigma, params, subset & internal, subset & peripheral)
+
+
+def _decomposition(marking: Marking, sigma: FNPoint, params: CollarParams,
+                   internal: set[str], peripheral: set[str]) -> CollarDecomposition:
+    """Thin annuli around the given curves; thick components cut along the internal ones."""
     thin = tuple(
-        [_annulus(c, sigma, params, False) for c in sorted(subset & internal)]
-        + [_annulus(b, sigma, params, True) for b in sorted(subset & peripheral)]
+        [_annulus(c, sigma, params, False) for c in sorted(internal)]
+        + [_annulus(b, sigma, params, True) for b in sorted(peripheral)]
     )
-    thick = _components(marking, subset & internal)
-    return CollarDecomposition(marking, params, thin, thick)
+    return CollarDecomposition(marking, params, thin, _components(marking, internal))

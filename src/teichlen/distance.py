@@ -2,14 +2,13 @@
 
 The distance estimator takes the supremum of extremal-length ratios over
 a finite family of curve systems, symmetrized over the two directions,
-and returns half its log.  Inside the estimator the annulus terms are
-evaluated at height m/pi rather than m, which puts twist-direction and
-pinch-direction ratios on the same hyperbolic scale as the product
-coordinates (s, 1/l); the public extremal-length estimate keeps the raw
-modulus.  This m/pi height is applied in one place: the estimator
-builds its ``extremal.ComponentEvaluator`` with modulus_unit = pi.  For
-the torus the exact formula is available as ``torus_family_estimate`` /
-``hyp_distance``.
+and returns half its log.  A family is one int array of (i, b, n)
+coordinates, evaluated by one ``extremal.ComponentEvaluator.table`` per
+point.  Its annulus terms sit at height m/pi rather than m, set in this
+one place by modulus_unit = pi, which puts twist- and pinch-direction
+ratios on the same hyperbolic scale as the product coordinates (s, 1/l);
+the public extremal-length estimate keeps the raw modulus.  For the torus
+the exact formula is available as ``torus_family_estimate`` / ``hyp_distance``.
 """
 
 from __future__ import annotations
@@ -17,8 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
@@ -27,26 +25,40 @@ from .collar import DEFAULT_PARAMS, CollarParams, collar_decomposition
 from .errors import ValidationError
 from .extremal import ComponentEvaluator
 from .halfplane import UHPoint, hyp_distance
-from .surface import CURVE, CurveSystem, FNPoint, Marking, core_curve
+from .surface import CURVE, CurveSystem, FNPoint, Marking
 
 
-@dataclass(frozen=True)
 class CurveFamily:
-    """Finite stand-in for the full set of curve classes."""
+    """Finite stand-in for the full set of curve classes.
 
-    members: tuple[CurveSystem, ...]
-    curves: frozenset[str] = field(init=False, repr=False, compare=False)
+    ``coords`` is a read-only int array of shape (members, curves, 3)
+    holding (i, b, n) per member and pants curve; ``curves`` names its
+    columns.  ``members`` rebuilds the curve systems on each access.
+    """
 
-    def __post_init__(self):
-        if not self.members:
-            raise ValidationError("curve family must be nonempty")
-        curves = self.members[0].data.keys()
-        if any(beta.data.keys() != curves for beta in self.members):
+    def __init__(self, members: Iterable[CurveSystem]):
+        members = tuple(members)
+        curves = members[0].data.keys() if members else {}.keys()
+        if any(beta.data.keys() != curves for beta in members):
             raise ValidationError("curve family members must share one curve set")
-        object.__setattr__(self, "curves", frozenset(curves))
+        # a CurveSystem keeps its curves sorted, so all rows share one column order
+        coords = np.array([list(beta.data.values()) for beta in members], dtype=np.int64)
+        self._store(coords.reshape(len(members), len(curves), 3), tuple(curves))
+
+    def _store(self, coords: np.ndarray, curves: tuple[str, ...]) -> "CurveFamily":
+        if len(coords) == 0:
+            raise ValidationError("curve family must be nonempty")
+        coords.flags.writeable = False
+        self.coords, self.curves = coords, curves
+        return self
+
+    @property
+    def members(self) -> tuple[CurveSystem, ...]:
+        return tuple(CurveSystem(dict(zip(self.curves, row)))
+                     for row in self.coords.tolist())
 
     def __len__(self):
-        return len(self.members)
+        return len(self.coords)
 
     def __iter__(self):
         return iter(self.members)
@@ -58,32 +70,26 @@ def default_curve_family(marking: Marking, i_max: int = 2,
 
     Crossing patterns are filtered by the per-pants parity constraint.
     The family covers both kinds of ratio witnesses: curves confined to a
-    thick piece and curves twisting through an annulus.
+    thick piece and curves twisting through an annulus.  It is filled one
+    block per crossing pattern, offsets in ``itertools.product`` order.
     """
     curves = marking.curves
-    pants = marking.decomposition.pants
-    members: list[CurveSystem] = []
+    pants_columns = [[curves.index(e.name) for e in p.ends if e.kind == CURVE]
+                     for p in marking.decomposition.pants]
+    blocks = []
     for pattern in itertools.product(range(i_max + 1), repeat=len(curves)):
-        if sum(pattern) == 0:
+        if sum(pattern) == 0 or any(sum(pattern[k] for k in cols) % 2
+                                    for cols in pants_columns):
             continue
-        counts = dict(zip(curves, pattern))
-        ok = all(
-            sum(counts[e.name] for e in p.ends if e.kind == CURVE) % 2 == 0
-            for p in pants
-        )
-        if not ok:
-            continue
-        crossing = [c for c in curves if counts[c] > 0]
-        for offsets in itertools.product(
-            range(-twist_bound, twist_bound + 1), repeat=len(crossing)
-        ):
-            data = {c: (counts[c], 0, 0) for c in curves}
-            for c, b in zip(crossing, offsets):
-                data[c] = (counts[c], b, 0)
-            members.append(CurveSystem(data))
-    for c in curves:
-        members.append(core_curve(marking, c))
-    return CurveFamily(tuple(members))
+        crossing = [k for k, count in enumerate(pattern) if count > 0]
+        grid = np.indices((2 * twist_bound + 1,) * len(crossing))
+        block = np.zeros((grid[0].size, len(curves), 3), dtype=np.int64)
+        block[:, :, 0] = pattern
+        block[:, crossing, 1] = grid.reshape(len(crossing), -1).T - twist_bound
+        blocks.append(block)
+    cores = np.eye(len(curves), dtype=np.int64)[:, :, None] * np.array([0, 0, 1])
+    # valid by construction, so the per-member checks of __init__ are skipped
+    return CurveFamily.__new__(CurveFamily)._store(np.concatenate(blocks + [cores]), curves)
 
 
 def kerckhoff_distance_estimate(sigma: FNPoint, tau: FNPoint,
@@ -96,33 +102,19 @@ def kerckhoff_distance_estimate(sigma: FNPoint, tau: FNPoint,
     contributions is conventionally 1).  The result is a lower-bound
     style estimate: enlarging the family can only increase it.
     """
-    if family.curves != set(marking.curves):
+    if set(family.curves) != set(marking.curves):
         raise ValidationError(
             f"curve family over {sorted(family.curves)} does not match "
             f"marking curves {sorted(marking.curves)}"
         )
-    ev_sigma, ev_tau = (
+    a, b = (
         ComponentEvaluator(collar_decomposition(marking, point, params), point,
-                           modulus_unit=math.pi)
+                           modulus_unit=math.pi).table(family.coords, family.curves).max(0)
         for point in (sigma, tau)
     )
-    sup = 1.0
-    for beta in family:
-        a = max(ev_sigma.contributions(beta))
-        b = max(ev_tau.contributions(beta))
-        if a == 0.0 or b == 0.0:
-            continue
-        r = a / b if a > b else b / a
-        if r > sup:
-            sup = r
-    return 0.5 * math.log(sup)
-
-
-@lru_cache(maxsize=64)
-def _coprime_pairs(n_max: int):
-    u, v = np.meshgrid(np.arange(-n_max, n_max + 1), np.arange(-n_max, n_max + 1))
-    mask = np.gcd(np.abs(u), np.abs(v)) == 1
-    return u[mask].astype(float), v[mask].astype(float)
+    usable = (a != 0.0) & (b != 0.0)
+    a, b = a[usable], b[usable]
+    return 0.5 * math.log(np.max(np.maximum(a, b) / np.minimum(a, b), initial=1.0))
 
 
 def torus_family_estimate(z1: UHPoint, z2: UHPoint, n_max: int) -> float:
@@ -134,7 +126,9 @@ def torus_family_estimate(z1: UHPoint, z2: UHPoint, n_max: int) -> float:
     """
     if n_max < 1:
         raise ValidationError("n_max must be at least 1")
-    u, v = _coprime_pairs(n_max)
+    u, v = np.meshgrid(np.arange(-n_max, n_max + 1), np.arange(-n_max, n_max + 1))
+    coprime = np.gcd(u, v) == 1
+    u, v = u[coprime].astype(float), v[coprime].astype(float)
     lam1 = ((u + v * z1.x) ** 2 + (v * z1.y) ** 2) / z1.y
     lam2 = ((u + v * z2.x) ** 2 + (v * z2.y) ** 2) / z2.y
     ratio = lam2 / lam1

@@ -9,17 +9,19 @@ orthogeodesic arc lengths inside each pants plus a twist-travel term
 |t| * l * i on moderate internal cuffs.  The proxy is validated by
 property tests, not by matching any particular multiplicative constant.
 
-``ComponentEvaluator`` computes every contribution, for these estimators
-and for the distance estimator alike.  It evaluates a thin annulus at
-height m / modulus_unit: the ``lambda_*`` estimators here use the raw
-modulus (modulus_unit = 1) and the distance estimator uses m / pi.
+``ComponentEvaluator.table`` computes the contributions of a whole
+array of curve systems at once, for the distance estimator and, as its
+one-member case, for the ``lambda_*`` estimators.  A thin annulus is
+evaluated at height m / modulus_unit: 1 here, pi in the distance estimator.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import Sequence
+
+import numpy as np
 
 from .collar import (
     DEFAULT_PARAMS,
@@ -28,17 +30,14 @@ from .collar import (
     ThickComponent,
     collar_decomposition,
 )
-from .errors import ValidationError
+from .errors import NumericDomainError, ValidationError
 from .pants import PantsCuffs, pants_orthogeodesics
 from .surface import CURVE, PUNCTURE, CurveSystem, FNPoint, Marking
 
 
-def _annulus_term(i: int, n: int, height: float, t: float) -> float:
-    if i > 0:
-        return i * i * (height + t * t / height)
-    if n > 0:
-        return n * n / height
-    return 0.0
+def _annulus_term(i, n, height, t):
+    """i^2 (height + t^2/height) where i > 0, else n^2/height; scalars or arrays."""
+    return np.where(i > 0, i * i * (height + t * t / height), n * n / height)
 
 
 def lambda_annulus(i: int, n: int, m: float, t_hat: float | None = None) -> float:
@@ -49,7 +48,7 @@ def lambda_annulus(i: int, n: int, m: float, t_hat: float | None = None) -> floa
         raise ValidationError("modulus must be positive")
     if i > 0 and (t_hat is None or not math.isfinite(t_hat)):
         raise ValidationError("crossing arcs need a finite twist estimate")
-    return _annulus_term(i, n, m, t_hat)
+    return float(_annulus_term(i, n, m, 0.0 if t_hat is None else t_hat))
 
 
 @dataclass(frozen=True)
@@ -63,14 +62,7 @@ class ArcMultiplicities:
     a13: int
     a23: int
 
-    def pairs(self):
-        return (
-            ((1, 1), self.a11), ((2, 2), self.a22), ((3, 3), self.a33),
-            ((1, 2), self.a12), ((1, 3), self.a13), ((2, 3), self.a23),
-        )
 
-
-@lru_cache(maxsize=4096)
 def arc_multiplicities(m1: int, m2: int, m3: int) -> ArcMultiplicities:
     """Canonical arc pairing for endpoint counts (m1, m2, m3) on the cuffs.
 
@@ -78,45 +70,42 @@ def arc_multiplicities(m1: int, m2: int, m3: int) -> ArcMultiplicities:
     distinct cuffs; otherwise the excess on the dominant cuff returns to
     it.  This is the unique pairing with the fewest same-cuff arcs.
     """
-    counts = (m1, m2, m3)
+    counts = [m1, m2, m3]
     if min(counts) < 0:
         raise ValidationError("endpoint counts must be nonnegative")
     if sum(counts) % 2 != 0:
-        raise ValidationError(f"endpoint counts {counts} have odd total")
-    a = {key: 0 for key in ((1, 1), (2, 2), (3, 3), (1, 2), (1, 3), (2, 3))}
+        raise ValidationError(f"endpoint counts {tuple(counts)} have odd total")
     big = max(range(3), key=lambda k: counts[k])
-    rest = [k for k in range(3) if k != big]
-    if counts[big] > counts[rest[0]] + counts[rest[1]]:
-        for other in rest:
-            key = tuple(sorted((big + 1, other + 1)))
-            a[key] = counts[other]
-        a[(big + 1, big + 1)] = (counts[big] - counts[rest[0]] - counts[rest[1]]) // 2
-    else:
-        a[(1, 2)] = (m1 + m2 - m3) // 2
-        a[(1, 3)] = (m1 + m3 - m2) // 2
-        a[(2, 3)] = (m2 + m3 - m1) // 2
-    return ArcMultiplicities(
-        a11=a[(1, 1)], a22=a[(2, 2)], a33=a[(3, 3)],
-        a12=a[(1, 2)], a13=a[(1, 3)], a23=a[(2, 3)],
-    )
+    loops = [0, 0, 0]
+    loops[big] = max(0, 2 * counts[big] - sum(counts)) // 2
+    counts[big] -= 2 * loops[big]  # the rest satisfies the triangle inequalities
+    m1, m2, m3 = counts
+    return ArcMultiplicities(*loops, (m1 + m2 - m3) // 2, (m1 + m3 - m2) // 2,
+                             (m2 + m3 - m1) // 2)
 
 
-@lru_cache(maxsize=65536)
-def _ortho_row(cuffs: tuple[float, float, float]) -> tuple[float, ...]:
-    """Orthogeodesic lengths of one pants in ``ArcMultiplicities.pairs()`` order."""
-    o = pants_orthogeodesics(PantsCuffs(*cuffs))
-    return (o.d11, o.d22, o.d33, o.d12, o.d13, o.d23)
+def _arc_sum(pants_rows, column: dict[str, int], pattern: list[int]) -> float:
+    """Orthogeodesic arc lengths of one intersection pattern, summed over the pants."""
+    length = 0.0
+    for curve_ends, ortho in pants_rows:
+        counts = [0 if name is None else pattern[column[name]] for name in curve_ends]
+        if any(counts):
+            m = arc_multiplicities(*counts)
+            for count, d in zip((m.a11, m.a22, m.a33, m.a12, m.a13, m.a23), ortho):
+                if count:
+                    length += count * d
+    return length
 
 
 class ComponentEvaluator:
     """Per-point table of the component contributions of a decomposition.
 
-    Built once per point sigma; ``contributions(beta)`` then returns one
-    value per component in the decomposition's order (thin annuli, then
-    thick components), labelled by ``labels``.  A thin annulus of modulus
-    m is evaluated at height m / modulus_unit; peripheral annuli always
-    contribute 0.  Cuffs longer than the decomposition's eps1 inside a
-    thick component add the twist-travel term.
+    Built once per point sigma, with the orthogeodesics of each pants;
+    ``table`` then gives one row per component in the decomposition's
+    order (thin annuli, then thick components), labelled by ``labels``.
+    A thin annulus of modulus m is evaluated at height m / modulus_unit;
+    peripheral annuli always contribute 0.  Cuffs longer than the
+    decomposition's eps1 inside a thick component add the twist-travel term.
     """
 
     def __init__(self, decomposition: CollarDecomposition, sigma: FNPoint,
@@ -135,45 +124,62 @@ class ComponentEvaluator:
         self._thick = []
         for comp in decomposition.thick:
             pants_rows = []
-            for name in comp.pants:
-                ends = pants_by_name[name].ends
-                curve_ends = tuple(e.name if e.kind == CURVE else None for e in ends)
-                cuffs = tuple(0.0 if e.kind == PUNCTURE else sigma.length(e.name)
-                              for e in ends)
-                pants_rows.append((curve_ends, cuffs))
+            for ends in (pants_by_name[name].ends for name in comp.pants):
+                o = pants_orthogeodesics(PantsCuffs(
+                    *(0.0 if e.kind == PUNCTURE else sigma.length(e.name) for e in ends)))
+                pants_rows.append((tuple(e.name if e.kind == CURVE else None for e in ends),
+                                   (o.d11, o.d22, o.d33, o.d12, o.d13, o.d23)))
             cuff_terms = tuple(
                 (cuff, sigma.length(cuff), sigma.twist(cuff))
                 for cuff in comp.internal_cuffs
                 if sigma.length(cuff) > eps1
             )
-            self._thick.append((tuple(pants_rows), cuff_terms))
+            self._thick.append((pants_rows, cuff_terms))
+
+    def table(self, coords: np.ndarray, curves: Sequence[str]) -> np.ndarray:
+        """Contributions of every member, shape (components, members).
+
+        ``coords`` has shape (members, curves, 3) and holds (i, b, n) per
+        member and curve, its columns named by ``curves``.  The terms are
+        summed in the scalar order, so values are bit-identical to a
+        per-member loop.  A value outside double range raises
+        NumericDomainError.
+        """
+        column = {c: k for k, c in enumerate(curves)}
+        i, b, n = np.moveaxis(coords.astype(float), -1, 0)
+        # thick arc sums once per distinct intersection pattern: a 1-D key
+        # renumbered after each column stays below the member count
+        key = np.zeros(len(coords), dtype=np.int64)
+        for counts in coords[:, :, 0].T:
+            _, key = np.unique(key * (counts.max() + 1) + counts, return_inverse=True)
+        first = np.empty(key.max() + 1, dtype=np.int64)
+        first[key] = np.arange(len(key))
+        patterns = coords[first, :, 0].tolist()
+        rows = []
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            for entry in self._thin:
+                if entry is None:
+                    rows.append(np.zeros(len(coords)))
+                    continue
+                curve, height, twist = entry
+                k = column[curve]
+                rows.append(_annulus_term(i[:, k], n[:, k], height, b[:, k] + twist))
+            for pants_rows, cuff_terms in self._thick:
+                length = np.array([_arc_sum(pants_rows, column, p) for p in patterns])[key]
+                for cuff, ell, twist in cuff_terms:
+                    k = column[cuff]
+                    length = length + np.where(
+                        i[:, k] > 0, np.abs(b[:, k] + twist) * ell * i[:, k], 0.0)
+                rows.append(length * length)
+        table = np.array(rows)
+        if not np.isfinite(table).all():
+            raise NumericDomainError("a component contribution leaves double range")
+        return table
 
     def contributions(self, beta: CurveSystem) -> list[float]:
-        data = beta.data
-        values = []
-        for entry in self._thin:
-            if entry is None:
-                values.append(0.0)
-                continue
-            curve, height, twist = entry
-            i, b, n = data[curve]
-            values.append(_annulus_term(i, n, height, b + twist))
-        for pants_rows, cuff_terms in self._thick:
-            length = 0.0
-            for curve_ends, cuffs in pants_rows:
-                counts = [0 if name is None else data[name][0] for name in curve_ends]
-                if not any(counts):
-                    continue
-                ortho = _ortho_row(cuffs)
-                for (_, count), d in zip(arc_multiplicities(*counts).pairs(), ortho):
-                    if count:
-                        length += count * d
-            for cuff, ell, twist in cuff_terms:
-                i, b, _ = data[cuff]
-                if i > 0:
-                    length += abs(b + twist) * ell * i
-            values.append(length * length)
-        return values
+        """One value per component for a single curve system."""
+        coords = np.array([list(beta.data.values())], dtype=np.int64)
+        return self.table(coords, tuple(beta.data))[:, 0].tolist()
 
 
 def lambda_thick(component: ThickComponent, beta: CurveSystem, sigma: FNPoint,

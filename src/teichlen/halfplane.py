@@ -168,14 +168,18 @@ class MobiusMap:
         return cls(1.0, -p, 1.0, -q)
 
 
+def _sinh_distance(z1: UHPoint, z2: UHPoint) -> float:
+    """|z1 - z2| / (2 sqrt(y1) sqrt(y2)), the sinh of ``hyp_distance``."""
+    return math.hypot(z1.x - z2.x, z1.y - z2.y) / (2.0 * math.sqrt(z1.y) * math.sqrt(z2.y))
+
+
 def hyp_distance(z1: UHPoint, z2: UHPoint) -> float:
     """Half the hyperbolic distance between two half-plane points.
 
     asinh of |z1 - z2| / (2 sqrt(y1 y2)): no cancellation at small
     separations, and no overflow while x1 - x2 is a finite double.
     """
-    chord = math.hypot(z1.x - z2.x, z1.y - z2.y)
-    return math.asinh(chord / (2.0 * math.sqrt(z1.y) * math.sqrt(z2.y)))
+    return math.asinh(_sinh_distance(z1, z2))
 
 
 def geodesic_point(z: UHPoint, w: UHPoint, t: float) -> UHPoint:
@@ -196,31 +200,16 @@ def geodesic_point(z: UHPoint, w: UHPoint, t: float) -> UHPoint:
     return UHPoint(z.x - y * math.sinh(step) / cosh_z, y)
 
 
-def _ratio_at(t: float, z1: UHPoint, z2: UHPoint) -> float:
-    num = z2.y + (t + z2.x) ** 2 / z2.y
-    den = z1.y + (t + z1.x) ** 2 / z1.y
-    return num / den
-
-
 def k_ratio_sup(z1: UHPoint, z2: UHPoint) -> float:
     """Exact supremum over t in R u {inf} of the quadratic length ratio.
 
     The ratio compared is (y2 + (t+x2)^2/y2) / (y1 + (t+x1)^2/y1); the
-    t -> infinity limit y1/y2 is included.  Solved in closed form from the
-    critical-point quadratic of the rational function.
+    t -> infinity limit y1/y2 is included.  The supremum is
+    exp(2 hyp_distance) = (s + sqrt(1 + s^2))^2 with s = sinh(hyp_distance).
     """
-    candidates = [z1.y / z2.y]  # the t -> +-infinity limit
-    d = z2.x - z1.x
-    if d == 0.0:
-        candidates.append(_ratio_at(-z1.x, z1, z2))
-    else:
-        # critical points in u = t + x1: d u^2 - (y1^2 - y2^2 - d^2) u - d y1^2 = 0
-        bq = z1.y * z1.y - z2.y * z2.y - d * d
-        disc = bq * bq + 4.0 * d * d * z1.y * z1.y
-        root = math.sqrt(disc)
-        for u in ((bq + root) / (2.0 * d), (bq - root) / (2.0 * d)):
-            candidates.append(_ratio_at(u - z1.x, z1, z2))
-    return max(candidates)
+    s = _sinh_distance(z1, z2)
+    root = s + math.hypot(1.0, s)
+    return root * root
 
 
 def torus_extremal_length(lat: TorusLattice, u: float, v: float) -> float:

@@ -34,7 +34,6 @@ class TestCollarParams:
         params = CollarParams()
         assert params.eps0 == 0.5
         assert params.eps1 == 0.1
-        assert params.margulis == pytest.approx(2 * math.asinh(1.0))
 
     def test_ordering_enforced(self):
         with pytest.raises(ValidationError):

@@ -1,7 +1,10 @@
 """Distance estimation, the pinching projection, and the product metric."""
 
 import dataclasses
+import itertools
 import math
+import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -9,10 +12,12 @@ import pytest
 from teichlen import (
     CurveFamily,
     CurveSystem,
+    NumericDomainError,
     UHPoint,
     ValidationError,
     annulus_ratio_check,
     collar_decomposition,
+    core_curve,
     default_curve_family,
     fn_dehn_twist,
     hyp_distance,
@@ -27,6 +32,36 @@ from teichlen import (
 )
 
 from conftest import genus2_point
+from teichlen.files import parse_surface
+from teichlen.surface import CURVE
+
+DATA = pathlib.Path(__file__).resolve().parent.parent / "demos" / "data"
+
+
+def reference_family(marking, i_max, twist_bound):
+    """Brute-force enumeration, one CurveSystem per member, in the family's order."""
+    curves = marking.curves
+    members = []
+    for pattern in itertools.product(range(i_max + 1), repeat=len(curves)):
+        counts = dict(zip(curves, pattern))
+        if sum(pattern) == 0 or any(
+            sum(counts[e.name] for e in p.ends if e.kind == CURVE) % 2
+            for p in marking.decomposition.pants
+        ):
+            continue
+        crossing = [c for c in curves if counts[c] > 0]
+        for offsets in itertools.product(
+            range(-twist_bound, twist_bound + 1), repeat=len(crossing)
+        ):
+            data = {c: (counts[c], 0, 0) for c in curves}
+            for c, b in zip(crossing, offsets):
+                data[c] = (counts[c], b, 0)
+            members.append(CurveSystem(data))
+    return members + [core_curve(marking, c) for c in curves]
+
+
+def member_set(members):
+    return {tuple(sorted(beta.data.items())) for beta in members}
 
 
 def euclidean_base_metric(rho1, rho2):
@@ -91,6 +126,17 @@ class TestDefaultCurveFamily:
         large = default_curve_family(genus2, i_max=2, twist_bound=2)
         assert len(large) > len(small)
 
+    def test_matches_brute_force_enumeration(self, genus2, holed_torus):
+        family = default_curve_family(genus2)
+        reference = reference_family(genus2, 2, 8)
+        assert len(family) == len(reference) == 21440
+        assert member_set(family.members) == member_set(reference)
+        # a self-glued pants counts its curve twice in the parity rule
+        family = default_curve_family(holed_torus, i_max=3, twist_bound=2)
+        reference = reference_family(holed_torus, 3, 2)
+        assert len(family) == len(reference)
+        assert member_set(family) == member_set(reference)
+
 
 class TestKerckhoffDistanceEstimate:
     def test_identity_point(self, genus2):
@@ -140,6 +186,40 @@ class TestKerckhoffDistanceEstimate:
         members = default_curve_family(genus2, i_max=1, twist_bound=0).members
         with pytest.raises(ValidationError):
             CurveFamily(members + (CurveSystem({"g1": (0, 0, 1)}),))
+
+    def test_family_from_members_gives_the_same_estimate(self, genus2):
+        family = default_curve_family(genus2, twist_bound=3)
+        rebuilt = CurveFamily(reversed(family.members))
+        sigma = genus2_point(l1=0.05, s1=0.2)
+        tau = genus2_point(l1=0.008, s1=3.7, l2=0.9)
+        assert kerckhoff_distance_estimate(sigma, tau, rebuilt, genus2) == (
+            kerckhoff_distance_estimate(sigma, tau, family, genus2)
+        )
+
+    def test_independent_of_curve_order_in_surface_file(self):
+        text = (DATA / "genus2.surf").read_text()
+        reordered = text.replace("g1 = +\ng2 = +\ng3 = +\n", "g3 = +\ng1 = +\ng2 = +\n")
+        assert reordered != text
+        sigma = genus2_point(l1=0.01, s1=0.0)
+        tau = genus2_point(l1=0.004, l2=0.05, s1=37.5, s2=-2.25)
+        values = []
+        for marking in (parse_surface(text), parse_surface(reordered)):
+            family = default_curve_family(marking, twist_bound=4)
+            values.append(kerckhoff_distance_estimate(sigma, tau, family, marking))
+        assert parse_surface(reordered).curves == ("g3", "g1", "g2")
+        assert values[0] == values[1] > 0
+
+    @pytest.mark.parametrize("twists", [{"s1": 1e200}, {"s2": 1e200}],
+                             ids=["thin-annulus", "thick-twist-travel"])
+    def test_non_finite_contribution_raises(self, genus2, twists):
+        # a value with no meaning (inf before) is a numeric-domain error,
+        # raised without numpy warnings
+        family = default_curve_family(genus2, i_max=1, twist_bound=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericDomainError):
+                kerckhoff_distance_estimate(genus2_point(), genus2_point(**twists),
+                                            family, genus2)
 
     def test_agrees_with_surface_estimate_at_height_m_over_pi(self, genus2):
         # reference: ratio sup of lambda_surface_estimate over collar

@@ -10,12 +10,14 @@ import pytest
 from teichlen import (
     CollarParams,
     CurveSystem,
+    FNPoint,
     PantsCuffs,
     ValidationError,
     arc_multiplicities,
     collar_decomposition,
     collar_modulus,
     core_curve,
+    default_curve_family,
     empty_curve,
     fn_dehn_twist,
     lambda_annulus,
@@ -42,6 +44,39 @@ def arc_multiplicities_oracle(m1, m2, m3):
                 if best is None or sum(candidate[:3]) < sum(best[:3]):
                     best = candidate
     return best
+
+
+def reference_contributions(dec, sigma, beta, modulus_unit=1.0):
+    """Per-member scalar loop that the array table must match bit for bit."""
+    values = []
+    for a in dec.thin:
+        if a.peripheral:
+            values.append(0.0)
+            continue
+        i, b, n = beta.data[a.curve]
+        height, t = a.modulus / modulus_unit, b + sigma.twist(a.curve)
+        values.append(i * i * (height + t * t / height) if i > 0 else n * n / height)
+    pants = dec.marking.pants_by_name()
+    for comp in dec.thick:
+        length = 0.0
+        for name in comp.pants:
+            ends = pants[name].ends
+            counts = [beta.data[e.name][0] if e.kind == "curve" else 0 for e in ends]
+            if not any(counts):
+                continue
+            o = pants_orthogeodesics(PantsCuffs(
+                *(0.0 if e.kind == "puncture" else sigma.length(e.name) for e in ends)))
+            m = arc_multiplicities(*counts)
+            for count, d in zip((m.a11, m.a22, m.a33, m.a12, m.a13, m.a23),
+                                (o.d11, o.d22, o.d33, o.d12, o.d13, o.d23)):
+                if count:
+                    length += count * d
+        for cuff in comp.internal_cuffs:
+            i, b, _ = beta.data[cuff]
+            if sigma.length(cuff) > dec.params.eps1 and i > 0:
+                length += abs(b + sigma.twist(cuff)) * sigma.length(cuff) * i
+        values.append(length * length)
+    return values
 
 
 class TestLambdaAnnulus:
@@ -160,6 +195,26 @@ class TestComponentEvaluator:
         assert scaled[0] == lambda_annulus(2, 0, m / math.pi, 3.2)
         assert raw[0] == lambda_annulus(2, 0, m, 3.2)
         assert scaled[1:] == raw[1:]
+
+
+    @pytest.mark.parametrize("surface", ["genus2", "holed_torus", "punctured_torus"])
+    def test_table_matches_per_member_loop(self, request, surface):
+        marking = request.getfixturevalue(surface)
+        family = default_curve_family(marking, i_max=3, twist_bound=2)
+        members = family.members
+        rng = np.random.default_rng(45)
+        for _ in range(4):
+            names = marking.curves + marking.decomposition.boundary_names()
+            lengths = np.exp(rng.uniform(np.log(1e-3), np.log(2.0), size=len(names)))
+            sigma = FNPoint(dict(zip(names, lengths.tolist())),
+                            {c: float(rng.uniform(-5, 5)) for c in marking.curves})
+            dec = collar_decomposition(marking, sigma)
+            for unit in (1.0, math.pi):
+                table = ComponentEvaluator(dec, sigma, unit).table(family.coords,
+                                                                   family.curves)
+                reference = [reference_contributions(dec, sigma, beta, unit)
+                             for beta in members]
+                assert table.T.tolist() == reference
 
 
 class TestLambdaSurfaceEstimate:

@@ -257,6 +257,7 @@ class TestCliBadInput:
         ("eps1 = abc\n", {}, ("validate", str(SURFACE)), 2),
         (None, {"TEICHLEN_EPS1": "abc"}, ("validate", str(SURFACE)), 2),
         ("torus_n = 5\n", {}, ("validate", str(SURFACE)), 3),
+        ("margulis = 1.7\n", {}, ("validate", str(SURFACE)), 3),
         (None, {}, INSTABILITY + ("--space", "supprod:x"), 3),
         (None, {}, INSTABILITY + ("--space", "euclidean:"), 3),
         (None, {}, ("instability", "--space", "supprod:2", "--delta", "0",
@@ -266,7 +267,7 @@ class TestCliBadInput:
         (None, {}, ("instability", "--space", "euclidean:2", "--delta", "nan",
                     "--ladder", "1,10,100,1000,10000"), 3),
     ], ids=["missing-config", "config-not-a-number", "env-not-a-number",
-            "config-torus_n", "space-bad-size", "space-empty-size", "ladder-not-a-number",
+            "config-torus_n", "config-margulis", "space-bad-size", "space-empty-size", "ladder-not-a-number",
             "ladder-inf", "delta-nan"])
     def test_exit_codes(self, tmp_path, monkeypatch, config_text, env, argv, code):
         argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
@@ -284,6 +285,11 @@ class TestCliBadInput:
         fn.write_text("[fn]\ng1 = 2000 0.0\ng2 = 1.2 0.1\ng3 = 0.8 -0.2\n")
         other = FN_CORE if command == "distance" else CURVES
         assert run_cli(command, str(SURFACE), str(fn), str(other))[0] == 4
+
+    def test_non_finite_distance_exits_4(self, tmp_path):
+        fn = tmp_path / "far.fn"
+        fn.write_text("[fn]\ng1 = 0.01 1e200\ng2 = 1.2 0.1\ng3 = 0.8 -0.2\n")
+        assert run_cli("distance", str(SURFACE), str(FN_THIN), str(fn))[0] == 4
 
     def test_torus_n_flag_removed(self):
         with pytest.raises(SystemExit):

@@ -111,6 +111,22 @@ def oracle_geodesic_point(z, w, t):
         return c - r * mpmath.tanh(u), r * mpmath.sech(u)
 
 
+def oracle_k_ratio_sup(z1, z2):
+    """Largest ratio over its critical points and t -> infinity, in 60 digits."""
+    with mpmath.workdps(ORACLE_DPS):
+        x1, y1, x2, y2 = map(mpmath.mpf, (z1.x, z1.y, z2.x, z2.y))
+        d = x2 - x1
+        if d == 0:
+            critical = [-x1]
+        else:
+            # critical points in u = t + x1: d u^2 - (y1^2 - y2^2 - d^2) u - d y1^2 = 0
+            bq = y1 ** 2 - y2 ** 2 - d ** 2
+            root = mpmath.sqrt(bq ** 2 + 4 * d ** 2 * y1 ** 2)
+            critical = [(bq + root) / (2 * d) - x1, (bq - root) / (2 * d) - x1]
+        ratios = [(y2 + (t + x2) ** 2 / y2) / (y1 + (t + x1) ** 2 / y1) for t in critical]
+        return max([y1 / y2] + ratios)
+
+
 class TestHalfPlaneOracles:
     """Property tests against 60-digit mpmath oracles."""
 
@@ -133,6 +149,38 @@ class TestHalfPlaneOracles:
             assert hyp_distance(z1, z2) == 0.0
             return
         assert abs(hyp_distance(z1, z2) - exact) <= 1e-15 * exact
+
+    @ORACLE_SETTINGS
+    @given(
+        log_y=st.floats(-150, 150),
+        x_over_y=st.floats(-10, 10),
+        log_sep=st.floats(-14, 2),
+        angle=st.floats(0, 2 * math.pi),
+    )
+    @example(log_y=0.0, x_over_y=0.0, log_sep=-8.0, angle=0.0)
+    def test_k_ratio_sup_relative_error(self, log_y, x_over_y, log_sep, angle):
+        # closed form (s + hypot(1, s))^2 against the critical-point supremum
+        y = 10.0 ** log_y
+        sep = 10.0 ** log_sep
+        z1 = UHPoint(x_over_y * y, y)
+        z2 = UHPoint(z1.x + sep * y * math.cos(angle), y * math.exp(sep * math.sin(angle)))
+        exact = oracle_k_ratio_sup(z1, z2)
+        assert abs(k_ratio_sup(z1, z2) - exact) <= 2e-15 * exact
+
+    @ORACLE_SETTINGS
+    @given(
+        points=st.lists(
+            st.tuples(st.floats(-10, 10), st.floats(-30, 30)), min_size=3, max_size=3),
+    )
+    def test_metric_axioms(self, points):
+        # heights e^-30..e^30: symmetry, zero on the diagonal, triangle
+        # inequality up to rounding, and the (1/2) log k_ratio_sup identity
+        z1, z2, z3 = (UHPoint(x, math.exp(log_y)) for x, log_y in points)
+        d12 = hyp_distance(z1, z2)
+        assert hyp_distance(z1, z1) == 0.0
+        assert d12 == hyp_distance(z2, z1)
+        assert d12 <= (hyp_distance(z1, z3) + hyp_distance(z3, z2)) * (1 + 4e-16)
+        assert 0.5 * math.log(k_ratio_sup(z1, z2)) == pytest.approx(d12, rel=1e-15, abs=1e-15)
 
     @ORACLE_SETTINGS
     @given(
