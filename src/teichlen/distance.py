@@ -136,7 +136,7 @@ def torus_family_estimate(z1: UHPoint, z2: UHPoint, n_max: int) -> float:
     return 0.5 * math.log(sup)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProductPoint:
     """Image of a marked point under the pinching projection.
 

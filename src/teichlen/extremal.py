@@ -85,11 +85,17 @@ def arc_multiplicities(m1: int, m2: int, m3: int) -> ArcMultiplicities:
 
 
 def _arc_sum(pants_rows, column: dict[str, int], pattern: list[int]) -> float:
-    """Orthogeodesic arc lengths of one intersection pattern, summed over the pants."""
+    """Orthogeodesic arc lengths of one intersection pattern, summed over the pants.
+
+    A pants row holds its orthogeodesics, or the NumericDomainError they
+    raised, which is raised only for a pattern that enters that pants.
+    """
     length = 0.0
     for curve_ends, ortho in pants_rows:
         counts = [0 if name is None else pattern[column[name]] for name in curve_ends]
         if any(counts):
+            if isinstance(ortho, NumericDomainError):
+                raise ortho.with_traceback(None)
             m = arc_multiplicities(*counts)
             for count, d in zip((m.a11, m.a22, m.a33, m.a12, m.a13, m.a23), ortho):
                 if count:
@@ -100,7 +106,8 @@ def _arc_sum(pants_rows, column: dict[str, int], pattern: list[int]) -> float:
 class ComponentEvaluator:
     """Per-point table of the component contributions of a decomposition.
 
-    Built once per point sigma, with the orthogeodesics of each pants;
+    Built once per point sigma, with the orthogeodesics of each pants (or
+    the error computing them raised, kept for the curve systems entering it);
     ``table`` then gives one row per component in the decomposition's
     order (thin annuli, then thick components), labelled by ``labels``.
     A thin annulus of modulus m is evaluated at height m / modulus_unit;
@@ -125,10 +132,14 @@ class ComponentEvaluator:
         for comp in decomposition.thick:
             pants_rows = []
             for ends in (pants_by_name[name].ends for name in comp.pants):
-                o = pants_orthogeodesics(PantsCuffs(
-                    *(0.0 if e.kind == PUNCTURE else sigma.length(e.name) for e in ends)))
+                try:
+                    o = pants_orthogeodesics(PantsCuffs(
+                        *(0.0 if e.kind == PUNCTURE else sigma.length(e.name) for e in ends)))
+                    ortho = (o.d11, o.d22, o.d33, o.d12, o.d13, o.d23)
+                except NumericDomainError as exc:  # raised only if a pattern enters
+                    ortho = exc
                 pants_rows.append((tuple(e.name if e.kind == CURVE else None for e in ends),
-                                   (o.d11, o.d22, o.d33, o.d12, o.d13, o.d23)))
+                                   ortho))
             cuff_terms = tuple(
                 (cuff, sigma.length(cuff), sigma.twist(cuff))
                 for cuff in comp.internal_cuffs

@@ -13,6 +13,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Sequence, Union
 
+import numpy as np
+
 from .errors import (
     NoCrossingsError,
     NotCrossingError,
@@ -54,20 +56,29 @@ def _check_ideal(xi: IdealPoint) -> IdealPoint:
     return xi
 
 
-@dataclass(frozen=True)
-class UHPoint:
-    """Point x + iy of the upper half-plane, y > 0 strictly."""
+class UHPoint(complex):
+    """Point x + iy of the upper half-plane, y > 0 strictly.
 
-    x: float
-    y: float
+    An immutable complex number, so one 48-byte object holds both
+    coordinates (a dataclass point also keeps two float objects); ``x``
+    and ``y`` are its real and imaginary parts.
+    """
 
-    def __post_init__(self):
-        if not (self.y > 0 and math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValidationError(f"not an upper half-plane point: ({self.x}, {self.y})")
+    __slots__ = ()
+    x = complex.real
+    y = complex.imag
+
+    def __new__(cls, x: float, y: float):
+        if not (y > 0 and math.isfinite(x) and math.isfinite(y)):
+            raise ValidationError(f"not an upper half-plane point: ({x}, {y})")
+        return super().__new__(cls, x, y)
+
+    def __repr__(self):
+        return f"UHPoint(x={self.x!r}, y={self.y!r})"
 
     @property
     def z(self) -> complex:
-        return complex(self.x, self.y)
+        return complex(self)
 
 
 @dataclass(frozen=True)
@@ -198,6 +209,25 @@ def geodesic_point(z: UHPoint, w: UHPoint, t: float) -> UHPoint:
     cosh_z = math.cosh(u_z)
     y = z.y * cosh_z / math.cosh(u_z + step)
     return UHPoint(z.x - y * math.sinh(step) / cosh_z, y)
+
+
+def geodesic_distances(zx, zy, wx, wy, rx, ry, t) -> np.ndarray:
+    """``hyp_distance(r, geodesic_point(z, w, t))`` over broadcast arrays.
+
+    The closed forms of the two scalar kernels, elementwise: the vertical
+    line where ``wx == zx``, else the circle in arclength.  Nothing is
+    validated; an entry is non-finite where a point leaves the half-plane.
+    """
+    with np.errstate(all="ignore"):
+        vertical = wx == zx
+        dx = np.where(vertical, 1.0, wx - zx)  # vertical rows use the line below
+        cz = (dx * dx + (wy - zy) * (wy + zy)) / (2.0 * dx)
+        u_z = np.arcsinh(cz / zy)
+        step = t * (np.arcsinh((cz - dx) / wy) - u_z)
+        cosh_z = np.cosh(u_z)
+        y = np.where(vertical, zy * (wy / zy) ** t, zy * cosh_z / np.cosh(u_z + step))
+        x = np.where(vertical, zx, zx - y * np.sinh(step) / cosh_z)
+        return np.arcsinh(np.hypot(rx - x, ry - y) / (2.0 * np.sqrt(ry) * np.sqrt(y)))
 
 
 def k_ratio_sup(z1: UHPoint, z2: UHPoint) -> float:

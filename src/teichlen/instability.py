@@ -7,11 +7,25 @@ lower bounds together with their witness triples.  In sup-metric
 products the chosen geodesic is the coordinatewise one with all factors
 parameterized proportionally, so reported values are relative to that
 representative (still valid lower bounds for the supremum over paths).
+
+The distance from z to [xy] is refined by zooming, for all rows of a
+search at once: each round evaluates 65 evenly spaced parameters per row
+in one ``segment_distances`` call, first on [0, 1], then on the bracket
+[t_{k-1}, t_{k+1}] around the row's best sample t_k, until every bracket
+is at most ``resolution`` wide (4 rounds at 1e-6).  The bracket keeps
+the minimiser because t -> d(z, gamma(t)) is convex: distance to a point
+is convex along geodesics of the CAT(0) half-plane factors and along
+affine paths of normed spaces, and a maximum of convex functions is
+convex.  The reported value is the smallest sample seen, the distance to
+an actual point of the path.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import random
 import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
@@ -19,30 +33,35 @@ from typing import Any, Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .halfplane import UHPoint, geodesic_point, hyp_distance
+from .halfplane import UHPoint, geodesic_distances, geodesic_point, hyp_distance
 
 Point = Any
 _BETWEEN_ATOL = 1e-12  # closure tolerance so exact-slack witnesses count at delta = 0
+_ZOOM_GRID = np.linspace(0.0, 1.0, 65)  # samples per row and zoom round
 
 
 @dataclass
 class MetricSpaceHandle:
     """A metric space presented by a distance oracle and a segment chooser.
 
-    ``segment(x, y)`` returns a sampler mapping [0, 1] onto a chosen
-    geodesic from x to y.  Optional hooks drive the witness search:
+    ``segment_distances(triples, ts)`` takes n triples (x, y, z) and an
+    (n, m) array of parameters in [0, 1] and returns the (n, m) array of
+    distances from each z to the point at each of its row's parameters on
+    the chosen geodesic from x to y; an entry that is not finite means a
+    path point left the space.  Optional hooks drive the witness search:
     ``witnesses(delta, L)`` yields structured candidate triples and
-    ``random_triple(rng, delta, L)`` samples one candidate.
+    ``random_triple(rng, delta, L)`` samples one candidate from a
+    ``random.Random``.
     """
 
     name: str
     distance: Callable[[Point, Point], float]
-    segment: Callable[[Point, Point], Callable[[float], Point]]
+    segment_distances: Callable[[Sequence[tuple], np.ndarray], np.ndarray]
     witnesses: Callable[[float, float], Iterable[tuple]] | None = None
-    random_triple: Callable[[np.random.Generator, float, float], tuple] | None = None
+    random_triple: Callable[[random.Random, float, float], tuple] | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BetweennessWitness:
     x: Point
     y: Point
@@ -58,33 +77,47 @@ def is_delta_between(space: MetricSpaceHandle, x: Point, y: Point, z: Point,
     return slack < delta, slack
 
 
+def _segment_distances(space: MetricSpaceHandle, triples: Sequence[tuple],
+                       lengths: Sequence[float], resolution: float) -> np.ndarray:
+    """Distance from each z to its chosen geodesic [xy], all rows zoomed together.
+
+    ``lengths`` holds d(x, y) per row; a zero-length segment gives d(z, x).
+    """
+    if not resolution > 0:
+        raise ValidationError("resolution must be positive")
+    values = np.array([0.0 if d > 0.0 else space.distance(z, x)
+                       for (x, _, z), d in zip(triples, lengths)])
+    moving = [k for k, d in enumerate(lengths) if d > 0.0]
+    if not moving:
+        return values
+    rows = [triples[k] for k in moving]
+    lo = np.zeros(len(rows))
+    width = np.ones(len(rows))
+    best = np.full(len(rows), np.inf)
+    at = np.arange(len(rows))
+    last = len(_ZOOM_GRID) - 1
+    while True:
+        ts = lo[:, None] + width[:, None] * _ZOOM_GRID
+        d = space.segment_distances(rows, ts)
+        if not np.isfinite(d).all():
+            raise ValidationError("a segment sample leaves the space")
+        k = d.argmin(axis=1)
+        best = np.minimum(best, d[at, k])
+        lo = ts[at, np.maximum(k - 1, 0)]
+        width = ts[at, np.minimum(k + 1, last)] - lo
+        if (width <= resolution).all():
+            values[moving] = best
+            return values
+
+
 def segment_distance(space: MetricSpaceHandle, x: Point, y: Point, z: Point,
                      resolution: float = 1e-6) -> float:
     """Distance from z to the chosen geodesic [xy], refined to ``resolution``.
 
-    Coarse sampling followed by ternary search around the best sample;
-    an upper bound on the true minimum for the chosen representative.
+    The one-triple case of the search's zoom: an upper bound on the true
+    minimum for the chosen representative, attained at a point of the path.
     """
-    if space.distance(x, y) == 0.0:
-        return space.distance(z, x)
-    path = space.segment(x, y)
-
-    def objective(t: float) -> float:
-        return space.distance(z, path(t))
-
-    ts = np.linspace(0.0, 1.0, 65)
-    values = [objective(t) for t in ts]
-    k = int(np.argmin(values))
-    lo = ts[max(k - 1, 0)]
-    hi = ts[min(k + 1, len(ts) - 1)]
-    while hi - lo > resolution:
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if objective(m1) <= objective(m2):
-            hi = m2
-        else:
-            lo = m1
-    return min(values[k], objective(0.5 * (lo + hi)))
+    return float(_segment_distances(space, [(x, y, z)], [space.distance(x, y)], resolution)[0])
 
 
 def euclidean_instability_exact(delta: float, L: float) -> float:
@@ -100,41 +133,40 @@ def instability_lower_bound(space: MetricSpaceHandle, delta: float, L: float,
                             ) -> tuple[float, BetweennessWitness | None]:
     """Certified lower bound for s(delta, L) with its best witness.
 
-    Structured witnesses from the space handle are tried before random
-    sampling; every reported witness satisfies the betweenness and
-    diameter constraints (betweenness accepted up to closure tolerance,
-    so exact-geodesic witnesses count at delta = 0).
+    Up to ``budget`` candidates are collected, structured witnesses from
+    the space handle first, then random triples from ``random.Random(seed)``.
+    Those within the diameter and betweenness constraints (betweenness
+    accepted up to closure tolerance, so exact-geodesic witnesses count
+    at delta = 0) are refined together; the witness is the first
+    candidate attaining the largest distance.
     """
     if not (0 <= delta < math.inf and 0 < L < math.inf):
         raise ValidationError("need finite delta >= 0 and L > 0")
-    best = 0.0
-    best_witness = None
-    rng = np.random.default_rng(seed)
-
-    def consider(x, y, z):
-        nonlocal best, best_witness
-        if space.distance(x, y) > L * (1.0 + 1e-12):
-            return
-        _, slack = is_delta_between(space, x, y, z, delta)
-        if not (slack < delta or slack <= _BETWEEN_ATOL):
-            return
-        value = segment_distance(space, x, y, z, resolution)
-        if value > best:
-            best = value
-            best_witness = BetweennessWitness(x, y, z, slack, value)
-
-    spent = 0
+    if budget < 1:
+        raise ValidationError("budget must be positive")
+    candidates = []
     if space.witnesses is not None:
-        for x, y, z in space.witnesses(delta, L):
-            consider(x, y, z)
-            spent += 1
-            if spent >= budget:
-                break
+        candidates.extend(itertools.islice(space.witnesses(delta, L), budget))
     if space.random_triple is not None:
-        while spent < budget:
-            consider(*space.random_triple(rng, delta, L))
-            spent += 1
-    return best, best_witness
+        rng = random.Random(seed)
+        while len(candidates) < budget:
+            candidates.append(space.random_triple(rng, delta, L))
+    accepted, lengths, slacks = [], [], []
+    for x, y, z in candidates:
+        length = space.distance(x, y)
+        if length > L * (1.0 + 1e-12):
+            continue
+        slack = space.distance(x, z) + space.distance(z, y) - length
+        if slack < delta or slack <= _BETWEEN_ATOL:
+            accepted.append((x, y, z))
+            lengths.append(length)
+            slacks.append(slack)
+    values = _segment_distances(space, accepted, lengths, resolution)
+    if not len(values) or not values.max() > 0.0:
+        return 0.0, None
+    k = int(values.argmax())  # the first maximum
+    value = float(values[k])
+    return value, BetweennessWitness(*accepted[k], slacks[k], value)
 
 
 @dataclass(frozen=True)
@@ -240,14 +272,14 @@ def _as_array(p) -> np.ndarray:
     return np.asarray(p, dtype=float)
 
 
-def _linear_segment(x, y):
-    x = _as_array(x)
-    y = _as_array(y)
+def _linear_segment_distances(norm: Callable[[np.ndarray], np.ndarray]):
+    """Segment-distance hook for straight segments x + t (y - x) under ``norm``."""
 
-    def sampler(t: float):
-        return x + t * (y - x)
+    def segment_distances(triples, ts):
+        x, y, z = (np.array(points, dtype=float)[:, None, :] for points in zip(*triples))
+        return norm(z - (x + ts[:, :, None] * (y - x)))
 
-    return sampler
+    return segment_distances
 
 
 def _offset_witnesses(dim: int, h_cap: Callable[[float, float], float]):
@@ -281,15 +313,19 @@ def euclidean_space(dim: int) -> MetricSpaceHandle:
         return euclidean_instability_exact(delta, L) * (1.0 - 1e-9)
 
     def random_triple(rng, delta, L):
-        x = rng.normal(size=dim) * L / 4.0
-        y = x + rng.normal(size=dim) * L / 4.0
-        z = 0.5 * (x + y) + rng.normal(size=dim) * delta
+        def normal(scale):
+            return np.array([rng.gauss(0.0, scale) for _ in range(dim)])
+
+        x = normal(L / 4.0)
+        y = x + normal(L / 4.0)
+        z = 0.5 * (x + y) + normal(delta)
         return x, y, z
 
     return MetricSpaceHandle(
         name=f"euclidean:{dim}",
         distance=distance,
-        segment=_linear_segment,
+        segment_distances=_linear_segment_distances(
+            lambda v: np.sqrt(np.sum(v * v, axis=-1))),
         witnesses=_offset_witnesses(dim, h_cap) if dim >= 2 else None,
         random_triple=random_triple,
     )
@@ -308,39 +344,47 @@ def sup_product_space(dim: int) -> MetricSpaceHandle:
         return (L + delta) / 2.0 * (1.0 - 1e-9) if delta > 0 else L / 2.0
 
     def random_triple(rng, delta, L):
-        x = rng.uniform(-L / 2.0, L / 2.0, size=dim)
-        y = rng.uniform(-L / 2.0, L / 2.0, size=dim)
-        z = 0.5 * (x + y) + rng.uniform(-L / 2.0, L / 2.0, size=dim)
+        def uniform():
+            return np.array([rng.uniform(-L / 2.0, L / 2.0) for _ in range(dim)])
+
+        x = uniform()
+        y = uniform()
+        z = 0.5 * (x + y) + uniform()
         return x, y, z
 
     return MetricSpaceHandle(
         name=f"supprod:{dim}",
         distance=distance,
-        segment=_linear_segment,
+        segment_distances=_linear_segment_distances(lambda v: np.abs(v).max(axis=-1)),
         witnesses=_offset_witnesses(dim, h_cap) if dim >= 2 else None,
         random_triple=random_triple,
     )
 
 
 def _halfplane_product_hooks(k: int):
-    """Segment, witness and random-triple hooks on k-tuples of UHPoints.
+    """Segment-distance, witness and random-triple hooks on k-tuples of UHPoints.
 
-    Returns ``(segment, witnesses, random_triple)``; ``witnesses`` is
-    None for a single factor.  Segments move every factor along its
-    half-plane geodesic at proportional speed.
+    Returns ``(segment_distances, witnesses, random_triple)``;
+    ``witnesses`` is None for a single factor.  Segments move every
+    factor along its half-plane geodesic at proportional speed, and the
+    distance to a path point is the largest factor distance.
     """
 
-    def segment(p, q):
-        def sampler(t: float):
-            return tuple(geodesic_point(zp, zq, t) for zp, zq in zip(p, q))
+    def segment_distances(triples, ts):
+        # points indexed (factor, point of the triple, row, 1); one factor at
+        # a time keeps the temporaries at the size of ts
+        points = np.array(triples, dtype=complex).transpose(2, 1, 0)[..., None]
+        return functools.reduce(np.maximum, (
+            geodesic_distances(x.real, x.imag, y.real, y.imag, z.real, z.imag, ts)
+            for x, y, z in points))
 
-        return sampler
+    origin = (UHPoint(0.0, 1.0),) * k  # shared by every structured witness
 
     def witnesses(delta: float, L: float):
         # move distance L in factor 0; offset the midpoint in factor 1
         if 2.0 * L > 600.0:  # heights would overflow doubles
             return
-        x = (UHPoint(0.0, 1.0),) * k
+        x = origin
         y = (UHPoint(0.0, math.exp(2.0 * L)),) + x[1:]
         for frac in np.linspace(0.05, 1.0, 40):
             height = math.exp(2.0 * min(L / 2.0 + delta, L) * frac)
@@ -351,16 +395,16 @@ def _halfplane_product_hooks(k: int):
         scale = min(L / 4.0, 5.0)  # keep exp() inside double range
 
         def rand_point():
-            return UHPoint(rng.normal() * scale, math.exp(rng.normal() * scale))
+            return UHPoint(rng.gauss(0.0, scale), math.exp(rng.gauss(0.0, scale)))
 
         x = tuple(rand_point() for _ in range(k))
         y = tuple(rand_point() for _ in range(k))
         z = tuple(
-            geodesic_point(zx, zy, 0.5 + rng.normal() * 0.1) for zx, zy in zip(x, y)
+            geodesic_point(zx, zy, 0.5 + rng.gauss(0.0, 0.1)) for zx, zy in zip(x, y)
         )
         return x, y, z
 
-    return segment, (witnesses if k >= 2 else None), random_triple
+    return segment_distances, (witnesses if k >= 2 else None), random_triple
 
 
 def hyp_product_space(factors: int) -> MetricSpaceHandle:
@@ -371,11 +415,11 @@ def hyp_product_space(factors: int) -> MetricSpaceHandle:
     def distance(p, q):
         return max(hyp_distance(zp, zq) for zp, zq in zip(p, q))
 
-    segment, witnesses, random_triple = _halfplane_product_hooks(factors)
+    segment_distances, witnesses, random_triple = _halfplane_product_hooks(factors)
     return MetricSpaceHandle(
         name=f"hyp-product:{factors}",
         distance=distance,
-        segment=segment,
+        segment_distances=segment_distances,
         witnesses=witnesses,
         random_triple=random_triple,
     )

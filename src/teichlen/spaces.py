@@ -4,9 +4,9 @@ Points are images of the pinching projection with a fixed base point, so
 the search explores the half-plane factor directions while the base
 distance stays zero; a point off that base is rejected.  This is the
 product geometry the distance comparison experiments measure.  The
-segment, witness and random-triple hooks of the half-plane factors are
-those of ``instability.hyp_product_space``, applied to the factor
-tuples of the product points.
+segment-distance, witness and random-triple hooks of the half-plane
+factors are those of ``instability.hyp_product_space``, applied to the
+factor tuples of the product points.
 """
 
 from __future__ import annotations
@@ -51,11 +51,16 @@ def pi_image_space(marking: Marking, gamma: tuple[str, ...] | None = None,
     def distance(p: ProductPoint, q: ProductPoint) -> float:
         return product_distance(p, q, base_metric)
 
-    factor_segment, factor_witnesses, factor_triple = _halfplane_product_hooks(len(gamma))
+    factor_segment_distances, factor_witnesses, factor_triple = (
+        _halfplane_product_hooks(len(gamma)))
 
-    def segment(p: ProductPoint, q: ProductPoint):
-        path = factor_segment(p.factors, q.factors)
-        return lambda t: make_point(path(t))
+    def factors_on_base(p: ProductPoint):
+        base_metric(p.base, template.base)
+        return p.factors
+
+    def segment_distances(triples, ts):
+        return factor_segment_distances(
+            [tuple(map(factors_on_base, triple)) for triple in triples], ts)
 
     def witnesses(delta: float, L: float):
         for triple in factor_witnesses(delta, L):
@@ -67,7 +72,7 @@ def pi_image_space(marking: Marking, gamma: tuple[str, ...] | None = None,
     return MetricSpaceHandle(
         name=f"pi-image[{','.join(gamma)}]",
         distance=distance,
-        segment=segment,
+        segment_distances=segment_distances,
         witnesses=witnesses if factor_witnesses is not None else None,
         random_triple=random_triple,
     )

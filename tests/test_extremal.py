@@ -11,6 +11,7 @@ from teichlen import (
     CollarParams,
     CurveSystem,
     FNPoint,
+    NumericDomainError,
     PantsCuffs,
     ValidationError,
     arc_multiplicities,
@@ -196,6 +197,14 @@ class TestComponentEvaluator:
         assert raw[0] == lambda_annulus(2, 0, m, 3.2)
         assert scaled[1:] == raw[1:]
 
+    def test_overflowing_pants_raises_only_for_systems_entering_it(self, holed_torus):
+        # b1 = 2000 pushes the orthogeodesics of the one pants out of double range
+        sigma = FNPoint({"g1": 0.05, "b1": 2000.0}, {"g1": 0.0})
+        core = lambda_surface_estimate(core_curve(holed_torus, "g1"), sigma, holed_torus)
+        assert core.value == pytest.approx(0.017, abs=5e-4)
+        assert core.component_value("thick[p]") == 0.0
+        with pytest.raises(NumericDomainError):  # exit code 4 at the command line
+            lambda_surface_estimate(CurveSystem({"g1": (1, 0, 0)}), sigma, holed_torus)
 
     @pytest.mark.parametrize("surface", ["genus2", "holed_torus", "punctured_torus"])
     def test_table_matches_per_member_loop(self, request, surface):

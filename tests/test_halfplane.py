@@ -28,6 +28,7 @@ from teichlen import (
     twist_min,
     twist_prime,
 )
+from teichlen.halfplane import geodesic_distances
 
 I = UHPoint(0.0, 1.0)
 
@@ -201,6 +202,33 @@ class TestHalfPlaneOracles:
         x, y = oracle_geodesic_point(start, end, t)
         assert abs(point.x - x) <= 1e-13 * (abs(x) + y)
         assert abs(point.y - y) <= 1e-13 * y
+
+    @ORACLE_SETTINGS
+    @given(
+        scale=st.floats(-100, 100),
+        z=st.tuples(st.floats(-10, 10), st.floats(-3, 3)),
+        w_y=st.floats(-3, 3),
+        log_gap=st.one_of(st.none(), st.floats(-14, 1)),
+        sign=st.sampled_from((-1.0, 1.0)),
+        r=st.tuples(st.floats(-10, 10), st.floats(-3, 3)),
+        t=st.floats(0, 1),
+    )
+    def test_geodesic_distances_match_scalar_kernels(self, scale, z, w_y, log_gap, sign, r, t):
+        # the array kernel against hyp_distance(r, geodesic_point(z, w, t)) on
+        # 17 grid parameters and t; log_gap None is a vertical geodesic.  The
+        # two round the path point differently by a few ulp of its height,
+        # so below distance 1 the bound is absolute (relative errors reach
+        # 6e-13 at distance 0.004)
+        s = 10.0 ** scale
+        start = UHPoint(z[0] * s, s * 10.0 ** z[1])
+        gap = 0.0 if log_gap is None else sign * s * 10.0 ** log_gap
+        end = UHPoint(start.x + gap, s * 10.0 ** w_y)
+        other = UHPoint(r[0] * s, s * 10.0 ** r[1])
+        ts = np.append(np.linspace(0.0, 1.0, 17), t)
+        got = geodesic_distances(start.x, start.y, end.x, end.y, other.x, other.y, ts)
+        for u, value in zip(ts, got):
+            expected = hyp_distance(other, geodesic_point(start, end, u))
+            assert abs(value - expected) <= 1e-14 * max(expected, 1.0)
 
     def test_geodesic_point_near_vertical_midpoint(self):
         z, w = UHPoint(0.0, 1.0), UHPoint(1e-7, 4.0)

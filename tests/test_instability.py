@@ -1,24 +1,35 @@
 """Betweenness, segment distances, instability searches, growth rates,
 and the distortion-transfer inequality."""
 
+import dataclasses
+import itertools
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import teichlen
 from teichlen import (
     UHPoint,
     ValidationError,
     distortion_transfer_check,
     euclidean_instability_exact,
     euclidean_space,
+    geodesic_point,
     growth_rate_estimate,
     hyp_product_space,
     instability_lower_bound,
     is_delta_between,
+    pi_image_space,
     segment_distance,
     sup_product_space,
 )
+from teichlen.distance import ProductPoint
 
 
 class TestIsDeltaBetween:
@@ -224,7 +235,7 @@ class TestDistortionTransferCheck:
 
 class TestSpaceHandles:
     def test_distance_axioms_spot_check(self):
-        rng = np.random.default_rng(63)
+        rng = random.Random(63)
         for space in (euclidean_space(3), sup_product_space(3), hyp_product_space(2)):
             for _ in range(25):
                 x, y, z = space.random_triple(rng, 0.5, 4.0)
@@ -238,9 +249,152 @@ class TestSpaceHandles:
                 )
 
     def test_segments_join_endpoints(self):
-        rng = np.random.default_rng(64)
+        rng = random.Random(64)
         for space in (euclidean_space(2), sup_product_space(2), hyp_product_space(2)):
             x, y, _ = space.random_triple(rng, 0.1, 3.0)
-            path = space.segment(x, y)
-            assert space.distance(path(0.0), x) <= 1e-9
-            assert space.distance(path(1.0), y) <= 1e-7
+            assert space.segment_distances([(x, y, x)], np.zeros((1, 1)))[0, 0] <= 1e-9
+            assert space.segment_distances([(x, y, y)], np.ones((1, 1)))[0, 0] <= 1e-7
+
+
+def scalar_path(x, y):
+    """The chosen geodesic from x to y, one point at a time."""
+    if isinstance(x, ProductPoint):
+        factors = scalar_path(x.factors, y.factors)
+        return lambda t: ProductPoint(x.base, x.gamma, factors(t))
+    if isinstance(x, tuple):
+        return lambda t: tuple(geodesic_point(p, q, t) for p, q in zip(x, y))
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return lambda t: x + t * (y - x)
+
+
+def ternary_segment_distance(space, x, y, z, resolution=1e-13):
+    """Reference refinement on the scalar kernels: 65 samples, then ternary search."""
+    if space.distance(x, y) == 0.0:
+        return space.distance(z, x)
+    path = scalar_path(x, y)
+
+    def objective(t):
+        return space.distance(z, path(t))
+
+    ts = np.linspace(0.0, 1.0, 65)
+    values = [objective(t) for t in ts]
+    k = int(np.argmin(values))
+    lo, hi = ts[max(k - 1, 0)], ts[min(k + 1, len(ts) - 1)]
+    while hi - lo > resolution:
+        m1, m2 = lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0
+        if objective(m1) <= objective(m2):
+            hi = m2
+        else:
+            lo = m1
+    return min(values[k], objective(0.5 * (lo + hi)))
+
+
+def nearly_vertical(p, q):
+    """q with every half-plane factor moved to 1e-9 (relative) right of p's."""
+    if isinstance(p, ProductPoint):
+        return dataclasses.replace(q, factors=nearly_vertical(p.factors, q.factors))
+    return tuple(UHPoint(a.x + 1e-9 * a.y, b.y) for a, b in zip(p, q))
+
+
+def sequential_search(space, delta, L, budget, seed=0):
+    """Reference search: one segment_distance per accepted candidate, kept if larger."""
+    candidates = list(itertools.islice(space.witnesses(delta, L), budget)
+                      if space.witnesses else [])
+    rng = random.Random(seed)
+    while space.random_triple is not None and len(candidates) < budget:
+        candidates.append(space.random_triple(rng, delta, L))
+    best, best_triple = 0.0, None
+    for x, y, z in candidates:
+        if space.distance(x, y) > L * (1.0 + 1e-12):
+            continue
+        ok, slack = is_delta_between(space, x, y, z, delta)
+        if not (ok or slack <= 1e-12):
+            continue
+        value = segment_distance(space, x, y, z)
+        if value > best:
+            best, best_triple = value, (x, y, z)
+    return best, best_triple
+
+
+def same_point(p, q):
+    return np.array_equal(p, q) if isinstance(p, np.ndarray) else p == q
+
+
+SPACES = {
+    "euclidean:3": lambda genus2: euclidean_space(3),
+    "supprod:2": lambda genus2: sup_product_space(2),
+    "hyp-product:2": lambda genus2: hyp_product_space(2),
+    "pi-image": lambda genus2: pi_image_space(genus2, gamma=("g1", "g2")),
+}
+
+
+class TestZoomRefinement:
+    @pytest.mark.parametrize("name", SPACES)
+    def test_matches_ternary_reference(self, genus2, name):
+        # never below the reference minimum (up to rounding), and above it
+        # by at most the resolution times the speed d(x, y) of the path
+        space = SPACES[name](genus2)
+        rng = random.Random(81)
+        triples = [space.random_triple(rng, 0.5, 4.0) for _ in range(10)]
+        triples += [(x, y, triples[k - 1][2]) for k, (x, y, _) in enumerate(triples)]
+        if not isinstance(triples[0][0], np.ndarray):
+            triples += [(x, nearly_vertical(x, y), z) for x, y, z in triples]
+        for x, y, z in triples:
+            value = segment_distance(space, x, y, z)
+            reference = ternary_segment_distance(space, x, y, z)
+            assert reference - 1e-12 <= value <= reference + 1e-6 * space.distance(x, y)
+        for x, _, z in triples[:3]:
+            assert segment_distance(space, x, x, z) == space.distance(z, x)
+
+    @pytest.mark.parametrize("name", SPACES)
+    @pytest.mark.parametrize("delta, L", [(0.0, 10.0), (0.1, 10.0), (0.1, 1000.0)])
+    def test_batched_search_matches_sequential_loop(self, genus2, name, delta, L):
+        space = SPACES[name](genus2)
+        value, witness = instability_lower_bound(space, delta, L, budget=60, seed=4)
+        expected, triple = sequential_search(space, delta, L, budget=60, seed=4)
+        assert value == expected
+        assert value == witness.offline_distance
+        assert all(same_point(p, q) for p, q in zip((witness.x, witness.y, witness.z), triple))
+
+    def test_ties_go_to_the_first_candidate(self):
+        x, y = np.zeros(2), np.array([8.0, 0.0])
+        candidates = [(x, y, np.array([4.0, 2.0])), (x, y, np.array([4.0, 4.0])),
+                      (x, y, np.array([4.0, 4.0])), (x, y, np.array([4.0, 1.0]))]
+        space = dataclasses.replace(sup_product_space(2), random_triple=None,
+                                    witnesses=lambda delta, L: iter(candidates))
+        value, witness = instability_lower_bound(space, 0.0, 8.0, budget=10)
+        assert value == sequential_search(space, 0.0, 8.0, budget=10)[0] == 4.0
+        assert witness.z is candidates[1][2]
+
+    def test_no_positive_candidate_gives_no_witness(self):
+        # one candidate too long for L = 1, one with z on its segment
+        x = np.zeros(2)
+        candidates = [(x, np.array([5.0, 0.0]), np.array([2.5, 1.0])),
+                      (x, np.array([1.0, 0.0]), np.array([0.5, 0.0]))]
+        space = dataclasses.replace(sup_product_space(2), random_triple=None,
+                                    witnesses=lambda delta, L: iter(candidates))
+        assert instability_lower_bound(space, 0.0, 1.0, budget=10) == (0.0, None)
+        with pytest.raises(ValidationError):
+            instability_lower_bound(space, 0.0, 1.0, budget=0)
+
+    def test_sample_off_the_half_plane_raises(self):
+        # heights 1e-300 and 1e300: the geodesic circle's centre overflows
+        space = hyp_product_space(1)
+        x, y = (UHPoint(0.0, 1e-300),), (UHPoint(1.0, 1e300),)
+        with pytest.raises(ValidationError):
+            segment_distance(space, x, y, (UHPoint(0.0, 1.0),))
+
+
+def test_cli_instability_never_imports_numpy_random():
+    src = str(Path(teichlen.__file__).resolve().parent.parent)
+    code = ("import io, sys\n"
+            "from teichlen.cli import main\n"
+            "main(['--budget', '30', 'instability', '--space', 'hyp-product:2',\n"
+            "      '--delta', '0', '--ladder', '1,10,100,1000,10000'], out=io.StringIO())\n"
+            "print('numpy.random' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -1,5 +1,7 @@
 """Product-point metric space over a fixed pinched base."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ LADDER = [0.3, 3.0, 30.0, 100.0, 300.0]
 class TestPiImageSpace:
     def test_distance_axioms_on_random_triples(self, genus2):
         space = pi_image_space(genus2, gamma=("g1", "g2"))
-        rng = np.random.default_rng(71)
+        rng = random.Random(71)
         for _ in range(20):
             x, y, z = space.random_triple(rng, 0.1, 2.0)
             assert space.distance(x, x) == 0.0
@@ -32,7 +34,7 @@ class TestPiImageSpace:
 
     def test_distance_is_max_of_factor_distances(self, genus2):
         space = pi_image_space(genus2, gamma=("g1", "g2", "g3"))
-        rng = np.random.default_rng(72)
+        rng = random.Random(72)
         template = space.random_triple(rng, 0.1, 1.0)[0]
         base_factors = (UHPoint(0.0, 1.0),) * 3
         moved = list(base_factors)
@@ -68,7 +70,7 @@ class TestPiImageSpace:
 
     def test_partial_gamma_base_metric_runs(self, genus2):
         space = pi_image_space(genus2, gamma=("g1",))
-        rng = np.random.default_rng(73)
+        rng = random.Random(73)
         x, y, _ = space.random_triple(rng, 0.1, 2.0)
         assert space.distance(x, y) >= 0.0
 
@@ -78,8 +80,17 @@ class TestPiImageSpace:
 
     def test_point_off_the_base_rejected(self, genus2):
         space = pi_image_space(genus2, gamma=("g1",))
-        rng = np.random.default_rng(74)
+        rng = random.Random(74)
         x, y, _ = space.random_triple(rng, 0.1, 2.0)
         off = FNPoint({**x.base.lengths, "g2": 2.0}, x.base.twists)
         with pytest.raises(ValidationError):
             space.distance(x, ProductPoint(off, y.gamma, y.factors))
+
+
+def test_segment_distances_reject_a_point_off_the_base(genus2):
+    space = pi_image_space(genus2, gamma=("g1",))
+    x, y, z = space.random_triple(random.Random(75), 0.1, 2.0)
+    off = ProductPoint(FNPoint({**z.base.lengths, "g2": 2.0}, z.base.twists), z.gamma, z.factors)
+    assert space.segment_distances([(x, y, z)], np.full((1, 3), 0.5)).shape == (1, 3)
+    with pytest.raises(ValidationError):
+        space.segment_distances([(x, y, off)], np.full((1, 3), 0.5))
