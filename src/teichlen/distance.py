@@ -224,7 +224,6 @@ def product_region_discrepancy(sigma: FNPoint, tau: FNPoint, gamma: Iterable[str
                                marking: Marking,
                                params: CollarParams = DEFAULT_PARAMS,
                                family: CurveFamily | None = None,
-                               base_family: CurveFamily | None = None,
                                ) -> DiscrepancyReport:
     """Compare the surface distance estimate with the product-model distance.
 
@@ -238,8 +237,7 @@ def product_region_discrepancy(sigma: FNPoint, tau: FNPoint, gamma: Iterable[str
         family = default_curve_family(marking)
     d_teich = kerckhoff_distance_estimate(sigma, tau, family, marking, params)
     pinched = marking.pinch(gamma)
-    if base_family is None:
-        base_family = default_curve_family(pinched)
+    base_family = default_curve_family(pinched)
 
     def base_metric(rho1: FNPoint, rho2: FNPoint) -> float:
         return kerckhoff_distance_estimate(rho1, rho2, base_family, pinched, params)

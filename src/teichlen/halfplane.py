@@ -134,17 +134,6 @@ class MobiusMap:
         s = math.sqrt(self.det)
         return MobiusMap(self.a / s, self.b / s, self.c / s, self.d / s)
 
-    def inverse(self) -> "MobiusMap":
-        return MobiusMap(self.d, -self.b, -self.c, self.a)
-
-    def compose(self, other: "MobiusMap") -> "MobiusMap":
-        return MobiusMap(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
     def apply(self, z: UHPoint) -> UHPoint:
         w = (self.a * z.z + self.b) / (self.c * z.z + self.d)
         return UHPoint(w.real, w.imag)

@@ -8,6 +8,11 @@ products the chosen geodesic is the coordinatewise one with all factors
 parameterized proportionally, so reported values are relative to that
 representative (still valid lower bounds for the supremum over paths).
 
+A space states its metric once, in its ``segment_distances`` kernel:
+d(p, q) is the kernel on the constant path at p, and a search computes
+d(x, y), d(x, z) and d(z, y) for every candidate in one kernel call of
+3n rows before filtering with array masks.
+
 The distance from z to [xy] is refined by zooming, for all rows of a
 search at once: each round evaluates 65 evenly spaced parameters per row
 in one ``segment_distances`` call, first on [0, 1], then on the bracket
@@ -33,7 +38,7 @@ from typing import Any, Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .halfplane import UHPoint, geodesic_distances, geodesic_point, hyp_distance
+from .halfplane import UHPoint, geodesic_distances, geodesic_point
 
 Point = Any
 _BETWEEN_ATOL = 1e-12  # closure tolerance so exact-slack witnesses count at delta = 0
@@ -42,23 +47,28 @@ _ZOOM_GRID = np.linspace(0.0, 1.0, 65)  # samples per row and zoom round
 
 @dataclass
 class MetricSpaceHandle:
-    """A metric space presented by a distance oracle and a segment chooser.
+    """A metric space presented by one segment-distance kernel.
 
     ``segment_distances(triples, ts)`` takes n triples (x, y, z) and an
     (n, m) array of parameters in [0, 1] and returns the (n, m) array of
     distances from each z to the point at each of its row's parameters on
     the chosen geodesic from x to y; an entry that is not finite means a
-    path point left the space.  Optional hooks drive the witness search:
-    ``witnesses(delta, L)`` yields structured candidate triples and
-    ``random_triple(rng, delta, L)`` samples one candidate from a
-    ``random.Random``.
+    path point left the space.  The kernel must accept x == y, the
+    constant path, and it is the space's only metric: ``distance`` and
+    the betweenness filter evaluate it on constant paths.  Optional hooks
+    drive the witness search: ``witnesses(delta, L)`` yields structured
+    candidate triples and ``random_triple(rng, delta, L)`` samples one
+    candidate from a ``random.Random``.
     """
 
     name: str
-    distance: Callable[[Point, Point], float]
     segment_distances: Callable[[Sequence[tuple], np.ndarray], np.ndarray]
     witnesses: Callable[[float, float], Iterable[tuple]] | None = None
     random_triple: Callable[[random.Random, float, float], tuple] | None = None
+
+    def distance(self, p: Point, q: Point) -> float:
+        """d(p, q): the kernel on the constant path at p, at t = 0."""
+        return float(self.segment_distances([(p, p, q)], np.zeros((1, 1)))[0, 0])
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,35 +80,42 @@ class BetweennessWitness:
     offline_distance: float
 
 
+def _lengths_and_slacks(space: MetricSpaceHandle,
+                        triples: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """d(x, y) and the slack d(x, z) + d(z, y) - d(x, y) per triple, from one kernel call."""
+    rows = ([(x, x, y) for x, y, _ in triples] + [(x, x, z) for x, _, z in triples]
+            + [(z, z, y) for _, y, z in triples])
+    d_xy, d_xz, d_zy = space.segment_distances(rows, np.zeros((len(rows), 1))).reshape(3, -1)
+    return d_xy, d_xz + d_zy - d_xy
+
+
 def is_delta_between(space: MetricSpaceHandle, x: Point, y: Point, z: Point,
                      delta: float) -> tuple[bool, float]:
     """Whether z is delta-between x and y, along with the triangle slack."""
-    slack = space.distance(x, z) + space.distance(z, y) - space.distance(x, y)
+    slack = float(_lengths_and_slacks(space, [(x, y, z)])[1][0])
     return slack < delta, slack
 
 
-def _segment_distances(space: MetricSpaceHandle, triples: Sequence[tuple],
-                       lengths: Sequence[float], resolution: float) -> np.ndarray:
-    """Distance from each z to its chosen geodesic [xy], all rows zoomed together.
-
-    ``lengths`` holds d(x, y) per row; a zero-length segment gives d(z, x).
-    """
+def _check_resolution(resolution: float) -> None:
     if not resolution > 0:
         raise ValidationError("resolution must be positive")
-    values = np.array([0.0 if d > 0.0 else space.distance(z, x)
-                       for (x, _, z), d in zip(triples, lengths)])
-    moving = [k for k, d in enumerate(lengths) if d > 0.0]
-    if not moving:
-        return values
-    rows = [triples[k] for k in moving]
-    lo = np.zeros(len(rows))
-    width = np.ones(len(rows))
-    best = np.full(len(rows), np.inf)
-    at = np.arange(len(rows))
+
+
+def _segment_distances(space: MetricSpaceHandle, triples: Sequence[tuple],
+                       resolution: float) -> np.ndarray:
+    """Distance from each z to its chosen geodesic [xy], all rows zoomed together.
+
+    A constant path (x == y) needs no branch: the kernel returns d(z, x)
+    at every sample.
+    """
+    lo = np.zeros(len(triples))
+    width = np.ones(len(triples))
+    best = np.full(len(triples), np.inf)
+    at = np.arange(len(triples))
     last = len(_ZOOM_GRID) - 1
     while True:
         ts = lo[:, None] + width[:, None] * _ZOOM_GRID
-        d = space.segment_distances(rows, ts)
+        d = space.segment_distances(triples, ts)
         if not np.isfinite(d).all():
             raise ValidationError("a segment sample leaves the space")
         k = d.argmin(axis=1)
@@ -106,8 +123,7 @@ def _segment_distances(space: MetricSpaceHandle, triples: Sequence[tuple],
         lo = ts[at, np.maximum(k - 1, 0)]
         width = ts[at, np.minimum(k + 1, last)] - lo
         if (width <= resolution).all():
-            values[moving] = best
-            return values
+            return best
 
 
 def segment_distance(space: MetricSpaceHandle, x: Point, y: Point, z: Point,
@@ -117,7 +133,8 @@ def segment_distance(space: MetricSpaceHandle, x: Point, y: Point, z: Point,
     The one-triple case of the search's zoom: an upper bound on the true
     minimum for the chosen representative, attained at a point of the path.
     """
-    return float(_segment_distances(space, [(x, y, z)], [space.distance(x, y)], resolution)[0])
+    _check_resolution(resolution)
+    return float(_segment_distances(space, [(x, y, z)], resolution)[0])
 
 
 def euclidean_instability_exact(delta: float, L: float) -> float:
@@ -144,6 +161,7 @@ def instability_lower_bound(space: MetricSpaceHandle, delta: float, L: float,
         raise ValidationError("need finite delta >= 0 and L > 0")
     if budget < 1:
         raise ValidationError("budget must be positive")
+    _check_resolution(resolution)
     candidates = []
     if space.witnesses is not None:
         candidates.extend(itertools.islice(space.witnesses(delta, L), budget))
@@ -151,22 +169,19 @@ def instability_lower_bound(space: MetricSpaceHandle, delta: float, L: float,
         rng = random.Random(seed)
         while len(candidates) < budget:
             candidates.append(space.random_triple(rng, delta, L))
-    accepted, lengths, slacks = [], [], []
-    for x, y, z in candidates:
-        length = space.distance(x, y)
-        if length > L * (1.0 + 1e-12):
-            continue
-        slack = space.distance(x, z) + space.distance(z, y) - length
-        if slack < delta or slack <= _BETWEEN_ATOL:
-            accepted.append((x, y, z))
-            lengths.append(length)
-            slacks.append(slack)
-    values = _segment_distances(space, accepted, lengths, resolution)
-    if not len(values) or not values.max() > 0.0:
+    if not candidates:
         return 0.0, None
+    lengths, slacks = _lengths_and_slacks(space, candidates)
+    keep = np.flatnonzero((lengths <= L * (1.0 + 1e-12))
+                          & ((slacks < delta) | (slacks <= _BETWEEN_ATOL)))
+    if not len(keep):
+        return 0.0, None
+    values = _segment_distances(space, [candidates[k] for k in keep], resolution)
     k = int(values.argmax())  # the first maximum
     value = float(values[k])
-    return value, BetweennessWitness(*accepted[k], slacks[k], value)
+    if not value > 0.0:
+        return 0.0, None
+    return value, BetweennessWitness(*candidates[keep[k]], float(slacks[keep[k]]), value)
 
 
 @dataclass(frozen=True)
@@ -236,20 +251,19 @@ class TransferReport:
         return all(row.holds for row in self.rows)
 
 
-def distortion_transfer_check(s_x: dict, s_y: dict, c: float,
-                              key_decimals: int = 9) -> TransferReport:
+def distortion_transfer_check(s_x: dict, s_y: dict, c: float) -> TransferReport:
     """Check s_X(delta, L) <= 3c + 4 s_Y(delta + 3c, L + c) on matched grids.
 
     ``s_x`` and ``s_y`` map (delta, L) pairs to sampled instability
     values.  The left side holds lower bounds, so only a left value
     exceeding the right side counts as a violation; s_y must contain
-    every shifted argument.
+    every shifted argument, matched after rounding to 9 decimals.
     """
     if c < 0:
         raise ValidationError("distortion bound c must be nonnegative")
 
     def key(delta, L):
-        return (round(delta, key_decimals), round(L, key_decimals))
+        return (round(delta, 9), round(L, 9))
 
     table_y = {key(d, L): v for (d, L), v in s_y.items()}
     rows = []
@@ -268,22 +282,32 @@ def distortion_transfer_check(s_x: dict, s_y: dict, c: float,
 # Built-in spaces
 
 
-def _as_array(p) -> np.ndarray:
-    return np.asarray(p, dtype=float)
+def _stacked(triples: Sequence[tuple], dtype, width: int) -> np.ndarray:
+    """Triples as one (n, 3, width) array; a malformed point raises ValidationError."""
+    try:
+        points = np.array(triples, dtype=dtype)
+    except (TypeError, ValueError):  # ragged or non-numeric points
+        points = np.empty(0)
+    if points.shape[1:] != (3, width):
+        raise ValidationError(f"points of this space have {width} coordinates")
+    return points
 
 
-def _linear_segment_distances(norm: Callable[[np.ndarray], np.ndarray]):
-    """Segment-distance hook for straight segments x + t (y - x) under ``norm``."""
+def _normed_space(name: str, dim: int, norm: Callable[[np.ndarray], np.ndarray],
+                  h_cap: Callable[[float, float], float],
+                  random_triple: Callable[[random.Random, float, float], tuple],
+                  ) -> MetricSpaceHandle:
+    """R^dim under ``norm`` with straight segments x + t (y - x).
+
+    Structured witnesses (dim >= 2) are the midpoint offsets x = 0,
+    y = L e1, z = (L/2) e1 + h e2 for 40 heights h up to ``h_cap(delta, L)``.
+    """
+    if dim < 1:
+        raise ValidationError("dimension must be positive")
 
     def segment_distances(triples, ts):
-        x, y, z = (np.array(points, dtype=float)[:, None, :] for points in zip(*triples))
+        x, y, z = _stacked(triples, float, dim).transpose(1, 0, 2)[:, :, None, :]
         return norm(z - (x + ts[:, :, None] * (y - x)))
-
-    return segment_distances
-
-
-def _offset_witnesses(dim: int, h_cap: Callable[[float, float], float]):
-    """Midpoint-offset family: x = 0, y = L e1, z = (L/2) e1 + h e2."""
 
     def witnesses(delta: float, L: float):
         cap = h_cap(delta, L)
@@ -294,19 +318,19 @@ def _offset_witnesses(dim: int, h_cap: Callable[[float, float], float]):
             y[0] = L
             z = np.zeros(dim)
             z[0] = L / 2.0
-            z[min(1, dim - 1)] = h
+            z[1] = h
             yield x, y, z
 
-    return witnesses
+    return MetricSpaceHandle(
+        name=f"{name}:{dim}",
+        segment_distances=segment_distances,
+        witnesses=witnesses if dim >= 2 else None,
+        random_triple=random_triple,
+    )
 
 
 def euclidean_space(dim: int) -> MetricSpaceHandle:
     """R^dim with the Euclidean metric and straight segments."""
-    if dim < 1:
-        raise ValidationError("dimension must be positive")
-
-    def distance(p, q):
-        return float(np.linalg.norm(_as_array(p) - _as_array(q)))
 
     def h_cap(delta, L):
         # largest strict-betweenness offset: sqrt(2 L delta + delta^2)/2
@@ -321,23 +345,12 @@ def euclidean_space(dim: int) -> MetricSpaceHandle:
         z = 0.5 * (x + y) + normal(delta)
         return x, y, z
 
-    return MetricSpaceHandle(
-        name=f"euclidean:{dim}",
-        distance=distance,
-        segment_distances=_linear_segment_distances(
-            lambda v: np.sqrt(np.sum(v * v, axis=-1))),
-        witnesses=_offset_witnesses(dim, h_cap) if dim >= 2 else None,
-        random_triple=random_triple,
-    )
+    return _normed_space("euclidean", dim, lambda v: np.sqrt(np.sum(v * v, axis=-1)),
+                         h_cap, random_triple)
 
 
 def sup_product_space(dim: int) -> MetricSpaceHandle:
     """R^dim with the sup metric; coordinatewise proportional segments."""
-    if dim < 1:
-        raise ValidationError("dimension must be positive")
-
-    def distance(p, q):
-        return float(np.max(np.abs(_as_array(p) - _as_array(q))))
 
     def h_cap(delta, L):
         # max(L/2, h) keeps slack 0 up to h = L/2, then slack = 2h - L
@@ -352,13 +365,8 @@ def sup_product_space(dim: int) -> MetricSpaceHandle:
         z = 0.5 * (x + y) + uniform()
         return x, y, z
 
-    return MetricSpaceHandle(
-        name=f"supprod:{dim}",
-        distance=distance,
-        segment_distances=_linear_segment_distances(lambda v: np.abs(v).max(axis=-1)),
-        witnesses=_offset_witnesses(dim, h_cap) if dim >= 2 else None,
-        random_triple=random_triple,
-    )
+    return _normed_space("supprod", dim, lambda v: np.abs(v).max(axis=-1),
+                         h_cap, random_triple)
 
 
 def _halfplane_product_hooks(k: int):
@@ -373,7 +381,7 @@ def _halfplane_product_hooks(k: int):
     def segment_distances(triples, ts):
         # points indexed (factor, point of the triple, row, 1); one factor at
         # a time keeps the temporaries at the size of ts
-        points = np.array(triples, dtype=complex).transpose(2, 1, 0)[..., None]
+        points = _stacked(triples, complex, k).transpose(2, 1, 0)[..., None]
         return functools.reduce(np.maximum, (
             geodesic_distances(x.real, x.imag, y.real, y.imag, z.real, z.imag, ts)
             for x, y, z in points))
@@ -411,14 +419,9 @@ def hyp_product_space(factors: int) -> MetricSpaceHandle:
     """Product of half-planes with the sup of the (halved) hyperbolic metrics."""
     if factors < 1:
         raise ValidationError("need at least one factor")
-
-    def distance(p, q):
-        return max(hyp_distance(zp, zq) for zp, zq in zip(p, q))
-
     segment_distances, witnesses, random_triple = _halfplane_product_hooks(factors)
     return MetricSpaceHandle(
         name=f"hyp-product:{factors}",
-        distance=distance,
         segment_distances=segment_distances,
         witnesses=witnesses,
         random_triple=random_triple,

@@ -88,15 +88,6 @@ class OrthoLengths:
     d13: float
     d23: float
 
-    def between(self, i: int, j: int) -> float:
-        """Length of the orthogeodesic joining cuff i and cuff j (1-based)."""
-        if i > j:
-            i, j = j, i
-        try:
-            return getattr(self, f"d{i}{j}")
-        except AttributeError:
-            raise ValidationError(f"no orthogeodesic ({i}, {j})") from None
-
 
 def _finite(value: float) -> float:
     """The value of a cosh formula, or OverflowError if it left double range."""
@@ -168,26 +159,21 @@ def flat_annulus_twist(ann: FlatAnnulus, y0: float, y1: float) -> float:
 _CROSSING_OFFSET = 0.25  # generic boundary offset between the two arcs
 
 
-def annulus_arc_crossings(t1: float, t2: float, samples: int = 64) -> int:
+def annulus_arc_crossings(t1: float, t2: float) -> int:
     """Crossing number of two straight arcs with twists t1, t2 in an annulus.
 
     The arcs enter at boundary positions offset by a quarter turn, so no
     crossing sits on the boundary; crossings within 1e-9 of the boundary
-    are dropped (perturbation convention).  Enumerates lift translates
-    n in [-samples, samples]; result is symmetric in (t1, t2) and lies in
+    are dropped (perturbation convention).  With the slower-twisting arc
+    at position 0, lift translate n crosses it at height
+    (-1/4 - n) / |t1 - t2|, so the count is the number of integers n
+    strictly between -1/4 - |t1 - t2| (1 - 1e-9) and -1/4 - 1e-9 |t1 - t2|.
+    The result is symmetric in (t1, t2) and lies in
     [|t1 - t2| - 1, |t1 - t2| + 1].
     """
-    if samples <= 0:
-        raise ValidationError("samples must be positive")
     spread = abs(t2 - t1)
-    if samples < spread + 1:
-        raise ValidationError(f"samples={samples} too small for twist gap {spread}")
-    if spread == 0.0:
-        return 0
-    # canonical placement: slower-twisting arc at position 0, other at the offset
-    count = 0
-    for n in range(-samples, samples + 1):
-        y_star = (-_CROSSING_OFFSET - n) / spread
-        if 1e-9 < y_star < 1.0 - 1e-9:
-            count += 1
-    return count
+    if not math.isfinite(spread):
+        raise ValidationError(f"twists must be finite, got {t1} and {t2}")
+    lo = -_CROSSING_OFFSET - spread * (1.0 - 1e-9)
+    hi = -_CROSSING_OFFSET - 1e-9 * spread
+    return max(0, math.ceil(hi) - math.floor(lo) - 1)

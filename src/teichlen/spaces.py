@@ -2,16 +2,18 @@
 
 Points are images of the pinching projection with a fixed base point, so
 the search explores the half-plane factor directions while the base
-distance stays zero; a point off that base is rejected.  This is the
-product geometry the distance comparison experiments measure.  The
-segment-distance, witness and random-triple hooks of the half-plane
-factors are those of ``instability.hyp_product_space``, applied to the
-factor tuples of the product points.
+distance stays zero.  This is the product geometry the distance
+comparison experiments measure.  The segment-distance kernel, the only
+metric of the space, and the witness and random-triple hooks are those
+of ``instability.hyp_product_space``, applied to the factor tuples of the
+product points; a point that is not a ProductPoint, lies off the base
+or pinches other curves raises ``ValidationError`` in the one place that
+unpacks the factors.
 """
 
 from __future__ import annotations
 
-from .distance import ProductPoint, pi_map, product_distance
+from .distance import ProductPoint, pi_map
 from .errors import ValidationError
 from .instability import MetricSpaceHandle, _halfplane_product_hooks
 from .surface import FNPoint, Marking
@@ -40,22 +42,20 @@ def pi_image_space(marking: Marking, gamma: tuple[str, ...] | None = None,
     base_point = base if base is not None else _default_base_point(marking)
     template = pi_map(base_point, gamma, marking)
 
-    def base_metric(rho1: FNPoint, rho2: FNPoint) -> float:
-        if rho1 != template.base or rho2 != template.base:
-            raise ValidationError("pi-image points must share the space's base point")
-        return 0.0
-
     def make_point(factors) -> ProductPoint:
         return ProductPoint(template.base, gamma, factors)
-
-    def distance(p: ProductPoint, q: ProductPoint) -> float:
-        return product_distance(p, q, base_metric)
 
     factor_segment_distances, factor_witnesses, factor_triple = (
         _halfplane_product_hooks(len(gamma)))
 
     def factors_on_base(p: ProductPoint):
-        base_metric(p.base, template.base)
+        if not isinstance(p, ProductPoint):
+            raise ValidationError(f"pi-image points are ProductPoints, not {type(p).__name__}")
+        # every point the space builds shares template.base, so identity comes first
+        if p.base is not template.base and p.base != template.base:
+            raise ValidationError("pi-image points must share the space's base point")
+        if p.gamma != gamma:
+            raise ValidationError(f"pi-image points must pinch {gamma}, not {p.gamma}")
         return p.factors
 
     def segment_distances(triples, ts):
@@ -71,7 +71,6 @@ def pi_image_space(marking: Marking, gamma: tuple[str, ...] | None = None,
 
     return MetricSpaceHandle(
         name=f"pi-image[{','.join(gamma)}]",
-        distance=distance,
         segment_distances=segment_distances,
         witnesses=witnesses if factor_witnesses is not None else None,
         random_triple=random_triple,

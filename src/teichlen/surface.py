@@ -314,9 +314,6 @@ class CurveSystem:
     def core_copies(self, name: str) -> int:
         return self._entry(name)[2]
 
-    def is_empty(self) -> bool:
-        return all(i == 0 and n == 0 for i, _, n in self.data.values())
-
     def validate_for(self, marking: Marking) -> "CurveSystem":
         if set(self.data) != set(marking.curves):
             raise ValidationError("curve system does not match the marking's curves")

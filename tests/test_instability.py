@@ -15,6 +15,7 @@ import pytest
 
 import teichlen
 from teichlen import (
+    MetricSpaceHandle,
     UHPoint,
     ValidationError,
     distortion_transfer_check,
@@ -22,6 +23,7 @@ from teichlen import (
     euclidean_space,
     geodesic_point,
     growth_rate_estimate,
+    hyp_distance,
     hyp_product_space,
     instability_lower_bound,
     is_delta_between,
@@ -254,6 +256,74 @@ class TestSpaceHandles:
             x, y, _ = space.random_triple(rng, 0.1, 3.0)
             assert space.segment_distances([(x, y, x)], np.zeros((1, 1)))[0, 0] <= 1e-9
             assert space.segment_distances([(x, y, y)], np.ones((1, 1)))[0, 0] <= 1e-7
+
+
+def factor_max(p, q):
+    """Sup over factors of half-plane distances, one scalar call per factor."""
+    return max(hyp_distance(a, b) for a, b in zip(p, q, strict=True))
+
+
+METRICS = {
+    "euclidean:3": (lambda genus2: euclidean_space(3), math.dist),
+    "supprod:3": (lambda genus2: sup_product_space(3),
+                  lambda p, q: max(abs(a - b) for a, b in zip(p, q, strict=True))),
+    "hyp-product:2": (lambda genus2: hyp_product_space(2), factor_max),
+    "hyp-product:3": (lambda genus2: hyp_product_space(3), factor_max),
+    "pi-image": (lambda genus2: pi_image_space(genus2),
+                 lambda p, q: factor_max(p.factors, q.factors)),
+}
+
+
+class TestKernelMetric:
+    @pytest.mark.parametrize("name", METRICS)
+    def test_distance_matches_independent_formula(self, genus2, name):
+        build, reference = METRICS[name]
+        space = build(genus2)
+        rng = random.Random(91)
+        for L in (0.1, 1.0, 10.0, 100.0):
+            for _ in range(30):
+                x, y, z = space.random_triple(rng, 0.5, L)
+                for p, q in ((x, y), (x, z), (z, y), (y, x)):
+                    expected = reference(p, q)
+                    assert abs(space.distance(p, q) - expected) <= 1e-15 * expected
+                assert space.distance(x, x) == 0.0
+
+    def test_a_kernel_alone_drives_every_entry_point(self):
+        # the real line, with a kernel written here rather than borrowed
+        def segment_distances(triples, ts):
+            return np.array([[abs(z - (x + t * (y - x))) for t in row]
+                             for (x, y, z), row in zip(triples, ts)])
+
+        space = MetricSpaceHandle("line", segment_distances)
+        assert space.distance(2.0, 5.0) == 3.0
+        assert segment_distance(space, 0.0, 4.0, 6.0) == 2.0
+        assert segment_distance(space, 1.0, 1.0, 4.0) == 3.0
+        assert is_delta_between(space, 0.0, 4.0, 1.0, 0.1) == (True, 0.0)
+        assert is_delta_between(space, 0.0, 4.0, 5.0, 0.1) == (False, 2.0)
+        assert instability_lower_bound(space, 0.1, 4.0, budget=5) == (0.0, None)
+        with pytest.raises(ValidationError):
+            instability_lower_bound(space, 0.1, 4.0, budget=5, resolution=0.0)
+
+
+class TestMalformedPoints:
+    P, Q, R = UHPoint(0.0, 1.0), UHPoint(1.0, 2.0), UHPoint(-2.0, 0.5)
+
+    def test_product_distance_needs_every_factor(self):
+        with pytest.raises(ValidationError):
+            hyp_product_space(2).distance((self.P,), (self.Q, self.R))
+
+    def test_kernel_rejects_a_wrong_factor_count(self):
+        space = hyp_product_space(2)
+        x, y = (self.P, self.Q), (self.Q, self.R)
+        ts = np.zeros((1, 2))
+        for triple in ((x, y, (self.R,)), (x, y, (self.P, self.Q, self.R)),
+                       ((self.P, self.Q, self.R),) * 3):
+            with pytest.raises(ValidationError):
+                space.segment_distances([triple], ts)
+        with pytest.raises(ValidationError):
+            segment_distance(space, x, y, (self.R,))
+        with pytest.raises(ValidationError):
+            euclidean_space(3).distance(np.zeros(2), np.ones(2))
 
 
 def scalar_path(x, y):

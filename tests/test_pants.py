@@ -336,6 +336,14 @@ class TestAnnulusArcCrossings:
             t1, t2 = rng.uniform(-12, 12, size=2)
             assert annulus_arc_crossings(t1, t2) == crossings_oracle(t1, t2)
 
-    def test_small_window_rejected(self):
+    def test_large_gap_obeys_the_twist_gap_law(self):
+        value = annulus_arc_crossings(-3.25, 997.25)
+        assert 1000.5 - 1 <= value <= 1000.5 + 1
+        assert value == crossings_oracle(-3.25, 997.25, window=1100)
+
+    @pytest.mark.parametrize("t1, t2", [
+        (math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.0, -math.inf), (-1e308, 1e308),
+    ])
+    def test_non_finite_twists_rejected(self, t1, t2):
         with pytest.raises(ValidationError):
-            annulus_arc_crossings(0.0, 30.0, samples=8)
+            annulus_arc_crossings(t1, t2)

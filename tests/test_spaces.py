@@ -14,6 +14,7 @@ from teichlen import (
     hyp_product_space,
     instability_lower_bound,
     pi_image_space,
+    segment_distance,
 )
 from teichlen.distance import ProductPoint
 
@@ -94,3 +95,14 @@ def test_segment_distances_reject_a_point_off_the_base(genus2):
     assert space.segment_distances([(x, y, z)], np.full((1, 3), 0.5)).shape == (1, 3)
     with pytest.raises(ValidationError):
         space.segment_distances([(x, y, off)], np.full((1, 3), 0.5))
+
+
+def test_a_malformed_point_rejected(genus2):
+    space = pi_image_space(genus2, gamma=("g1", "g2"))
+    x, y, z = space.random_triple(random.Random(76), 0.1, 2.0)
+    for other in (ProductPoint(z.base, ("g1",), z.factors[:1]),
+                  ProductPoint(z.base, ("g1", "g3"), z.factors), z.factors):
+        with pytest.raises(ValidationError):
+            space.segment_distances([(x, y, other)], np.full((1, 3), 0.5))
+        with pytest.raises(ValidationError):
+            segment_distance(space, x, y, other)
