@@ -2,10 +2,13 @@
 
 The distance estimator takes the supremum of extremal-length ratios over
 a finite family of curve systems, symmetrized over the two directions,
-and returns half its log.  A family is one int array of (i, b, n)
-coordinates, evaluated by one ``extremal.ComponentEvaluator.table`` per
-point.  Its annulus terms sit at height m/pi rather than m, set in this
-one place by modulus_unit = pi, which puts twist- and pinch-direction
+and returns half its log.  A family (``extremal.CurveFamily``) is one
+int array of (i, b, n) coordinates that also groups its members by
+crossing pattern; ``default_curve_family`` records that grouping from its
+own blocks, so building the family costs no ``np.unique``.  The family is
+evaluated by one ``extremal.ComponentEvaluator.table`` per point, which
+only gathers.  Its annulus terms sit at height m/pi rather than m, set in
+this one place by modulus_unit = pi, which puts twist- and pinch-direction
 ratios on the same hyperbolic scale as the product coordinates (s, 1/l);
 the public extremal-length estimate keeps the raw modulus.  For the torus
 the exact formula is available as ``torus_family_estimate`` / ``hyp_distance``.
@@ -23,45 +26,9 @@ import numpy as np
 
 from .collar import DEFAULT_PARAMS, CollarParams, collar_decomposition
 from .errors import ValidationError
-from .extremal import ComponentEvaluator
+from .extremal import ComponentEvaluator, CurveFamily
 from .halfplane import UHPoint, hyp_distance
-from .surface import CURVE, CurveSystem, FNPoint, Marking
-
-
-class CurveFamily:
-    """Finite stand-in for the full set of curve classes.
-
-    ``coords`` is a read-only int array of shape (members, curves, 3)
-    holding (i, b, n) per member and pants curve; ``curves`` names its
-    columns.  ``members`` rebuilds the curve systems on each access.
-    """
-
-    def __init__(self, members: Iterable[CurveSystem]):
-        members = tuple(members)
-        curves = members[0].data.keys() if members else {}.keys()
-        if any(beta.data.keys() != curves for beta in members):
-            raise ValidationError("curve family members must share one curve set")
-        # a CurveSystem keeps its curves sorted, so all rows share one column order
-        coords = np.array([list(beta.data.values()) for beta in members], dtype=np.int64)
-        self._store(coords.reshape(len(members), len(curves), 3), tuple(curves))
-
-    def _store(self, coords: np.ndarray, curves: tuple[str, ...]) -> "CurveFamily":
-        if len(coords) == 0:
-            raise ValidationError("curve family must be nonempty")
-        coords.flags.writeable = False
-        self.coords, self.curves = coords, curves
-        return self
-
-    @property
-    def members(self) -> tuple[CurveSystem, ...]:
-        return tuple(CurveSystem(dict(zip(self.curves, row)))
-                     for row in self.coords.tolist())
-
-    def __len__(self):
-        return len(self.coords)
-
-    def __iter__(self):
-        return iter(self.members)
+from .surface import CURVE, FNPoint, Marking
 
 
 def default_curve_family(marking: Marking, i_max: int = 2,
@@ -71,12 +38,13 @@ def default_curve_family(marking: Marking, i_max: int = 2,
     Crossing patterns are filtered by the per-pants parity constraint.
     The family covers both kinds of ratio witnesses: curves confined to a
     thick piece and curves twisting through an annulus.  It is filled one
-    block per crossing pattern, offsets in ``itertools.product`` order.
+    block per crossing pattern, offsets in ``itertools.product`` order, so
+    the blocks are the family's pattern groups and the cores the last one.
     """
     curves = marking.curves
     pants_columns = [[curves.index(e.name) for e in p.ends if e.kind == CURVE]
                      for p in marking.decomposition.pants]
-    blocks = []
+    blocks, patterns = [], []
     for pattern in itertools.product(range(i_max + 1), repeat=len(curves)):
         if sum(pattern) == 0 or any(sum(pattern[k] for k in cols) % 2
                                     for cols in pants_columns):
@@ -87,9 +55,13 @@ def default_curve_family(marking: Marking, i_max: int = 2,
         block[:, :, 0] = pattern
         block[:, crossing, 1] = grid.reshape(len(crossing), -1).T - twist_bound
         blocks.append(block)
-    cores = np.eye(len(curves), dtype=np.int64)[:, :, None] * np.array([0, 0, 1])
-    # valid by construction, so the per-member checks of __init__ are skipped
-    return CurveFamily.__new__(CurveFamily)._store(np.concatenate(blocks + [cores]), curves)
+        patterns.append(pattern)
+    blocks.append(np.eye(len(curves), dtype=np.int64)[:, :, None] * np.array([0, 0, 1]))
+    patterns.append((0,) * len(curves))
+    key = np.repeat(np.arange(len(blocks)), [len(block) for block in blocks])
+    # valid and grouped by construction, so __init__'s checks and np.unique are skipped
+    return CurveFamily.__new__(CurveFamily)._store(np.concatenate(blocks), curves,
+                                                   key, tuple(patterns))
 
 
 def kerckhoff_distance_estimate(sigma: FNPoint, tau: FNPoint,
@@ -109,7 +81,7 @@ def kerckhoff_distance_estimate(sigma: FNPoint, tau: FNPoint,
         )
     a, b = (
         ComponentEvaluator(collar_decomposition(marking, point, params), point,
-                           modulus_unit=math.pi).table(family.coords, family.curves).max(0)
+                           modulus_unit=math.pi).table(family).max(0)
         for point in (sigma, tau)
     )
     usable = (a != 0.0) & (b != 0.0)

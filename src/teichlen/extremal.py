@@ -9,17 +9,20 @@ orthogeodesic arc lengths inside each pants plus a twist-travel term
 |t| * l * i on moderate internal cuffs.  The proxy is validated by
 property tests, not by matching any particular multiplicative constant.
 
-``ComponentEvaluator.table`` computes the contributions of a whole
-array of curve systems at once, for the distance estimator and, as its
-one-member case, for the ``lambda_*`` estimators.  A thin annulus is
-evaluated at height m / modulus_unit: 1 here, pi in the distance estimator.
+A ``CurveFamily`` is an int array of curve systems that groups its
+members by crossing pattern once, when it is built.
+``ComponentEvaluator.table`` computes the contributions of a whole family
+at once, for the distance estimator and, as its one-member case, for the
+``lambda_*`` estimators: thick arc sums once per pattern of the family,
+gathered by the family's key.  A thin annulus is evaluated at height
+m / modulus_unit: 1 here, pi in the distance estimator.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -84,7 +87,7 @@ def arc_multiplicities(m1: int, m2: int, m3: int) -> ArcMultiplicities:
                              (m2 + m3 - m1) // 2)
 
 
-def _arc_sum(pants_rows, column: dict[str, int], pattern: list[int]) -> float:
+def _arc_sum(pants_rows, column: dict[str, int], pattern: Sequence[int]) -> float:
     """Orthogeodesic arc lengths of one intersection pattern, summed over the pants.
 
     A pants row holds its orthogeodesics, or the NumericDomainError they
@@ -101,6 +104,49 @@ def _arc_sum(pants_rows, column: dict[str, int], pattern: list[int]) -> float:
                 if count:
                     length += count * d
     return length
+
+
+class CurveFamily:
+    """Finite stand-in for the full set of curve classes.
+
+    ``coords`` is a read-only int array of shape (members, curves, 3)
+    holding (i, b, n) per member and pants curve; ``curves`` names its
+    columns.  The family groups its members by crossing pattern, the
+    i-counts of a row: ``patterns`` holds each distinct pattern once and
+    the read-only ``key`` gives each member the index of its pattern, so
+    ``np.array(patterns)[key]`` equals ``coords[:, :, 0]``.  ``members``
+    rebuilds the curve systems on each access.
+    """
+
+    def __init__(self, members: Iterable[CurveSystem]):
+        members = tuple(members)
+        curves = members[0].data.keys() if members else {}.keys()
+        if any(beta.data.keys() != curves for beta in members):
+            raise ValidationError("curve family members must share one curve set")
+        # a CurveSystem keeps its curves sorted, so all rows share one column order
+        coords = np.array([list(beta.data.values()) for beta in members], dtype=np.int64)
+        coords = coords.reshape(len(members), len(curves), 3)
+        patterns, key = np.unique(coords[:, :, 0], axis=0, return_inverse=True)
+        self._store(coords, tuple(curves), key, tuple(map(tuple, patterns.tolist())))
+
+    def _store(self, coords: np.ndarray, curves: tuple[str, ...], key: np.ndarray,
+               patterns: tuple[tuple[int, ...], ...]) -> "CurveFamily":
+        if len(coords) == 0:
+            raise ValidationError("curve family must be nonempty")
+        coords.flags.writeable = key.flags.writeable = False
+        self.coords, self.curves, self.key, self.patterns = coords, curves, key, patterns
+        return self
+
+    @property
+    def members(self) -> tuple[CurveSystem, ...]:
+        return tuple(CurveSystem(dict(zip(self.curves, row)))
+                     for row in self.coords.tolist())
+
+    def __len__(self):
+        return len(self.coords)
+
+    def __iter__(self):
+        return iter(self.members)
 
 
 class ComponentEvaluator:
@@ -147,25 +193,19 @@ class ComponentEvaluator:
             )
             self._thick.append((pants_rows, cuff_terms))
 
-    def table(self, coords: np.ndarray, curves: Sequence[str]) -> np.ndarray:
-        """Contributions of every member, shape (components, members).
+    def table(self, family: CurveFamily) -> np.ndarray:
+        """Contributions of every member of the family, shape (components, members).
 
-        ``coords`` has shape (members, curves, 3) and holds (i, b, n) per
-        member and curve, its columns named by ``curves``.  The terms are
+        Annulus and twist-travel terms are array expressions over the
+        family's columns; thick arc sums are computed once per pattern in
+        ``family.patterns`` and gathered by ``family.key``.  The terms are
         summed in the scalar order, so values are bit-identical to a
         per-member loop.  A value outside double range raises
         NumericDomainError.
         """
-        column = {c: k for k, c in enumerate(curves)}
+        coords = family.coords
+        column = {c: k for k, c in enumerate(family.curves)}
         i, b, n = np.moveaxis(coords.astype(float), -1, 0)
-        # thick arc sums once per distinct intersection pattern: a 1-D key
-        # renumbered after each column stays below the member count
-        key = np.zeros(len(coords), dtype=np.int64)
-        for counts in coords[:, :, 0].T:
-            _, key = np.unique(key * (counts.max() + 1) + counts, return_inverse=True)
-        first = np.empty(key.max() + 1, dtype=np.int64)
-        first[key] = np.arange(len(key))
-        patterns = coords[first, :, 0].tolist()
         rows = []
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             for entry in self._thin:
@@ -176,7 +216,8 @@ class ComponentEvaluator:
                 k = column[curve]
                 rows.append(_annulus_term(i[:, k], n[:, k], height, b[:, k] + twist))
             for pants_rows, cuff_terms in self._thick:
-                length = np.array([_arc_sum(pants_rows, column, p) for p in patterns])[key]
+                length = np.array([_arc_sum(pants_rows, column, p)
+                                   for p in family.patterns])[family.key]
                 for cuff, ell, twist in cuff_terms:
                     k = column[cuff]
                     length = length + np.where(
@@ -189,8 +230,12 @@ class ComponentEvaluator:
 
     def contributions(self, beta: CurveSystem) -> list[float]:
         """One value per component for a single curve system."""
+        # one member is one pattern group, so np.unique is skipped
         coords = np.array([list(beta.data.values())], dtype=np.int64)
-        return self.table(coords, tuple(beta.data))[:, 0].tolist()
+        single = CurveFamily.__new__(CurveFamily)._store(
+            coords.reshape(1, len(beta.data), 3), tuple(beta.data),
+            np.zeros(1, dtype=np.int64), (tuple(i for i, _, _ in beta.data.values()),))
+        return self.table(single)[:, 0].tolist()
 
 
 def lambda_thick(component: ThickComponent, beta: CurveSystem, sigma: FNPoint,

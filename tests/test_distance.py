@@ -12,6 +12,7 @@ import pytest
 from teichlen import (
     CurveFamily,
     CurveSystem,
+    FNPoint,
     NumericDomainError,
     UHPoint,
     ValidationError,
@@ -136,6 +137,39 @@ class TestDefaultCurveFamily:
         reference = reference_family(holed_torus, 3, 2)
         assert len(family) == len(reference)
         assert member_set(family) == member_set(reference)
+
+    @pytest.mark.parametrize("surface", ["genus2", "holed_torus", "punctured_torus"])
+    @pytest.mark.parametrize("i_max, twist_bound", [(1, 0), (2, 3), (3, 1)])
+    def test_patterns_group_the_members(self, request, surface, i_max, twist_bound):
+        # the block grouping of default_curve_family and the np.unique one
+        # of CurveFamily(members) both index each member's i-counts
+        marking = request.getfixturevalue(surface)
+        blocks = default_curve_family(marking, i_max, twist_bound)
+        for family in (blocks, CurveFamily(reversed(blocks.members))):
+            assert np.array_equal(np.array(family.patterns)[family.key],
+                                  family.coords[:, :, 0])
+            assert len(set(family.patterns)) == len(family.patterns)
+            assert not family.key.flags.writeable
+        assert len(CurveFamily(blocks.members).patterns) == len(blocks.patterns)
+
+    @pytest.mark.parametrize("surface", ["genus2", "holed_torus", "punctured_torus"])
+    @pytest.mark.parametrize("i_max, twist_bound", [(1, 2), (2, 4), (3, 1)])
+    def test_both_groupings_give_identical_estimates(self, request, surface, i_max,
+                                                     twist_bound):
+        marking = request.getfixturevalue(surface)
+        blocks = default_curve_family(marking, i_max, twist_bound)
+        grouped = CurveFamily(reversed(blocks.members))
+        names = marking.curves + marking.decomposition.boundary_names()
+        rng = np.random.default_rng(46)
+        for _ in range(4):
+            sigma, tau = (
+                FNPoint(dict(zip(names, np.exp(rng.uniform(np.log(1e-3), np.log(2.0),
+                                                           size=len(names))).tolist())),
+                        {c: float(rng.uniform(-5, 5)) for c in marking.curves})
+                for _ in range(2)
+            )
+            assert kerckhoff_distance_estimate(sigma, tau, grouped, marking) == (
+                kerckhoff_distance_estimate(sigma, tau, blocks, marking))
 
 
 class TestKerckhoffDistanceEstimate:

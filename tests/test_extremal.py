@@ -219,8 +219,7 @@ class TestComponentEvaluator:
                             {c: float(rng.uniform(-5, 5)) for c in marking.curves})
             dec = collar_decomposition(marking, sigma)
             for unit in (1.0, math.pi):
-                table = ComponentEvaluator(dec, sigma, unit).table(family.coords,
-                                                                   family.curves)
+                table = ComponentEvaluator(dec, sigma, unit).table(family)
                 reference = [reference_contributions(dec, sigma, beta, unit)
                              for beta in members]
                 assert table.T.tolist() == reference
