@@ -97,22 +97,28 @@ def _finite(value: float) -> float:
 
 
 def _seam(half: tuple, i: int, j: int, k: int) -> float:
-    ci, cj, ck = math.cosh(half[i]), math.cosh(half[j]), math.cosh(half[k])
+    # cosh d - 1 = (c_k + cosh(h_i - h_j)) / (s_i s_j) has no cancellation,
+    # and d = 2 asinh(sqrt((cosh d - 1) / 2)); the roots keep s_i s_j from underflow
     si, sj = math.sinh(half[i]), math.sinh(half[j])
     if si == 0.0 or sj == 0.0:
         return math.inf
-    return math.acosh(_finite((ck + ci * cj) / (si * sj)))
+    excess = _finite(math.cosh(half[k]) + math.cosh(half[i] - half[j]))
+    return 2.0 * math.asinh(_finite(math.sqrt(excess / 2.0)
+                                    / (math.sqrt(si) * math.sqrt(sj))))
 
 
 def _self_seam(half: tuple, i: int) -> float:
-    # twice the hexagon altitude from cuff i to the opposite seam side;
-    # cosh of the altitude collapses to a symmetric function of the cuffs
-    c = [math.cosh(h) for h in half]
+    # twice the hexagon altitude from cuff i to the opposite seam side:
+    # cosh(d/2) = sqrt(s_i^2 + q) / s_i with q = c_j^2 + c_k^2 + 2 c_i c_j c_k, so
+    # cosh(d/2) - 1 = q / (s_i (sqrt(s_i^2 + q) + s_i)) has no cancellation
     si = math.sinh(half[i])
     if si == 0.0:
         return math.inf
-    sym = c[0] ** 2 + c[1] ** 2 + c[2] ** 2 + 2.0 * c[0] * c[1] * c[2] - 1.0
-    return 2.0 * math.acosh(_finite(math.sqrt(sym) / si))
+    ci, cj, ck = (math.cosh(half[m]) for m in (i, (i + 1) % 3, (i + 2) % 3))
+    q = _finite(cj * cj + ck * ck + 2.0 * ci * (cj * ck))
+    root = _finite(math.sqrt(_finite(si * si + q)) + si)
+    return 4.0 * math.asinh(_finite(math.sqrt(q / 2.0)
+                                    / (math.sqrt(si) * math.sqrt(root))))
 
 
 def pants_orthogeodesics(cuffs: PantsCuffs) -> OrthoLengths:

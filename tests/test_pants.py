@@ -8,8 +8,11 @@ between translated axes computed from matrix traces.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from teichlen import (
     DegenerateHexagonError,
@@ -217,6 +220,24 @@ class TestPantsOrthogeodesics:
                     key,
                     (l1, l2, l3),
                 )
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @given(log_cuffs=st.tuples(*[st.floats(-8, math.log10(200))] * 3))
+    @example(log_cuffs=(math.log10(200), math.log10(200), math.log10(60)))  # seam 2e-37
+    @example(log_cuffs=(math.log10(104), 0.0, 0.0))  # d11 near 3e-11
+    def test_relative_error_against_mpmath(self, log_cuffs):
+        # the cosh formulas in 120 digits, where acosh near 1 loses nothing
+        cuffs = [10.0 ** v for v in log_cuffs]
+        ortho = pants_orthogeodesics(PantsCuffs(*cuffs))
+        with mpmath.workdps(120):
+            half = [mpmath.mpf(v) / 2 for v in cuffs]
+            c, s = [mpmath.cosh(h) for h in half], [mpmath.sinh(h) for h in half]
+            root = mpmath.sqrt(c[0] ** 2 + c[1] ** 2 + c[2] ** 2 + 2 * c[0] * c[1] * c[2] - 1)
+            exact = {f"d{i + 1}{i + 1}": 2 * mpmath.acosh(root / s[i]) for i in range(3)}
+            for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+                exact[f"d{i + 1}{j + 1}"] = mpmath.acosh((c[k] + c[i] * c[j]) / (s[i] * s[j]))
+            for key, value in exact.items():
+                assert abs(getattr(ortho, key) - value) <= 1e-14 * value, (key, cuffs)
 
     def test_pentagon_limit(self):
         limit = pants_orthogeodesics(PantsCuffs(2, 2, 0))
