@@ -36,11 +36,12 @@ def pi_image_space(marking: Marking, gamma: tuple[str, ...] | None = None,
     is constant since all points share the base, and the base distance is
     0 between points on it.
     """
-    gamma = tuple(sorted(gamma if gamma is not None else marking.curves))
+    base_point = base if base is not None else _default_base_point(marking)
+    # pi_map sorts and deduplicates the pinched curves, for the space and its points
+    template = pi_map(base_point, marking.curves if gamma is None else gamma, marking)
+    gamma = template.gamma
     if not gamma:
         raise ValidationError("need at least one pinched curve")
-    base_point = base if base is not None else _default_base_point(marking)
-    template = pi_map(base_point, gamma, marking)
 
     def make_point(factors) -> ProductPoint:
         return ProductPoint(template.base, gamma, factors)

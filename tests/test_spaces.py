@@ -79,6 +79,13 @@ class TestPiImageSpace:
         with pytest.raises(ValidationError):
             pi_image_space(genus2, gamma=())
 
+    def test_repeated_curves_pinched_once(self, genus2):
+        space = pi_image_space(genus2, gamma=("g2", "g1", "g2", "g1"))
+        assert space.name == "pi-image[g1,g2]"
+        x, y, z = space.random_triple(random.Random(77), 0.1, 2.0)
+        assert x.gamma == ("g1", "g2")
+        assert len(x.factors) == len(y.factors) == len(z.factors) == 2
+
     def test_point_off_the_base_rejected(self, genus2):
         space = pi_image_space(genus2, gamma=("g1",))
         rng = random.Random(74)
