@@ -180,7 +180,7 @@ def annulus_ratio_check(b: float, x1: float, y1: float,
     return num / den
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiscrepancyReport:
     d_teich: float
     d_product: float

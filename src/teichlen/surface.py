@@ -228,7 +228,7 @@ def _sorted_proxy(mapping: Mapping[str, float]) -> Mapping[str, float]:
     return MappingProxyType({k: mapping[k] for k in sorted(mapping)})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FNPoint:
     """Length/twist coordinates over a fixed marking.
 
