@@ -17,7 +17,6 @@ from .collar import (
     partial_decomposition,
 )
 from .distance import (
-    CurveFamily,
     DiscrepancyReport,
     ProductPoint,
     annulus_ratio_check,
@@ -45,6 +44,7 @@ from .errors import (
 from .extremal import (
     ArcMultiplicities,
     ComponentLength,
+    CurveFamily,
     EstimateResult,
     arc_multiplicities,
     lambda_annulus,

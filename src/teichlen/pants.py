@@ -3,7 +3,9 @@
 Cuff length 0 encodes a cusp; every formula takes the continuous limit
 (right-angled pentagon with one ideal vertex).  Orthogeodesics that run
 into a cusp are reported as ``math.inf``; lengths whose cosh formulas
-leave double range raise NumericDomainError.
+leave double range raise NumericDomainError.  Orthogeodesic lengths come
+from cosh d - 1 written without cancellation, so short arcs between long
+cuffs keep their relative accuracy.
 """
 
 from __future__ import annotations
@@ -116,7 +118,7 @@ def _self_seam(half: tuple, i: int) -> float:
         return math.inf
     ci, cj, ck = (math.cosh(half[m]) for m in (i, (i + 1) % 3, (i + 2) % 3))
     q = _finite(cj * cj + ck * ck + 2.0 * ci * (cj * ck))
-    root = _finite(math.sqrt(_finite(si * si + q)) + si)
+    root = math.sqrt(_finite(si * si + q)) + si
     return 4.0 * math.asinh(_finite(math.sqrt(q / 2.0)
                                     / (math.sqrt(si) * math.sqrt(root))))
 
