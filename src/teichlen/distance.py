@@ -2,12 +2,13 @@
 
 The distance estimator takes the supremum of extremal-length ratios over
 a finite family of curve systems, symmetrized over the two directions,
-and returns half its log.  A family (``extremal.CurveFamily``) is one
-int array of (i, b, n) coordinates that also groups its members by
-crossing pattern; ``default_curve_family`` records that grouping from its
-own blocks, so building the family costs no ``np.unique``.  The family is
-evaluated by one ``extremal.ComponentEvaluator.table`` per point, which
-only gathers.  Its annulus terms sit at height m/pi rather than m, set in
+and returns half its log.  A family (``extremal.CurveFamily``) keeps per
+curve each distinct (i, b, n) cell once, an index of cells by member and
+a grouping of members by crossing pattern; ``default_curve_family``
+shares one cell table among its curves and fills both indexes from its
+own blocks, with no ``np.unique``.  One ``ComponentEvaluator.table`` per
+point computes each term per cell or pattern and gathers by member.  Its
+annulus terms sit at height m/pi rather than m, set in
 this one place by modulus_unit = pi, which puts twist- and pinch-direction
 ratios on the same hyperbolic scale as the product coordinates (s, 1/l);
 the public extremal-length estimate keeps the raw modulus.  For the torus
@@ -37,31 +38,36 @@ def default_curve_family(marking: Marking, i_max: int = 2,
 
     Crossing patterns are filtered by the per-pants parity constraint.
     The family covers both kinds of ratio witnesses: curves confined to a
-    thick piece and curves twisting through an annulus.  It is filled one
-    block per crossing pattern, offsets in ``itertools.product`` order, so
-    the blocks are the family's pattern groups and the cores the last one.
+    thick piece and curves twisting through an annulus.  Every column shares
+    one cell table: (0,0,0), (0,0,1), then (i, b, 0) in row 2 + (i-1) width + b + twist_bound.
+    The index is filled one block per crossing pattern, offsets in
+    ``itertools.product`` order, so the blocks are the family's pattern
+    groups and the cores the last one.
     """
     curves = marking.curves
     pants_columns = [[curves.index(e.name) for e in p.ends if e.kind == CURVE]
                      for p in marking.decomposition.pants]
+    width = 2 * twist_bound + 1
+    cells = np.array([(0, 0, 0), (0, 0, 1)] + [(i, b, 0) for i in range(1, i_max + 1)
+                      for b in range(-twist_bound, twist_bound + 1)], dtype=np.int64)
     blocks, patterns = [], []
     for pattern in itertools.product(range(i_max + 1), repeat=len(curves)):
         if sum(pattern) == 0 or any(sum(pattern[k] for k in cols) % 2
                                     for cols in pants_columns):
             continue
         crossing = [k for k, count in enumerate(pattern) if count > 0]
-        grid = np.indices((2 * twist_bound + 1,) * len(crossing))
-        block = np.zeros((grid[0].size, len(curves), 3), dtype=np.int64)
-        block[:, :, 0] = pattern
-        block[:, crossing, 1] = grid.reshape(len(crossing), -1).T - twist_bound
+        grid = np.indices((width,) * len(crossing)).reshape(len(crossing), -1)
+        block = np.zeros((len(curves), grid.shape[1]), dtype=np.int64)
+        block[crossing] = grid + [[2 + (pattern[k] - 1) * width] for k in crossing]
         blocks.append(block)
         patterns.append(pattern)
-    blocks.append(np.eye(len(curves), dtype=np.int64)[:, :, None] * np.array([0, 0, 1]))
+    blocks.append(np.eye(len(curves), dtype=np.int64))  # cell 1 on its own curve
     patterns.append((0,) * len(curves))
-    key = np.repeat(np.arange(len(blocks)), [len(block) for block in blocks])
+    key = np.repeat(np.arange(len(blocks)), [block.shape[1] for block in blocks])
     # valid and grouped by construction, so __init__'s checks and np.unique are skipped
-    return CurveFamily.__new__(CurveFamily)._store(np.concatenate(blocks), curves,
-                                                   key, tuple(patterns))
+    return CurveFamily.__new__(CurveFamily)._store(
+        (cells,) * len(curves), tuple(np.concatenate(blocks, axis=1)), curves, key,
+        tuple(patterns))
 
 
 def kerckhoff_distance_estimate(sigma: FNPoint, tau: FNPoint,

@@ -9,12 +9,13 @@ orthogeodesic arc lengths inside each pants plus a twist-travel term
 |t| * l * i on moderate internal cuffs.  The proxy is validated by
 property tests, not by matching any particular multiplicative constant.
 
-A ``CurveFamily`` is an int array of curve systems that groups its
-members by crossing pattern once, when it is built.
-``ComponentEvaluator.table`` computes the contributions of a whole family
-at once, for the distance estimator and, as its one-member case, for the
-``lambda_*`` estimators: thick arc sums once per pattern of the family,
-gathered by the family's key.  A thin annulus is evaluated at height
+A ``CurveFamily`` stores its curve systems by column, each distinct
+(i, b, n) cell of a curve once, and groups its members by crossing
+pattern when it is built.  ``ComponentEvaluator.table`` computes the
+contributions of a whole family at once, for the distance estimator and,
+as its one-member case, for the ``lambda_*`` estimators: annulus and
+twist-travel terms once per cell, thick arc sums once per pattern, each
+gathered by member.  A thin annulus is evaluated at height
 m / modulus_unit: 1 here, pi in the distance estimator.
 """
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,8 +55,7 @@ def lambda_annulus(i: int, n: int, m: float, t_hat: float | None = None) -> floa
     return float(_annulus_term(i, n, m, 0.0 if t_hat is None else t_hat))
 
 
-@dataclass(frozen=True)
-class ArcMultiplicities:
+class ArcMultiplicities(NamedTuple):
     """How arc endpoints on the three cuffs of a pants pair up inside it."""
 
     a11: int
@@ -78,7 +78,7 @@ def arc_multiplicities(m1: int, m2: int, m3: int) -> ArcMultiplicities:
         raise ValidationError("endpoint counts must be nonnegative")
     if sum(counts) % 2 != 0:
         raise ValidationError(f"endpoint counts {tuple(counts)} have odd total")
-    big = max(range(3), key=lambda k: counts[k])
+    big = counts.index(max(counts))
     loops = [0, 0, 0]
     loops[big] = max(0, 2 * counts[big] - sum(counts)) // 2
     counts[big] -= 2 * loops[big]  # the rest satisfies the triangle inequalities
@@ -99,23 +99,23 @@ def _arc_sum(pants_rows, column: dict[str, int], pattern: Sequence[int]) -> floa
         if any(counts):
             if isinstance(ortho, NumericDomainError):
                 raise ortho.with_traceback(None)
-            m = arc_multiplicities(*counts)
-            for count, d in zip((m.a11, m.a22, m.a33, m.a12, m.a13, m.a23), ortho):
+            for count, d in zip(arc_multiplicities(*counts), ortho):
                 if count:
                     length += count * d
     return length
 
 
 class CurveFamily:
-    """Finite stand-in for the full set of curve classes.
+    """Finite stand-in for the full set of curve classes, stored by column.
 
-    ``coords`` is a read-only int array of shape (members, curves, 3)
-    holding (i, b, n) per member and pants curve; ``curves`` names its
-    columns.  The family groups its members by crossing pattern, the
-    i-counts of a row: ``patterns`` holds each distinct pattern once and
-    the read-only ``key`` gives each member the index of its pattern, so
-    ``np.array(patterns)[key]`` equals ``coords[:, :, 0]``.  ``members``
-    rebuilds the curve systems on each access.
+    ``curves`` names the columns.  For curve k, ``cells[k]`` is an int
+    array of shape (cells, 3) holding each distinct (i, b, n) of that
+    column once, and the read-only ``index[k]`` gives each member the row
+    of its cell.  The family also groups its members by crossing pattern,
+    the i-counts of a member: ``patterns`` holds each distinct pattern
+    once and the read-only ``key`` gives each member the index of its
+    pattern.  ``coords``, shape (members, curves, 3), and ``members``
+    rebuild the full rows on each access.
     """
 
     def __init__(self, members: Iterable[CurveSystem]):
@@ -127,15 +127,27 @@ class CurveFamily:
         coords = np.array([list(beta.data.values()) for beta in members], dtype=np.int64)
         coords = coords.reshape(len(members), len(curves), 3)
         patterns, key = np.unique(coords[:, :, 0], axis=0, return_inverse=True)
-        self._store(coords, tuple(curves), key, tuple(map(tuple, patterns.tolist())))
+        unique = [np.unique(c, axis=0, return_inverse=True) for c in coords.swapaxes(0, 1)]
+        self._store(tuple(u[0] for u in unique), tuple(u[1] for u in unique),
+                    tuple(curves), key, tuple(map(tuple, patterns.tolist())))
 
-    def _store(self, coords: np.ndarray, curves: tuple[str, ...], key: np.ndarray,
+    def _store(self, cells: tuple[np.ndarray, ...], index: tuple[np.ndarray, ...],
+               curves: tuple[str, ...], key: np.ndarray,
                patterns: tuple[tuple[int, ...], ...]) -> "CurveFamily":
-        if len(coords) == 0:
+        if len(key) == 0:
             raise ValidationError("curve family must be nonempty")
-        coords.flags.writeable = key.flags.writeable = False
-        self.coords, self.curves, self.key, self.patterns = coords, curves, key, patterns
+        for array in (*cells, *index, key):
+            array.flags.writeable = False
+        self.cells, self.index, self.curves = cells, index, curves
+        self.key, self.patterns = key, patterns
         return self
+
+    @property
+    def coords(self) -> np.ndarray:
+        coords = np.empty((len(self), len(self.curves), 3), dtype=np.int64)
+        for k, (cells, index) in enumerate(zip(self.cells, self.index)):
+            coords[:, k] = cells[index]
+        return coords
 
     @property
     def members(self) -> tuple[CurveSystem, ...]:
@@ -143,7 +155,7 @@ class CurveFamily:
                      for row in self.coords.tolist())
 
     def __len__(self):
-        return len(self.coords)
+        return len(self.key)
 
     def __iter__(self):
         return iter(self.members)
@@ -196,32 +208,33 @@ class ComponentEvaluator:
     def table(self, family: CurveFamily) -> np.ndarray:
         """Contributions of every member of the family, shape (components, members).
 
-        Annulus and twist-travel terms are array expressions over the
-        family's columns; thick arc sums are computed once per pattern in
-        ``family.patterns`` and gathered by ``family.key``.  The terms are
-        summed in the scalar order, so values are bit-identical to a
-        per-member loop.  A value outside double range raises
-        NumericDomainError.
+        Annulus and twist-travel terms are computed once per cell of
+        ``family.cells`` and gathered by ``family.index``; thick arc sums
+        are computed once per pattern in ``family.patterns`` and gathered
+        by ``family.key``.  The terms are summed in the scalar order, so
+        values are bit-identical to a per-member loop.  A value outside
+        double range raises NumericDomainError.
         """
-        coords = family.coords
         column = {c: k for k, c in enumerate(family.curves)}
-        i, b, n = np.moveaxis(coords.astype(float), -1, 0)
+        cells = [c.T.astype(float) for c in family.cells]  # (i, b, n) rows per curve
         rows = []
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             for entry in self._thin:
                 if entry is None:
-                    rows.append(np.zeros(len(coords)))
+                    rows.append(np.zeros(len(family)))
                     continue
                 curve, height, twist = entry
                 k = column[curve]
-                rows.append(_annulus_term(i[:, k], n[:, k], height, b[:, k] + twist))
+                i, b, n = cells[k]
+                rows.append(_annulus_term(i, n, height, b + twist)[family.index[k]])
             for pants_rows, cuff_terms in self._thick:
                 length = np.array([_arc_sum(pants_rows, column, p)
                                    for p in family.patterns])[family.key]
                 for cuff, ell, twist in cuff_terms:
                     k = column[cuff]
+                    i, b, _ = cells[k]
                     length = length + np.where(
-                        i[:, k] > 0, np.abs(b[:, k] + twist) * ell * i[:, k], 0.0)
+                        i > 0, np.abs(b + twist) * ell * i, 0.0)[family.index[k]]
                 rows.append(length * length)
         table = np.array(rows)
         if not np.isfinite(table).all():
@@ -230,11 +243,12 @@ class ComponentEvaluator:
 
     def contributions(self, beta: CurveSystem) -> list[float]:
         """One value per component for a single curve system."""
-        # one member is one pattern group, so np.unique is skipped
-        coords = np.array([list(beta.data.values())], dtype=np.int64)
+        # one member is its own cells and pattern, so np.unique is skipped
+        cells = np.array(list(beta.data.values()), dtype=np.int64).reshape(-1, 1, 3)
+        zero = np.zeros(1, dtype=np.int64)
         single = CurveFamily.__new__(CurveFamily)._store(
-            coords.reshape(1, len(beta.data), 3), tuple(beta.data),
-            np.zeros(1, dtype=np.int64), (tuple(i for i, _, _ in beta.data.values()),))
+            tuple(cells), (zero,) * len(cells), tuple(beta.data), zero,
+            (tuple(i for i, _, _ in beta.data.values()),))
         return self.table(single)[:, 0].tolist()
 
 

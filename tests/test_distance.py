@@ -153,6 +153,25 @@ class TestDefaultCurveFamily:
         assert len(CurveFamily(blocks.members).patterns) == len(blocks.patterns)
 
     @pytest.mark.parametrize("surface", ["genus2", "holed_torus", "punctured_torus"])
+    @pytest.mark.parametrize("i_max, twist_bound", [(1, 0), (2, 8), (3, 1)])
+    def test_columns_rebuild_the_enumeration_in_order(self, request, surface, i_max,
+                                                      twist_bound):
+        # each column holds each (i, b, n) cell once; gathering the cells by
+        # the index gives the brute-force rows, in order, for both constructors
+        marking = request.getfixturevalue(surface)
+        reference = reference_family(marking, i_max, twist_bound)
+        blocks = default_curve_family(marking, i_max, twist_bound)
+        rows = np.array([[beta.data[c] for c in blocks.curves] for beta in reference])
+        for family, expected in ((blocks, rows),
+                                 (CurveFamily(reversed(reference)), rows[::-1])):
+            assert np.array_equal(family.coords, expected)
+            for k, (cells, index) in enumerate(zip(family.cells, family.index)):
+                assert np.array_equal(cells[index], expected[:, k])
+                assert len(np.unique(cells, axis=0)) == len(cells)
+                assert not index.flags.writeable
+        assert max(len(cells) for cells in blocks.cells) == 2 + i_max * (2 * twist_bound + 1)
+
+    @pytest.mark.parametrize("surface", ["genus2", "holed_torus", "punctured_torus"])
     @pytest.mark.parametrize("i_max, twist_bound", [(1, 2), (2, 4), (3, 1)])
     def test_both_groupings_give_identical_estimates(self, request, surface, i_max,
                                                      twist_bound):

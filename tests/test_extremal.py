@@ -3,12 +3,14 @@ and the max-over-components combiner."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from teichlen import (
     CollarParams,
+    CurveFamily,
     CurveSystem,
     FNPoint,
     NumericDomainError,
@@ -223,6 +225,49 @@ class TestComponentEvaluator:
                 reference = [reference_contributions(dec, sigma, beta, unit)
                              for beta in members]
                 assert table.T.tolist() == reference
+
+    def test_hand_made_family_matches_per_member_loop(self, genus2):
+        # i = 0 with b != 0, core copies beside crossings, and an empty system
+        members = [
+            genus2_curve(i1=2, b1=3, i2=2, b2=-1, b3=4),
+            genus2_curve(b1=-2, i2=1, b2=5, i3=1),
+            genus2_curve(n1=2, i2=2, b2=1, b3=-3),
+            genus2_curve(n1=1, n2=3),
+            genus2_curve(i1=3, b1=-7, b2=6, n2=2, i3=1),
+            genus2_curve(i1=1, b1=2, i2=1, b2=2, n3=1),
+            genus2_curve(b2=5),
+            genus2_curve(i1=2, b1=3, i2=2, b2=-1, b3=4),
+        ]
+        family = CurveFamily(members)
+        points = [genus2_point(), genus2_point(l1=0.002, l3=0.03, s1=2.5, s3=-1.1),
+                  genus2_point(l1=0.3, l2=0.9, l3=1.7, s2=-3.3)]
+        for sigma in points:
+            dec = collar_decomposition(genus2, sigma)
+            for unit in (1.0, math.pi):
+                ev = ComponentEvaluator(dec, sigma, unit)
+                table = ev.table(family)
+                assert table.T.tolist() == [reference_contributions(dec, sigma, beta, unit)
+                                            for beta in members]
+                for column, beta in zip(table.T.tolist(), members):
+                    assert ev.contributions(beta) == column
+
+    def test_family_and_table_keep_no_full_float_copy(self, genus2):
+        # bounds between the column layout (0.69 MB kept, 0.9 MB table peak) and
+        # a (members, curves, 3) int array with a float copy per table (1.7, 2.4 MB)
+        sigma = genus2_point()
+        ev = ComponentEvaluator(collar_decomposition(genus2, sigma), sigma, math.pi)
+        tracemalloc.start()
+        try:
+            family = default_curve_family(genus2)
+            kept = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            ev.table(family)
+            peak = tracemalloc.get_traced_memory()[1] - kept
+        finally:
+            tracemalloc.stop()
+        assert len(family) == 21440
+        assert kept < 1_000_000
+        assert peak < 1_500_000
 
 
 class TestLambdaSurfaceEstimate:
