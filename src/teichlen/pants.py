@@ -62,21 +62,23 @@ def hexagon_side(a: float, gamma: float, b: float) -> float:
     """Side of a right-angled hexagon two steps past gamma.
 
     Cosine rule for right-angled hexagons (sides a, gamma, b consecutive):
-    cosh c = sinh a sinh b cosh gamma - cosh a cosh b.  Symmetric in a, b.
+    cosh c = sinh a sinh b cosh gamma - cosh a cosh b, evaluated as
+    cosh c - 1 = 2 sinh a sinh b sinh^2(gamma/2) - 2 cosh^2((a - b)/2),
+    which keeps long sides around a short gamma from cancelling.
+    Symmetric in a, b.
     """
     if min(a, gamma, b) < 0:
         raise ValidationError("hexagon sides must be nonnegative")
     try:
-        value = _finite(
-            math.sinh(a) * math.sinh(b) * math.cosh(gamma) - math.cosh(a) * math.cosh(b)
-        )
+        s, h = math.sinh(gamma / 2.0), math.cosh(abs(a - b) / 2.0)
+        excess = _finite(2.0 * (math.sinh(a) * s) * (math.sinh(b) * s) - 2.0 * h * h)
     except OverflowError:
         raise NumericDomainError(f"sides ({a}, {gamma}, {b}) overflow double range") from None
-    if value <= 1.0:
+    if excess <= 0.0:
         raise DegenerateHexagonError(
             f"sides ({a}, {gamma}, {b}) do not bound a right-angled hexagon"
         )
-    return math.acosh(value)
+    return 2.0 * math.asinh(math.sqrt(excess / 2.0))
 
 
 @dataclass(frozen=True)

@@ -126,6 +126,22 @@ def pants_oracle(l1, l2, l3, word_len=3):
 # --- hexagon --------------------------------------------------------------
 
 
+@st.composite
+def well_conditioned_hexagons(draw):
+    """Sides (a, gamma, b) whose cosine rule cancels at most half its leading term.
+
+    cosh c - 1 = t - r with t = 2 sinh a sinh b sinh^2(gamma/2) and
+    r = 2 cosh^2((a - b)/2); the sides drawn have t >= 2 r.  As t nears r,
+    c becomes ill-conditioned in a and b (an ulp of either moves c by up
+    to t / (t - r) ulps), so no double formula can be held to 1e-14 there.
+    """
+    a, b = (10.0 ** draw(st.floats(-3, math.log10(60))) for _ in range(2))
+    # the gamma with t = 2 r, scaled up by 1.002 to 32
+    least = 2 * math.asinh(math.cosh((a - b) / 2)
+                           * math.sqrt(2 / (math.sinh(a) * math.sinh(b))))
+    return a, least * 10.0 ** draw(st.floats(0.001, 1.5)), b
+
+
 class TestHexagonSide:
     def test_matches_geodesic_walk_oracle(self):
         # frozen value computed with hexagon_oracle(2, 1, 2)
@@ -181,6 +197,22 @@ class TestHexagonSide:
             for k in range(6):
                 a, g, b, c = sides[k], sides[(k + 1) % 6], sides[(k + 2) % 6], sides[(k + 4) % 6]
                 assert hexagon_side(a, g, b) == pytest.approx(c, abs=1e-9)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @given(sides=well_conditioned_hexagons())
+    @example(sides=(15.0, 1e-3, 15.0))  # was off by 2.1e-11 relative
+    @example(sides=(30.0, 1e-4, 30.0))  # was off by 3.6e-10 relative
+    @example(sides=(50.0, 1e-9, 50.0))  # was rejected as degenerate
+    def test_relative_error_against_mpmath(self, sides):
+        # the cosine rule in 150 digits, where nothing cancels
+        a, g, b = sides
+        with mpmath.workdps(150):
+            a_, g_, b_ = (mpmath.mpf(v) for v in sides)
+            rest = 2 * mpmath.cosh((a_ - b_) / 2) ** 2
+            excess = 2 * mpmath.sinh(a_) * mpmath.sinh(b_) * mpmath.sinh(g_ / 2) ** 2 - rest
+            assert excess >= rest, sides
+            exact = mpmath.acosh(1 + excess)
+        assert abs(hexagon_side(a, g, b) - exact) <= 1e-14 * exact, sides
 
 
 # --- pants orthogeodesics -------------------------------------------------
