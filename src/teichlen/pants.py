@@ -3,9 +3,9 @@
 Cuff length 0 encodes a cusp; every formula takes the continuous limit
 (right-angled pentagon with one ideal vertex).  Orthogeodesics that run
 into a cusp are reported as ``math.inf``; lengths whose cosh formulas
-leave double range raise NumericDomainError.  Orthogeodesic lengths come
-from cosh d - 1 written without cancellation, so short arcs between long
-cuffs keep their relative accuracy.
+leave double range raise NumericDomainError.  Hexagon sides and
+orthogeodesic lengths come from cosh d - 1 written without cancellation,
+so they keep their relative accuracy next to long sides or cuffs.
 """
 
 from __future__ import annotations
