@@ -2,10 +2,10 @@
 
 Commands: validate, collar, extremal, distance, product, instability.
 Exit codes: 0 success, 2 parse error, 3 validation error, 4 numeric
-domain error.  Every config key can be overridden by an environment
-variable with prefix ``TEICHLEN_`` and by command-line flags; flags win
-over the environment, which wins over --config files, which win over
-defaults.
+domain error.  The config keys are the fields of ``RunConfig``.  Each can
+be set by an environment variable with prefix ``TEICHLEN_`` and most by
+command-line flags; flags win over the environment, which wins over
+--config files, which win over defaults.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .collar import CollarParams, collar_decomposition
 from .distance import (
@@ -32,6 +32,7 @@ from .instability import (
     instability_lower_bound,
     sup_product_space,
 )
+from .spaces import pi_image_space
 
 ENV_PREFIX = "TEICHLEN_"
 
@@ -56,20 +57,21 @@ class RunConfig:
     format: str = "table"
 
     def __post_init__(self):
-        if self.ell0 <= 0:
+        if not self.ell0 > 0:
             raise ValidationError("ell0 must be positive")
         if self.family_i_max < 1 or self.family_b < 0:
             raise ValidationError("family bounds must be positive")
         if self.budget < 1:
             raise ValidationError("budget must be positive")
+        if self.format not in ("table", "rows"):
+            raise ValidationError(f"format must be 'table' or 'rows', got {self.format!r}")
         self.params()  # enforces the eps ordering
 
     def params(self) -> CollarParams:
         return CollarParams(self.eps0, self.eps1)
 
 
-_FLOAT_KEYS = ("eps0", "eps1", "ell0")
-_INT_KEYS = ("family_i_max", "family_b", "seed", "budget")
+_KEYS = {f.name: type(f.default) for f in fields(RunConfig)}
 
 
 def _number(kind, text: str, what: str, error=ValidationError):
@@ -81,15 +83,9 @@ def _number(kind, text: str, what: str, error=ValidationError):
 
 
 def _coerce(key: str, value: str):
-    if key in _FLOAT_KEYS:
-        return _number(float, value, key, ParseError)
-    if key in _INT_KEYS:
-        return _number(int, value, key, ParseError)
-    if key == "format":
-        if value not in ("table", "rows"):
-            raise ValidationError(f"format must be 'table' or 'rows', got {value!r}")
-        return value
-    raise ValidationError(f"unknown config key {key!r}")
+    if key not in _KEYS:
+        raise ValidationError(f"unknown config key {key!r}")
+    return _number(_KEYS[key], value, key, ParseError)
 
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
@@ -103,17 +99,14 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
                 raise ParseError("config lines are 'key = value'", line_no)
             key, _, value = line.partition("=")
             values[key.strip()] = _coerce(key.strip(), value.strip())
-    for key in _FLOAT_KEYS + _INT_KEYS + ("format",):
+    for key in _KEYS:
         env = os.environ.get(ENV_PREFIX + key.upper())
         if env is not None:
             values[key] = _coerce(key, env)
     for key, value in overrides.items():
         if value is not None:
             values[key] = value
-    try:
-        return RunConfig(**values)
-    except TypeError as exc:
-        raise ValidationError(str(exc)) from None
+    return RunConfig(**values)
 
 
 def _fmt(value: float, config: RunConfig) -> str:
@@ -129,15 +122,17 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
 
 
-def _load_marking_and_point(surface_path: str, fn_path: str, config: RunConfig):
+def _load(config: RunConfig, surface_path: str, *fn_paths: str) -> tuple:
+    """The marking, then one point per fn file, each with boundary lengths <= ell0."""
     marking = parse_surface(_read(surface_path))
-    point = parse_fn(_read(fn_path), marking)
-    for name in marking.decomposition.boundary_names():
-        if point.length(name) > config.ell0:
-            raise ValidationError(
-                f"boundary {name} has length {point.length(name)} > ell0 = {config.ell0}"
-            )
-    return marking, point
+    points = [parse_fn(_read(path), marking) for path in fn_paths]
+    for point in points:
+        for name in marking.decomposition.boundary_names():
+            if point.length(name) > config.ell0:
+                raise ValidationError(
+                    f"boundary {name} has length {point.length(name)} > ell0 = {config.ell0}"
+                )
+    return (marking, *points)
 
 
 def _emit_rows(out, header: list[str], rows: list[list[str]]):
@@ -147,7 +142,7 @@ def _emit_rows(out, header: list[str], rows: list[list[str]]):
 
 
 def cmd_validate(args, config: RunConfig, out) -> int:
-    marking = parse_surface(_read(args.surface))
+    (marking,) = _load(config, args.surface)
     spec = marking.spec
     n = len(marking.curves)
     p = len(marking.decomposition.pants)
@@ -161,7 +156,7 @@ def cmd_validate(args, config: RunConfig, out) -> int:
 
 
 def cmd_collar(args, config: RunConfig, out) -> int:
-    marking, point = _load_marking_and_point(args.surface, args.fn, config)
+    marking, point = _load(config, args.surface, args.fn)
     dec = collar_decomposition(marking, point, config.params())
     rows = []
     for annulus in dec.thin:
@@ -187,7 +182,7 @@ def cmd_collar(args, config: RunConfig, out) -> int:
 
 
 def cmd_extremal(args, config: RunConfig, out) -> int:
-    marking, point = _load_marking_and_point(args.surface, args.fn, config)
+    marking, point = _load(config, args.surface, args.fn)
     systems = parse_curves(_read(args.curves), marking)
     if args.curve is not None:
         if args.curve not in systems:
@@ -216,8 +211,7 @@ def _family(marking, config: RunConfig) -> CurveFamily:
 
 
 def cmd_distance(args, config: RunConfig, out) -> int:
-    marking, point1 = _load_marking_and_point(args.surface, args.fn1, config)
-    point2 = parse_fn(_read(args.fn2), marking)
+    marking, point1, point2 = _load(config, args.surface, args.fn1, args.fn2)
     value = kerckhoff_distance_estimate(
         point1, point2, _family(marking, config), marking, config.params()
     )
@@ -229,8 +223,7 @@ def cmd_distance(args, config: RunConfig, out) -> int:
 
 
 def cmd_product(args, config: RunConfig, out) -> int:
-    marking, point1 = _load_marking_and_point(args.surface, args.fn1, config)
-    point2 = parse_fn(_read(args.fn2), marking)
+    marking, point1, point2 = _load(config, args.surface, args.fn1, args.fn2)
     gamma = [token for token in args.gamma.split(",") if token]
     if not gamma:
         raise ValidationError("--gamma needs at least one curve name")
@@ -254,19 +247,21 @@ def cmd_product(args, config: RunConfig, out) -> int:
     return 0
 
 
+# --space kind -> the space built from the text after the colon
+_SPACES = {
+    "euclidean": lambda arg: euclidean_space(_number(int, arg, "euclidean dimension")),
+    "supprod": lambda arg: sup_product_space(_number(int, arg, "supprod dimension")),
+    "hyp-product": lambda arg: hyp_product_space(
+        _number(int, arg, "hyp-product factor count")),
+    "pi-image": lambda arg: pi_image_space(parse_surface(_read(arg))),
+}
+
+
 def _make_space(spec: str):
     kind, _, arg = spec.partition(":")
-    if kind == "euclidean":
-        return euclidean_space(_number(int, arg, "euclidean dimension"))
-    if kind == "supprod":
-        return sup_product_space(_number(int, arg, "supprod dimension"))
-    if kind == "hyp-product":
-        return hyp_product_space(_number(int, arg, "hyp-product factor count"))
-    if kind == "pi-image":
-        from .spaces import pi_image_space
-
-        return pi_image_space(parse_surface(_read(arg)))
-    raise ValidationError(f"unknown space spec {spec!r}")
+    if kind not in _SPACES:
+        raise ValidationError(f"unknown space spec {spec!r}")
+    return _SPACES[kind](arg)
 
 
 def cmd_instability(args, config: RunConfig, out) -> int:
@@ -352,16 +347,8 @@ def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
-    overrides = {
-        "eps0": args.eps0,
-        "eps1": args.eps1,
-        "family_b": args.family_b,
-        "format": args.format,
-        "seed": args.seed,
-        "budget": args.budget,
-    }
     try:
-        config = load_config(args.config, overrides)
+        config = load_config(args.config, {key: getattr(args, key, None) for key in _KEYS})
         return args.func(args, config, out)
     except TeichlenError as exc:
         for klass, code in _EXIT_CODES:

@@ -4,6 +4,7 @@ A pants curve is thin when its length is at most eps1; its collar gets
 internal boundary circles of length eps0 and modulus pi/l - 2/eps0.
 Only pants curves (and boundary components) can be thin in this model,
 so inputs should use a decomposition adapted to the intended thin locus.
+Thick components merge one set per pants across every uncut glued curve.
 """
 
 from __future__ import annotations
@@ -76,38 +77,17 @@ class CollarDecomposition:
 
 def _components(marking: Marking, removed: set[str]) -> tuple[ThickComponent, ...]:
     """Connected components of the pants graph after cutting the removed curves."""
-    pants_names = [p.name for p in marking.decomposition.pants]
-    parent = {name: name for name in pants_names}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    sides = marking.curve_sides()
-    for curve, places in sides.items():
-        if curve in removed:
-            continue
-        (pa, _), (pb, _) = places
-        ra, rb = find(pa), find(pb)
-        if ra != rb:
-            parent[ra] = rb
-    groups: dict[str, list[str]] = {}
-    for name in pants_names:
-        groups.setdefault(find(name), []).append(name)
-    comps = []
-    for members in groups.values():
-        member_set = set(members)
-        cuffs = tuple(
-            sorted(
-                curve
-                for curve, places in sides.items()
-                if curve not in removed and places[0][0] in member_set
-            )
-        )
-        comps.append(ThickComponent(tuple(sorted(members)), cuffs))
-    return tuple(sorted(comps, key=lambda c: c.pants))
+    glued = {c: (pa, pb) for c, ((pa, _), (pb, _)) in marking.curve_sides().items()
+             if c not in removed}
+    component = {p.name: frozenset([p.name]) for p in marking.decomposition.pants}
+    for pa, pb in glued.values():
+        merged = component[pa] | component[pb]
+        component.update(dict.fromkeys(merged, merged))
+    return tuple(sorted(
+        (ThickComponent(tuple(sorted(pants)),
+                        tuple(sorted(c for c, (pa, _) in glued.items() if pa in pants)))
+         for pants in set(component.values())),
+        key=lambda c: c.pants))
 
 
 def _annulus(curve: str, sigma: FNPoint, params: CollarParams,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -44,6 +45,9 @@ def default_curve_family(marking: Marking, i_max: int = 2,
     ``itertools.product`` order, so the blocks are the family's pattern
     groups and the cores the last one.
     """
+    if not all(isinstance(k, numbers.Integral) and k >= 0 for k in (i_max, twist_bound)):
+        raise ValidationError(
+            f"i_max and twist_bound must be integers >= 0, got {i_max!r}, {twist_bound!r}")
     curves = marking.curves
     pants_columns = [[curves.index(e.name) for e in p.ends if e.kind == CURVE]
                      for p in marking.decomposition.pants]
@@ -102,8 +106,8 @@ def torus_family_estimate(z1: UHPoint, z2: UHPoint, n_max: int) -> float:
     (1, z); never exceeds hyp_distance(z1, z2) and is nondecreasing in
     n_max.
     """
-    if n_max < 1:
-        raise ValidationError("n_max must be at least 1")
+    if not (isinstance(n_max, numbers.Integral) and n_max >= 1):
+        raise ValidationError(f"n_max must be an integer >= 1, got {n_max!r}")
     u, v = np.meshgrid(np.arange(-n_max, n_max + 1), np.arange(-n_max, n_max + 1))
     coprime = np.gcd(u, v) == 1
     u, v = u[coprime].astype(float), v[coprime].astype(float)

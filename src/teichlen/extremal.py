@@ -48,8 +48,8 @@ def lambda_annulus(i: int, n: int, m: float, t_hat: float | None = None) -> floa
     """Annulus contribution: i^2 (m + t^2/m) for crossings, n^2/m for cores."""
     if i < 0 or n < 0:
         raise ValidationError("counts must be nonnegative")
-    if not m > 0:
-        raise ValidationError("modulus must be positive")
+    if not 0 < m < math.inf:
+        raise ValidationError("modulus must be positive and finite")
     if i > 0 and (t_hat is None or not math.isfinite(t_hat)):
         raise ValidationError("crossing arcs need a finite twist estimate")
     return float(_annulus_term(i, n, m, 0.0 if t_hat is None else t_hat))
@@ -90,15 +90,13 @@ def arc_multiplicities(m1: int, m2: int, m3: int) -> ArcMultiplicities:
 def _arc_sum(pants_rows, column: dict[str, int], pattern: Sequence[int]) -> float:
     """Orthogeodesic arc lengths of one intersection pattern, summed over the pants.
 
-    A pants row holds its orthogeodesics, or the NumericDomainError they
-    raised, which is raised only for a pattern that enters that pants.
+    A pants whose orthogeodesics leave double range has a row of inf, so
+    a pattern entering it sums to inf and one that does not skips it.
     """
     length = 0.0
     for curve_ends, ortho in pants_rows:
         counts = [0 if name is None else pattern[column[name]] for name in curve_ends]
         if any(counts):
-            if isinstance(ortho, NumericDomainError):
-                raise ortho.with_traceback(None)
             for count, d in zip(arc_multiplicities(*counts), ortho):
                 if count:
                     length += count * d
@@ -164,10 +162,11 @@ class CurveFamily:
 class ComponentEvaluator:
     """Per-point table of the component contributions of a decomposition.
 
-    Built once per point sigma, with the orthogeodesics of each pants (or
-    the error computing them raised, kept for the curve systems entering it);
-    ``table`` then gives one row per component in the decomposition's
-    order (thin annuli, then thick components), labelled by ``labels``.
+    Built once per point sigma, with the orthogeodesics of each pants (all
+    inf where they leave double range, so that only the curve systems
+    entering that pants overflow); ``table`` then gives one row per
+    component in the decomposition's order (thin annuli, then thick
+    components), labelled by ``labels``.
     A thin annulus of modulus m is evaluated at height m / modulus_unit;
     peripheral annuli always contribute 0.  Cuffs longer than the
     decomposition's eps1 inside a thick component add the twist-travel term.
@@ -194,8 +193,8 @@ class ComponentEvaluator:
                     o = pants_orthogeodesics(PantsCuffs(
                         *(0.0 if e.kind == PUNCTURE else sigma.length(e.name) for e in ends)))
                     ortho = (o.d11, o.d22, o.d33, o.d12, o.d13, o.d23)
-                except NumericDomainError as exc:  # raised only if a pattern enters
-                    ortho = exc
+                except NumericDomainError:  # table raises for the patterns entering it
+                    ortho = (math.inf,) * 6
                 pants_rows.append((tuple(e.name if e.kind == CURVE else None for e in ends),
                                    ortho))
             cuff_terms = tuple(
@@ -213,7 +212,7 @@ class ComponentEvaluator:
         are computed once per pattern in ``family.patterns`` and gathered
         by ``family.key``.  The terms are summed in the scalar order, so
         values are bit-identical to a per-member loop.  A value outside
-        double range raises NumericDomainError.
+        double range raises NumericDomainError naming its component.
         """
         column = {c: k for k, c in enumerate(family.curves)}
         cells = [c.T.astype(float) for c in family.cells]  # (i, b, n) rows per curve
@@ -238,7 +237,8 @@ class ComponentEvaluator:
                 rows.append(length * length)
         table = np.array(rows)
         if not np.isfinite(table).all():
-            raise NumericDomainError("a component contribution leaves double range")
+            component = self.labels[np.isfinite(table).all(axis=1).argmin()][0]
+            raise NumericDomainError(f"the contribution of {component} leaves double range")
         return table
 
     def contributions(self, beta: CurveSystem) -> list[float]:

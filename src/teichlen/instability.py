@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import random
 import warnings
 from dataclasses import dataclass
@@ -139,8 +140,8 @@ def segment_distance(space: MetricSpaceHandle, x: Point, y: Point, z: Point,
 
 def euclidean_instability_exact(delta: float, L: float) -> float:
     """Closed form sqrt(2 L delta + delta^2) / 2 for Euclidean space."""
-    if delta < 0 or L < 0:
-        raise ValidationError("delta and L must be nonnegative")
+    if not (0 <= delta < math.inf and 0 <= L < math.inf):
+        raise ValidationError("delta and L must be finite and nonnegative")
     return math.sqrt(2.0 * L * delta + delta * delta) / 2.0
 
 
@@ -159,8 +160,8 @@ def instability_lower_bound(space: MetricSpaceHandle, delta: float, L: float,
     """
     if not (0 <= delta < math.inf and 0 < L < math.inf):
         raise ValidationError("need finite delta >= 0 and L > 0")
-    if budget < 1:
-        raise ValidationError("budget must be positive")
+    if not (isinstance(budget, numbers.Integral) and budget >= 1):
+        raise ValidationError(f"budget must be a positive integer, got {budget!r}")
     _check_resolution(resolution)
     candidates = []
     if space.witnesses is not None:
@@ -217,6 +218,8 @@ def growth_rate_estimate(space: MetricSpaceHandle | None, delta: float,
         ]
     elif len(s_values) != len(L_values):
         raise ValidationError("s_values must match the ladder")
+    elif not all(math.isfinite(s) for s in s_values):
+        raise ValidationError("s_values must be finite")
     points = []
     for L, s in zip(L_values, s_values):
         if s <= 0.0:

@@ -287,16 +287,22 @@ class CurveSystem:
     def __post_init__(self):
         clean = {}
         for name in sorted(self.data):
-            i, b, n = self.data[name]
+            coords = self.data[name]
+            try:
+                i, b, n = (int(x) for x in coords)
+                exact = (i, b, n) == tuple(coords)
+            except (TypeError, ValueError, OverflowError):  # not three finite numbers
+                exact = False
+            if not exact:
+                raise ValidationError(f"coordinates on {name} must be three integers, "
+                                      f"got {coords!r}")
             if i < 0 or n < 0:
                 raise ValidationError(f"negative counts on {name}")
-            if int(i) != i or int(b) != b or int(n) != n:
-                raise ValidationError(f"coordinates on {name} must be integers")
             if i > 0 and n != 0:
                 raise ValidationError(
                     f"curve {name}: core copies require zero intersection"
                 )
-            clean[name] = (int(i), int(b), int(n))
+            clean[name] = (i, b, n)
         object.__setattr__(self, "data", MappingProxyType(clean))
 
     def _entry(self, name: str) -> tuple[int, int, int]:

@@ -496,3 +496,24 @@ class TestProductRegionDiscrepancy:
                 sigma, fn_dehn_twist(sigma, "g1", 5), ["g1"], genus2, family=family
             )
         assert not report.thin_ok
+
+
+class TestArgumentValidation:
+    @pytest.mark.parametrize("call", [
+        lambda m: default_curve_family(m, 2, -1),
+        lambda m: default_curve_family(m, -1, 2),
+        lambda m: default_curve_family(m, 2.5, 2),
+        lambda m: default_curve_family(m, 2, 2.0),
+        lambda m: torus_family_estimate(UHPoint(0.0, 1.0), UHPoint(1.0, 2.0), 2.5),
+        lambda m: torus_family_estimate(UHPoint(0.0, 1.0), UHPoint(1.0, 2.0), 0),
+    ], ids=["negative-twist-bound", "negative-i-max", "float-i-max", "float-twist-bound",
+            "float-n-max", "zero-n-max"])
+    def test_raises_validation_error(self, genus2, call):
+        with pytest.raises(ValidationError):
+            call(genus2)
+
+    def test_product_region_discrepancy_defaults_to_the_default_family(self, genus2):
+        sigma, tau = genus2_point(), genus2_point(l1=0.004, s1=3.0)
+        assert (product_region_discrepancy(sigma, tau, ["g1"], genus2)
+                == product_region_discrepancy(sigma, tau, ["g1"], genus2,
+                                              family=default_curve_family(genus2)))

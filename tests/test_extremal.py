@@ -372,3 +372,17 @@ class TestLambdaSurfaceEstimate:
                     ratio = max(full / partial, partial / full)
                     worst = max(worst, ratio)
         assert worst <= 50.0
+
+
+@pytest.mark.parametrize("args", [(1, 0, math.inf, 1.0), (0, 1, math.inf, None),
+                                  (1, 0, math.nan, 1.0), (1, 0, 1.0, math.inf)],
+                         ids=["inf-modulus", "inf-modulus-core", "nan-modulus", "inf-twist"])
+def test_lambda_annulus_rejects_non_finite_input(args):
+    with pytest.raises(ValidationError):
+        lambda_annulus(*args)
+
+
+def test_overflow_error_names_its_component(holed_torus):
+    sigma = FNPoint({"g1": 0.05, "b1": 2000.0}, {"g1": 0.0})
+    with pytest.raises(NumericDomainError, match=r"thick\[p\]"):
+        lambda_surface_estimate(CurveSystem({"g1": (1, 0, 0)}), sigma, holed_torus)

@@ -1,12 +1,14 @@
 """File formats (canonical round-trip) and the command-line front end."""
 
 import io
+import math
 import os
 import pathlib
 
 import pytest
 
 from teichlen import ParseError
+from teichlen import default_curve_family, kerckhoff_distance_estimate
 from teichlen.cli import main
 from teichlen.files import (
     parse_curves,
@@ -294,3 +296,66 @@ class TestCliBadInput:
     def test_torus_n_flag_removed(self):
         with pytest.raises(SystemExit):
             run_cli("--torus-n", "5", "validate", str(SURFACE))
+
+
+class TestCliOutputPaths:
+    def test_extremal_table(self):
+        code, out = run_cli("extremal", str(SURFACE), str(FN_THIN), str(CURVES),
+                            "--curve", "core1")
+        assert code == 0
+        assert out == ("  core1 annulus g1: 0.00322415\n"
+                       "  core1 thick   thick[pA,pB]: 0\n"
+                       "core1: extremal length estimate 0.00322415\n")
+
+    def test_distance_rows_carry_the_estimate(self):
+        code, out = run_cli("--format", "rows", "--family-b", "2", "distance",
+                            str(SURFACE), str(DATA / "genus2_wide.fn"), str(FN_TWISTED))
+        assert code == 0
+        header, value = out.splitlines()
+        marking = parse_surface(SURFACE.read_text())
+        sigma, tau = (parse_fn(path.read_text(), marking)
+                      for path in (DATA / "genus2_wide.fn", FN_TWISTED))
+        expected = kerckhoff_distance_estimate(
+            sigma, tau, default_curve_family(marking, 2, 2), marking)
+        assert header == "#d_teich"
+        assert float(value) == expected > 0
+
+    def test_product_warns_when_gamma_is_not_thin(self):
+        with pytest.warns(UserWarning):
+            code, out = run_cli("--family-b", "2", "product", str(SURFACE),
+                                str(DATA / "genus2_wide.fn"), str(FN_TWISTED), "--gamma", "g1")
+        assert code == 0
+        assert out.splitlines()[-1] == "warning: pinched curves are not thin at both points"
+
+    @pytest.mark.parametrize("space", ["hyp-product:2", f"pi-image:{SURFACE}"])
+    def test_instability_on_half_plane_spaces(self, space):
+        code, out = run_cli("--format", "rows", "--budget", "30", "instability",
+                            "--space", space, "--delta", "0",
+                            "--ladder", "1,10,100,1000,10000")
+        assert code == 0
+        header, *rows = out.splitlines()
+        assert header == "#delta\tL\ts_lower\tslope"
+        assert [row.split("\t")[1] for row in rows] == ["1", "10", "100", "1000", "10000"]
+        for row in rows:
+            _, L, s_lower, slope = map(float, row.split("\t"))
+            assert 0 < s_lower <= L / 2
+            assert math.isfinite(slope)
+
+
+class TestCliBoundaryBound:
+    BIG = "[fn]\ng1 = 0.8 0.0\nboundary:b1 = 20.0\n"
+    HOLED = (str(DATA / "holed_torus.surf"), str(DATA / "holed_torus.fn"))
+
+    @pytest.mark.parametrize("command", ["distance", "product"])
+    def test_checked_on_both_points(self, tmp_path, capsys, command):
+        big = tmp_path / "big.fn"
+        big.write_text(self.BIG)
+        surface, fine = self.HOLED
+        gamma = ("--gamma", "g1") if command == "product" else ()
+        for pair in ((fine, str(big)), (str(big), fine)):
+            assert run_cli(command, surface, *pair, *gamma)[0] == 3
+            assert "> ell0 = 10.0" in capsys.readouterr().err
+
+    def test_nan_bound_rejected(self, monkeypatch):
+        monkeypatch.setenv("TEICHLEN_ELL0", "nan")
+        assert run_cli("collar", *self.HOLED)[0] == 3

@@ -468,3 +468,18 @@ def test_cli_instability_never_imports_numpy_random():
                           env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+LADDER = [1.0, 10.0, 100.0, 1000.0, 10000.0]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: instability_lower_bound(hyp_product_space(2), 0.1, 10.0, budget=2.5),
+    lambda: growth_rate_estimate(None, 0.0, LADDER, s_values=[1, 2, math.nan, 4, 5]),
+    lambda: growth_rate_estimate(None, 0.0, LADDER, s_values=[1, 2, math.inf, 4, 5]),
+    lambda: euclidean_instability_exact(math.nan, 1.0),
+    lambda: euclidean_instability_exact(1.0, math.inf),
+], ids=["float-budget", "nan-s", "inf-s", "nan-delta", "inf-L"])
+def test_bad_arguments_raise_validation_error(call):
+    with pytest.raises(ValidationError):
+        call()

@@ -222,3 +222,11 @@ class TestTwistCalculus:
             beta = curve_dehn_twist(beta, j, int(rng.integers(-5, 6)))
         beta.validate_for(genus2)
         assert beta.intersection("g1") == 2
+
+
+@pytest.mark.parametrize("coords", [(1, 0), (1, 0, 0, 0), ("a", 0, 0), (float("nan"), 0, 0),
+                                    (1, float("inf"), 0), (1.5, 0, 0), None],
+                         ids=["two", "four", "text", "nan", "inf", "fraction", "none"])
+def test_curve_system_rejects_malformed_coordinates(coords):
+    with pytest.raises(ValidationError):
+        CurveSystem({"g1": coords})
