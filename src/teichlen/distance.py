@@ -13,10 +13,16 @@ this one place by modulus_unit = pi, which puts twist- and pinch-direction
 ratios on the same hyperbolic scale as the product coordinates (s, 1/l);
 the public extremal-length estimate keeps the raw modulus.  For the torus
 the exact formula is available as ``torus_family_estimate`` / ``hyp_distance``.
+
+The product model's base factor is the same estimator on the pinched
+marking.  ``product_model`` builds the pinched marking and its base family
+once per (marking, gamma) and keeps the last few; when pinching leaves no
+internal curve the base factor is a single point and its distance is 0.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -202,6 +208,34 @@ class DiscrepancyReport:
         return abs(self.d_teich - self.d_product)
 
 
+@dataclass(frozen=True, slots=True)
+class ProductModel:
+    """The pinched marking of one (marking, gamma) and its base family.
+
+    ``base_family`` is None when pinching leaves no internal curve: the
+    base factor is then a single point, at distance 0 from itself.  The
+    reports of one model share its ``gamma`` tuple.
+    """
+
+    gamma: tuple[str, ...]
+    pinched: Marking
+    base_family: CurveFamily | None
+
+    def base_distance(self, rho1: FNPoint, rho2: FNPoint,
+                      params: CollarParams = DEFAULT_PARAMS) -> float:
+        if self.base_family is None:
+            return 0.0
+        return kerckhoff_distance_estimate(rho1, rho2, self.base_family, self.pinched, params)
+
+
+@functools.lru_cache(maxsize=16)
+def product_model(marking: Marking, gamma: tuple[str, ...]) -> ProductModel:
+    """Product model of pinching gamma (sorted, no repeats) on the marking, built once."""
+    pinched = marking.pinch(gamma)
+    return ProductModel(gamma, pinched,
+                        default_curve_family(pinched) if pinched.curves else None)
+
+
 def product_region_discrepancy(sigma: FNPoint, tau: FNPoint, gamma: Iterable[str],
                                marking: Marking,
                                params: CollarParams = DEFAULT_PARAMS,
@@ -210,7 +244,9 @@ def product_region_discrepancy(sigma: FNPoint, tau: FNPoint, gamma: Iterable[str
     """Compare the surface distance estimate with the product-model distance.
 
     The base factor of the product distance reuses the same estimator on
-    the pinched marking, so the recursion terminates after one step.
+    the pinched marking, so the recursion terminates after one step; the
+    pinched marking and its family come from ``product_model``, built
+    once per (marking, gamma).
     Pinched curves are expected to be thin at both points; violations
     are reported via ``thin_ok`` rather than rejected.
     """
@@ -218,15 +254,10 @@ def product_region_discrepancy(sigma: FNPoint, tau: FNPoint, gamma: Iterable[str
     if family is None:
         family = default_curve_family(marking)
     d_teich = kerckhoff_distance_estimate(sigma, tau, family, marking, params)
-    pinched = marking.pinch(gamma)
-    base_family = default_curve_family(pinched)
-
-    def base_metric(rho1: FNPoint, rho2: FNPoint) -> float:
-        return kerckhoff_distance_estimate(rho1, rho2, base_family, pinched, params)
-
+    model = product_model(marking, gamma)
     p = pi_map(sigma, gamma, marking)
     q = pi_map(tau, gamma, marking)
-    d_product = product_distance(p, q, base_metric)
+    d_product = product_distance(p, q, functools.partial(model.base_distance, params=params))
     thin_ok = all(
         point.length(g) <= params.eps1 for g in gamma for point in (sigma, tau)
     )
@@ -236,4 +267,4 @@ def product_region_discrepancy(sigma: FNPoint, tau: FNPoint, gamma: Iterable[str
             "only tracks the distance estimate on the thin region",
             stacklevel=2,
         )
-    return DiscrepancyReport(d_teich, d_product, gamma, thin_ok)
+    return DiscrepancyReport(d_teich, d_product, model.gamma, thin_ok)

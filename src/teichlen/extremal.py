@@ -11,19 +11,22 @@ property tests, not by matching any particular multiplicative constant.
 
 A ``CurveFamily`` stores its curve systems by column, each distinct
 (i, b, n) cell of a curve once, and groups its members by crossing
-pattern when it is built.  ``ComponentEvaluator.table`` computes the
-contributions of a whole family at once, for the distance estimator and,
-as its one-member case, for the ``lambda_*`` estimators: annulus and
-twist-travel terms once per cell, thick arc sums once per pattern, each
-gathered by member.  A thin annulus is evaluated at height
-m / modulus_unit: 1 here, pi in the distance estimator.
+pattern when it is built.  It also owns the arc multiplicities of its
+patterns in each pants curve-end triple, worked out on first use and
+kept, since they do not depend on the point.  ``ComponentEvaluator.table``
+computes the contributions of a whole family at once, for the distance
+estimator and, as its one-member case, for the ``lambda_*`` estimators:
+annulus and twist-travel terms once per cell, and per pattern a thick arc
+sum of count * d over the point's orthogeodesic rows, each gathered by
+member.  A thin annulus is evaluated at height m / modulus_unit: 1 here,
+pi in the distance estimator.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -87,22 +90,6 @@ def arc_multiplicities(m1: int, m2: int, m3: int) -> ArcMultiplicities:
                              (m2 + m3 - m1) // 2)
 
 
-def _arc_sum(pants_rows, column: dict[str, int], pattern: Sequence[int]) -> float:
-    """Orthogeodesic arc lengths of one intersection pattern, summed over the pants.
-
-    A pants whose orthogeodesics leave double range has a row of inf, so
-    a pattern entering it sums to inf and one that does not skips it.
-    """
-    length = 0.0
-    for curve_ends, ortho in pants_rows:
-        counts = [0 if name is None else pattern[column[name]] for name in curve_ends]
-        if any(counts):
-            for count, d in zip(arc_multiplicities(*counts), ortho):
-                if count:
-                    length += count * d
-    return length
-
-
 class CurveFamily:
     """Finite stand-in for the full set of curve classes, stored by column.
 
@@ -138,7 +125,27 @@ class CurveFamily:
             array.flags.writeable = False
         self.cells, self.index, self.curves = cells, index, curves
         self.key, self.patterns = key, patterns
+        self._arcs: dict[tuple[str | None, ...], tuple] = {}
         return self
+
+    def arc_counts(self, curve_ends: tuple[str | None, ...]) -> tuple:
+        """Per pattern, the nonzero (arc, count) pairs of one pants' arc pairing.
+
+        ``curve_ends`` names the curve on each end of the pants, None for
+        a boundary or puncture; arcs are numbered in ``ArcMultiplicities``
+        order.  Built on first use for each triple and kept.
+        """
+        arcs = self._arcs.get(curve_ends)
+        if arcs is None:
+            columns = [None if name is None else self.curves.index(name)
+                       for name in curve_ends]
+            arcs = []
+            for pattern in self.patterns:
+                counts = [0 if k is None else pattern[k] for k in columns]
+                pairs = enumerate(arc_multiplicities(*counts)) if any(counts) else ()
+                arcs.append(tuple((arc, count) for arc, count in pairs if count))
+            arcs = self._arcs[curve_ends] = tuple(arcs)
+        return arcs
 
     @property
     def coords(self) -> np.ndarray:
@@ -209,10 +216,12 @@ class ComponentEvaluator:
 
         Annulus and twist-travel terms are computed once per cell of
         ``family.cells`` and gathered by ``family.index``; thick arc sums
-        are computed once per pattern in ``family.patterns`` and gathered
-        by ``family.key``.  The terms are summed in the scalar order, so
-        values are bit-identical to a per-member loop.  A value outside
-        double range raises NumericDomainError naming its component.
+        add count * d over the family's ``arc_counts`` once per pattern in
+        ``family.patterns`` and are gathered by ``family.key``.  The terms
+        are summed in the scalar order, so values are bit-identical to a
+        per-member loop, and a pattern that does not enter an overflowed
+        (inf) pants never meets its row.  A value outside double range
+        raises NumericDomainError naming its component.
         """
         column = {c: k for k, c in enumerate(family.curves)}
         cells = [c.T.astype(float) for c in family.cells]  # (i, b, n) rows per curve
@@ -227,8 +236,15 @@ class ComponentEvaluator:
                 i, b, n = cells[k]
                 rows.append(_annulus_term(i, n, height, b + twist)[family.index[k]])
             for pants_rows, cuff_terms in self._thick:
-                length = np.array([_arc_sum(pants_rows, column, p)
-                                   for p in family.patterns])[family.key]
+                arcs = [(family.arc_counts(ends), ortho) for ends, ortho in pants_rows]
+                sums = []
+                for p in range(len(family.patterns)):
+                    length = 0.0
+                    for counts, ortho in arcs:
+                        for arc, count in counts[p]:
+                            length += count * ortho[arc]
+                    sums.append(length)
+                length = np.array(sums)[family.key]
                 for cuff, ell, twist in cuff_terms:
                     k = column[cuff]
                     i, b, _ = cells[k]

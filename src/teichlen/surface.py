@@ -142,6 +142,9 @@ class Marking:
         object.__setattr__(self, "seams", MappingProxyType(dict(self.seams)))
         self._validate()
 
+    def __hash__(self):  # the seams mapping itself is unhashable
+        return hash((self.decomposition, tuple(sorted(self.seams.items())), self.spec))
+
     def _validate(self):
         dec = self.decomposition
         sides = dec.sides()

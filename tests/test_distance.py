@@ -33,8 +33,9 @@ from teichlen import (
 )
 
 from conftest import genus2_point
+from teichlen.distance import product_model
 from teichlen.files import parse_surface
-from teichlen.surface import CURVE
+from teichlen.surface import CURVE, Marking
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "demos" / "data"
 
@@ -496,6 +497,71 @@ class TestProductRegionDiscrepancy:
                 sigma, fn_dehn_twist(sigma, "g1", 5), ["g1"], genus2, family=family
             )
         assert not report.thin_ok
+
+
+class TestProductModel:
+    def test_one_pinch_and_one_base_family_per_marking_and_gamma(self, genus2, monkeypatch):
+        import teichlen.distance as distance
+
+        pinches, builds = [], []
+        pinch, build = Marking.pinch, distance.default_curve_family
+        monkeypatch.setattr(Marking, "pinch",
+                            lambda self, gamma: pinches.append(gamma) or pinch(self, gamma))
+        monkeypatch.setattr(distance, "default_curve_family",
+                            lambda marking, *a: builds.append(marking) or build(marking, *a))
+        family = default_curve_family(genus2, twist_bound=3)
+        sigma = genus2_point()
+        product_model.cache_clear()
+        reports = [product_region_discrepancy(sigma, genus2_point(l1=0.01 / (k + 2), s1=k),
+                                              ["g1"], genus2, family=family)
+                   for k in range(20)]
+        assert len(pinches) == 1 and len(builds) == 1
+        assert builds[0] == genus2.pinch(["g1"])
+        assert all(report.gamma is reports[0].gamma for report in reports)
+        for k, report in enumerate(reports):
+            product_model.cache_clear()  # a fresh model for every pair
+            tau = genus2_point(l1=0.01 / (k + 2), s1=k)
+            assert product_region_discrepancy(sigma, tau, ["g1"], genus2,
+                                              family=family) == report
+
+    def test_reports_match_a_fresh_pinch(self, genus2):
+        # reference: pinch and build the base family by hand
+        family = default_curve_family(genus2, twist_bound=3)
+        pinched = genus2.pinch(["g1", "g3"])
+        base_family = default_curve_family(pinched)
+        sigma = genus2_point(l1=0.004, l3=0.02)
+        for k in range(5):
+            tau = genus2_point(l1=0.002, l2=1.2 + 0.1 * k, l3=0.05, s1=3.0 * k, s2=-k)
+            report = product_region_discrepancy(sigma, tau, ["g3", "g1"], genus2,
+                                                family=family)
+            expected = product_distance(
+                pi_map(sigma, ["g1", "g3"], genus2), pi_map(tau, ["g1", "g3"], genus2),
+                lambda a, b: kerckhoff_distance_estimate(a, b, base_family, pinched))
+            assert report.d_product == expected
+            assert report.d_teich == kerckhoff_distance_estimate(sigma, tau, family, genus2)
+
+    def test_shared_by_equal_markings(self):
+        text = (DATA / "genus2.surf").read_text()
+        first, second = parse_surface(text), parse_surface(text)
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        assert product_model(first, ("g1",)) is product_model(second, ("g1",))
+        assert product_model(first, ("g1",)) is not product_model(first, ("g1", "g2"))
+        assert product_model(first, ("g1", "g2")).pinched.curves == ("g3",)
+
+    @pytest.mark.parametrize("surface", ["holed_torus", "punctured_torus"])
+    def test_no_base_curve_left(self, request, surface):
+        marking = request.getfixturevalue(surface)
+        boundary = {name: 1.5 for name in marking.decomposition.boundary_names()}
+        sigma = FNPoint({"g1": 0.05, **boundary}, {"g1": 0.25})
+        tau = FNPoint({"g1": 0.004, **boundary}, {"g1": -3.0})
+        model = product_model(marking, ("g1",))
+        assert model.base_family is None
+        assert model.base_distance(sigma, tau) == 0.0
+        report = product_region_discrepancy(sigma, tau, ["g1"], marking)
+        assert report.d_product == hyp_distance(UHPoint(0.25, 1 / 0.05),
+                                                UHPoint(-3.0, 1 / 0.004))
+        assert report.thin_ok and math.isfinite(report.d_teich)
 
 
 class TestArgumentValidation:

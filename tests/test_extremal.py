@@ -270,6 +270,54 @@ class TestComponentEvaluator:
         assert peak < 1_500_000
 
 
+class TestFamilyArcCounts:
+    @pytest.mark.parametrize("surface", ["genus2", "holed_torus", "punctured_torus"])
+    def test_match_arc_multiplicities(self, request, surface):
+        marking = request.getfixturevalue(surface)
+        family = default_curve_family(marking)
+        column = {c: k for k, c in enumerate(family.curves)}
+        for pants in marking.decomposition.pants:
+            ends = tuple(e.name if e.kind == "curve" else None for e in pants.ends)
+            arcs = family.arc_counts(ends)
+            assert len(arcs) == len(family.patterns)
+            for pattern, pairs in zip(family.patterns, arcs):
+                counts = [0 if name is None else pattern[column[name]] for name in ends]
+                row = [0] * 6
+                for arc, count in pairs:
+                    row[arc] = count
+                assert tuple(row) == tuple(arc_multiplicities(*counts))
+                assert all(count > 0 for _, count in pairs)
+
+    def test_second_table_makes_no_arc_multiplicities_call(self, genus2, monkeypatch):
+        import teichlen.extremal as extremal
+
+        calls = []
+        original = extremal.arc_multiplicities
+        monkeypatch.setattr(extremal, "arc_multiplicities",
+                            lambda *counts: calls.append(counts) or original(*counts))
+        family = default_curve_family(genus2)
+        sigma = genus2_point()
+        ev = ComponentEvaluator(collar_decomposition(genus2, sigma), sigma, math.pi)
+        first = ev.table(family)
+        # pA and pB share one curve-end triple, and the cores enter no pants
+        assert len(calls) == len(family.patterns) - 1
+        calls.clear()
+        assert ev.table(family).tolist() == first.tolist()
+        other = genus2_point(l1=0.3, s2=2.0)
+        ComponentEvaluator(collar_decomposition(genus2, other), other).table(family)
+        assert calls == []
+
+    def test_cores_only_family_ignores_an_overflowed_pants(self, holed_torus):
+        # the point of test_overflowing_pants_raises_only_for_systems_entering_it
+        sigma = FNPoint({"g1": 0.05, "b1": 2000.0}, {"g1": 0.0})
+        members = [core_curve(holed_torus, "g1", n) for n in (1, 2, 3)]
+        dec = collar_decomposition(holed_torus, sigma)
+        table = ComponentEvaluator(dec, sigma).table(CurveFamily(members))
+        assert np.isfinite(table).all()
+        assert table.T.tolist() == [reference_contributions(dec, sigma, beta)
+                                    for beta in members]
+
+
 class TestLambdaSurfaceEstimate:
     def test_core_of_thin_curve(self, genus2):
         sigma = genus2_point(l1=0.05)

@@ -8,7 +8,7 @@ import pathlib
 import pytest
 
 from teichlen import ParseError
-from teichlen import default_curve_family, kerckhoff_distance_estimate
+from teichlen import UHPoint, default_curve_family, hyp_distance, kerckhoff_distance_estimate
 from teichlen.cli import main
 from teichlen.files import (
     parse_curves,
@@ -184,6 +184,22 @@ class TestCliProduct:
         row = out.splitlines()[1].split("\t")
         # frozen: (1/2) arccosh(1 + 100/20000) for the twist-10 factor pair
         assert float(row[1]) == pytest.approx(0.04997919006934813, abs=1e-12)
+        assert row[3] == "1"
+
+    def test_surface_without_base_curve(self, tmp_path):
+        holed = DATA / "holed_torus.surf"
+        with pytest.warns(UserWarning):  # g1 = 0.8 is not thin
+            code, _ = run_cli("product", str(holed), str(DATA / "holed_torus.fn"),
+                              str(DATA / "holed_torus.fn"), "--gamma", "g1")
+        assert code == 0
+        # the pinched surface has no internal curve: d_product is the g1 factor distance
+        (tmp_path / "a.fn").write_text("[fn]\ng1 = 0.05 0.25\nboundary:b1 = 1.5\n")
+        (tmp_path / "b.fn").write_text("[fn]\ng1 = 0.004 -3\nboundary:b1 = 1.5\n")
+        code, out = run_cli("--format", "rows", "product", str(holed),
+                            str(tmp_path / "a.fn"), str(tmp_path / "b.fn"), "--gamma", "g1")
+        assert code == 0
+        row = out.splitlines()[1].split("\t")
+        assert float(row[1]) == hyp_distance(UHPoint(0.25, 1 / 0.05), UHPoint(-3.0, 1 / 0.004))
         assert row[3] == "1"
 
     def test_gamma_must_be_internal(self):
