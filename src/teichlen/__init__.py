@@ -99,13 +99,11 @@ from .surface import (
     Pants,
     PantsDecomposition,
     SurfaceSpec,
-    build_marking,
     core_curve,
     curve_dehn_twist,
     empty_curve,
     estimated_twist,
     fn_dehn_twist,
-    intersection_number,
 )
 
 __version__ = "0.1.0"

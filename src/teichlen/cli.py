@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Commands: validate, collar, extremal, distance, product, instability.
-Exit codes: 0 success, 2 parse error, 3 validation error, 4 numeric
-domain error.  The config keys are the fields of ``RunConfig``.  Each can
+A command exits 0 on success; a ParseError, ValidationError or
+NumericDomainError is reported on stderr and exits with the error's
+``exit_code`` (2, 3 or 4).  The config keys are the fields of ``RunConfig``.  Each can
 be set by an environment variable with prefix ``TEICHLEN_`` and most by
 command-line flags; flags win over the environment, which wins over
 --config files, which win over defaults.
@@ -22,7 +23,7 @@ from .distance import (
     kerckhoff_distance_estimate,
     product_region_discrepancy,
 )
-from .errors import NumericDomainError, ParseError, TeichlenError, ValidationError
+from .errors import NumericDomainError, ParseError, ValidationError
 from .extremal import lambda_surface_estimate
 from .files import parse_curves, parse_fn, parse_surface
 from .instability import (
@@ -35,12 +36,6 @@ from .instability import (
 from .spaces import pi_image_space
 
 ENV_PREFIX = "TEICHLEN_"
-
-_EXIT_CODES = (
-    (ParseError, 2),
-    (ValidationError, 3),
-    (NumericDomainError, 4),
-)
 
 
 @dataclass(frozen=True)
@@ -350,12 +345,9 @@ def main(argv=None, out=None) -> int:
     try:
         config = load_config(args.config, {key: getattr(args, key, None) for key in _KEYS})
         return args.func(args, config, out)
-    except TeichlenError as exc:
-        for klass, code in _EXIT_CODES:
-            if isinstance(exc, klass):
-                print(f"error: {exc}", file=sys.stderr)
-                return code
-        raise
+    except (ParseError, ValidationError, NumericDomainError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

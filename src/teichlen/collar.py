@@ -77,7 +77,7 @@ class CollarDecomposition:
 
 def _components(marking: Marking, removed: set[str]) -> tuple[ThickComponent, ...]:
     """Connected components of the pants graph after cutting the removed curves."""
-    glued = {c: (pa, pb) for c, ((pa, _), (pb, _)) in marking.curve_sides().items()
+    glued = {c: (pa, pb) for c, ((pa, _), (pb, _)) in marking.decomposition.sides().items()
              if c not in removed}
     component = {p.name: frozenset([p.name]) for p in marking.decomposition.pants}
     for pa, pb in glued.values():

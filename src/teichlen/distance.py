@@ -34,7 +34,7 @@ import numpy as np
 
 from .collar import DEFAULT_PARAMS, CollarParams, collar_decomposition
 from .errors import ValidationError
-from .extremal import ComponentEvaluator, CurveFamily
+from .extremal import ComponentEvaluator, CurveFamily, _annulus_term
 from .halfplane import UHPoint, hyp_distance
 from .surface import CURVE, FNPoint, Marking
 
@@ -185,15 +185,14 @@ def annulus_ratio_check(b: float, x1: float, y1: float,
                         x2: float, y2: float) -> float:
     """Annulus length-ratio profile (y2+(b+x2)^2/y2) / (y1+(b+x1)^2/y1).
 
-    Its supremum over b equals k_ratio_sup((x1,y1), (x2,y2)); used as an
-    internal consistency check between annulus contributions and the
-    half-plane factor metric.
+    The quotient of two one-crossing annulus terms, from the estimators'
+    own ``_annulus_term``.  Its supremum over b equals
+    k_ratio_sup((x1,y1), (x2,y2)); used as an internal consistency check
+    between annulus contributions and the half-plane factor metric.
     """
     if not (y1 > 0 and y2 > 0):
         raise ValidationError("heights must be positive")
-    num = y2 + (b + x2) ** 2 / y2
-    den = y1 + (b + x1) ** 2 / y1
-    return num / den
+    return float(_annulus_term(1, 0, y2, b + x2) / _annulus_term(1, 0, y1, b + x1))
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all modules.
 
-The three broad classes map onto the CLI exit codes: ParseError -> 2,
-ValidationError -> 3, NumericDomainError -> 4.
+Each of the three broad classes carries the CLI exit code of its errors
+as ``exit_code``: ParseError 2, ValidationError 3, NumericDomainError 4.
 """
 
 
@@ -11,6 +11,8 @@ class TeichlenError(Exception):
 
 class ParseError(TeichlenError):
     """A text input could not be parsed."""
+
+    exit_code = 2
 
     def __init__(self, message, line=None):
         if line is not None:
@@ -22,9 +24,13 @@ class ParseError(TeichlenError):
 class ValidationError(TeichlenError):
     """Structurally invalid data: bad gluings, bad parameters, bad shapes."""
 
+    exit_code = 3
+
 
 class NumericDomainError(TeichlenError):
     """Inputs outside the numeric domain of a formula."""
+
+    exit_code = 4
 
 
 class ProjectionUndefinedError(NumericDomainError):

@@ -197,9 +197,8 @@ class ComponentEvaluator:
             pants_rows = []
             for ends in (pants_by_name[name].ends for name in comp.pants):
                 try:
-                    o = pants_orthogeodesics(PantsCuffs(
+                    ortho = pants_orthogeodesics(PantsCuffs(
                         *(0.0 if e.kind == PUNCTURE else sigma.length(e.name) for e in ends)))
-                    ortho = (o.d11, o.d22, o.d33, o.d12, o.d13, o.d23)
                 except NumericDomainError:  # table raises for the patterns entering it
                     ortho = (math.inf,) * 6
                 pants_rows.append((tuple(e.name if e.kind == CURVE else None for e in ends),

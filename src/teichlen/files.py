@@ -23,7 +23,6 @@ from .surface import (
     Pants,
     PantsDecomposition,
     SurfaceSpec,
-    build_marking,
 )
 
 _SECTION_RE = re.compile(r'^\[(\w+)(?:\s+"([^"]+)")?\]$')
@@ -124,7 +123,7 @@ def parse_surface(text: str) -> Marking:
         tuple(pants_rows),
         tuple(o for _, o in curve_rows),
     )
-    return build_marking(spec, decomposition, seams)
+    return Marking(decomposition, seams, spec)
 
 
 def serialize_surface(marking: Marking) -> str:

@@ -2,8 +2,10 @@
 
 Distances carry the factor 1/2 used for Teichmueller distance, so
 ``hyp_distance`` is half of the textbook hyperbolic distance.  Ideal
-boundary points are floats plus the distinguished point ``INFTY``; the
-boundary circle has a single point at infinity.
+boundary points are floats: the boundary circle R u {inf} has a single
+point at infinity, ``INFTY``, which is ``math.inf``.  ``-math.inf`` names
+the same point and is stored as ``INFTY``; nan raises ValidationError.
+A ``UHPoint`` is a complex number, so Moebius maps act on it directly.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -24,36 +26,16 @@ from .errors import (
 )
 
 
-class _IdealInfinity:
-    """The point at infinity on the ideal boundary."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INFTY"
+INFTY = math.inf  # the one point at infinity of R u {inf}; -inf names it too
+_ON_AXIS_TOL = 1e-9  # relative offset at which an origin is off its axis
+_SPREAD_TOL = 1e-9  # rounding allowance on the twist-spread bound 1
 
 
-INFTY = _IdealInfinity()
-
-IdealPoint = Union[float, _IdealInfinity]
-
-
-def is_infty(xi: IdealPoint) -> bool:
-    return isinstance(xi, _IdealInfinity)
-
-
-def _check_ideal(xi: IdealPoint) -> IdealPoint:
-    if is_infty(xi):
-        return xi
+def _check_ideal(xi: float) -> float:
     xi = float(xi)
-    if not math.isfinite(xi):
-        raise ValidationError("finite ideal points must be finite floats; use INFTY")
-    return xi
+    if math.isnan(xi):
+        raise ValidationError("an ideal point is a float or INFTY, not nan")
+    return abs(xi) if math.isinf(xi) else xi
 
 
 class UHPoint(complex):
@@ -76,24 +58,18 @@ class UHPoint(complex):
     def __repr__(self):
         return f"UHPoint(x={self.x!r}, y={self.y!r})"
 
-    @property
-    def z(self) -> complex:
-        return complex(self)
-
 
 @dataclass(frozen=True)
 class HGeodesic:
     """Complete geodesic given by two distinct ideal endpoints."""
 
-    e0: IdealPoint
-    e1: IdealPoint
+    e0: float
+    e1: float
 
     def __post_init__(self):
         object.__setattr__(self, "e0", _check_ideal(self.e0))
         object.__setattr__(self, "e1", _check_ideal(self.e1))
-        if is_infty(self.e0) and is_infty(self.e1):
-            raise ValidationError("geodesic endpoints must be distinct")
-        if not is_infty(self.e0) and not is_infty(self.e1) and self.e0 == self.e1:
+        if self.e0 == self.e1:
             raise ValidationError("geodesic endpoints must be distinct")
 
 
@@ -135,11 +111,11 @@ class MobiusMap:
         return MobiusMap(self.a / s, self.b / s, self.c / s, self.d / s)
 
     def apply(self, z: UHPoint) -> UHPoint:
-        w = (self.a * z.z + self.b) / (self.c * z.z + self.d)
+        w = (self.a * z + self.b) / (self.c * z + self.d)
         return UHPoint(w.real, w.imag)
 
-    def apply_ideal(self, xi: IdealPoint) -> IdealPoint:
-        if is_infty(xi):
+    def apply_ideal(self, xi: float) -> float:
+        if math.isinf(xi):
             if self.c == 0:
                 return INFTY
             return self.a / self.c
@@ -152,17 +128,17 @@ class MobiusMap:
         return HGeodesic(self.apply_ideal(g.e0), self.apply_ideal(g.e1))
 
     @classmethod
-    def to_zero_infinity(cls, p: IdealPoint, q: IdealPoint) -> "MobiusMap":
+    def to_zero_infinity(cls, p: float, q: float) -> "MobiusMap":
         """The orientation-preserving map sending p -> 0 and q -> infinity."""
         p = _check_ideal(p)
         q = _check_ideal(q)
-        if is_infty(p):
-            # z -> -1/(z - q)
-            return cls(0.0, -1.0, 1.0, -q)
-        if is_infty(q):
-            return cls(1.0, -p, 0.0, 1.0)
         if p == q:
             raise ValidationError("endpoints must be distinct")
+        if p == INFTY:
+            # z -> -1/(z - q)
+            return cls(0.0, -1.0, 1.0, -q)
+        if q == INFTY:
+            return cls(1.0, -p, 0.0, 1.0)
         if p < q:
             return cls(1.0, -p, -1.0, q)
         return cls(1.0, -p, 1.0, -q)
@@ -239,8 +215,7 @@ def torus_extremal_length(lat: TorusLattice, u: float, v: float) -> float:
     return (w.real * w.real + w.imag * w.imag) / lat.area
 
 
-def _axis_chart(axis: HGeodesic, origin: UHPoint, orientation: int,
-                origin_tol: float = 1e-9):
+def _axis_chart(axis: HGeodesic, origin: UHPoint, orientation: int):
     """Normalize so the axis is (0, infinity) oriented upward.
 
     Returns the chart map and log-height of the origin, which fixes the
@@ -251,12 +226,12 @@ def _axis_chart(axis: HGeodesic, origin: UHPoint, orientation: int,
     tail, head = (axis.e0, axis.e1) if orientation == 1 else (axis.e1, axis.e0)
     m = MobiusMap.to_zero_infinity(tail, head)
     w0 = m.apply(origin)
-    if abs(w0.x) > origin_tol * w0.y:
+    if abs(w0.x) > _ON_AXIS_TOL * w0.y:
         raise ValidationError("origin does not lie on the axis")
     return m, math.log(w0.y)
 
 
-def project_ideal_to_axis(axis: HGeodesic, xi: IdealPoint, origin: UHPoint,
+def project_ideal_to_axis(axis: HGeodesic, xi: float, origin: UHPoint,
                           orientation: int = 1) -> float:
     """Signed arclength position of the orthogonal projection of ideal xi.
 
@@ -266,7 +241,7 @@ def project_ideal_to_axis(axis: HGeodesic, xi: IdealPoint, origin: UHPoint,
     """
     m, log_y0 = _axis_chart(axis, origin, orientation)
     w = m.apply_ideal(_check_ideal(xi))
-    if is_infty(w) or w == 0.0:
+    if math.isinf(w) or w == 0.0:
         raise ProjectionUndefinedError("ideal point is an endpoint of the axis")
     return math.log(abs(w)) - log_y0
 
@@ -285,7 +260,7 @@ def twist_prime(axis: HGeodesic, ell: float, crossing: HGeodesic,
     w0 = m.apply_ideal(crossing.e0)
     w1 = m.apply_ideal(crossing.e1)
     for w in (w0, w1):
-        if is_infty(w) or w == 0.0:
+        if math.isinf(w) or w == 0.0:
             raise NotCrossingError("geodesics share an ideal endpoint")
     if (w0 > 0) == (w1 > 0):
         raise NotCrossingError("geodesic endpoints do not separate the axis endpoints")
@@ -295,7 +270,7 @@ def twist_prime(axis: HGeodesic, ell: float, crossing: HGeodesic,
     return (pos_right - pos_left) / ell
 
 
-def twist_min(values: Sequence[float], spread_tol: float = 1e-9) -> float:
+def twist_min(values: Sequence[float]) -> float:
     """Minimum of per-crossing twists; warns if their spread exceeds 1.
 
     Twists measured at different crossings of the same pair differ by at
@@ -304,7 +279,7 @@ def twist_min(values: Sequence[float], spread_tol: float = 1e-9) -> float:
     if len(values) == 0:
         raise NoCrossingsError("no crossings supplied")
     spread = max(values) - min(values)
-    if spread > 1.0 + spread_tol:
+    if spread > 1.0 + _SPREAD_TOL:
         warnings.warn(
             f"twist spread {spread:.6g} exceeds the conjugation bound 1",
             TwistSpreadWarning,

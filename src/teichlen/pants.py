@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     DegenerateHexagonError,
@@ -81,9 +82,8 @@ def hexagon_side(a: float, gamma: float, b: float) -> float:
     return 2.0 * math.asinh(math.sqrt(excess / 2.0))
 
 
-@dataclass(frozen=True)
-class OrthoLengths:
-    """The six simple orthogeodesic lengths of a pair of pants."""
+class OrthoLengths(NamedTuple):
+    """The six orthogeodesic lengths of a pants, in ``ArcMultiplicities`` order."""
 
     d11: float
     d22: float

@@ -183,9 +183,6 @@ class Marking:
     def curves(self) -> tuple[str, ...]:
         return self.decomposition.curves
 
-    def curve_sides(self) -> dict[str, list[tuple[str, int]]]:
-        return self.decomposition.sides()
-
     def pants_by_name(self) -> dict[str, Pants]:
         return {p.name: p for p in self.decomposition.pants}
 
@@ -219,12 +216,6 @@ class Marking:
         dec = PantsDecomposition(keep, tuple(new_pants), orientations)
         seams = {c: self.seams[c] for c in keep}
         return Marking(dec, seams, spec=None)
-
-
-def build_marking(spec: SurfaceSpec, decomposition: PantsDecomposition,
-                  seams: Mapping[str, int]) -> Marking:
-    """Validated marking for the given topological type."""
-    return Marking(decomposition, seams, spec=spec)
 
 
 def _sorted_proxy(mapping: Mapping[str, float]) -> Mapping[str, float]:
@@ -335,11 +326,6 @@ class CurveSystem:
                     f"odd number of arc endpoints in pants {pants.name}"
                 )
         return self
-
-
-def intersection_number(beta: CurveSystem, j: str) -> int:
-    """Minimal intersection number of the system with pants curve j."""
-    return beta.intersection(j)
 
 
 def fn_dehn_twist(sigma: FNPoint, j: str, power: int) -> FNPoint:

@@ -1,6 +1,6 @@
 import pytest
 
-from teichlen import CurveSystem, FNPoint, SurfaceSpec, build_marking
+from teichlen import CurveSystem, FNPoint, Marking, SurfaceSpec
 from teichlen.surface import CURVE, BOUNDARY, PUNCTURE, End, Pants, PantsDecomposition
 
 
@@ -13,7 +13,7 @@ def make_genus2_marking():
             Pants("pB", (End(CURVE, "g1"), End(CURVE, "g2"), End(CURVE, "g3"))),
         ),
     )
-    return build_marking(SurfaceSpec(2), dec, {"g1": 0, "g2": 0, "g3": 0})
+    return Marking(dec, {"g1": 0, "g2": 0, "g3": 0}, SurfaceSpec(2))
 
 
 def make_punctured_torus_marking():
@@ -22,7 +22,7 @@ def make_punctured_torus_marking():
         ("g1",),
         (Pants("p", (End(CURVE, "g1"), End(CURVE, "g1"), End(PUNCTURE, "cusp"))),),
     )
-    return build_marking(SurfaceSpec(1, punctures=1), dec, {"g1": 0})
+    return Marking(dec, {"g1": 0}, SurfaceSpec(1, punctures=1))
 
 
 def make_holed_torus_marking():
@@ -31,7 +31,7 @@ def make_holed_torus_marking():
         ("g1",),
         (Pants("p", (End(CURVE, "g1"), End(CURVE, "g1"), End(BOUNDARY, "b1"))),),
     )
-    return build_marking(SurfaceSpec(1, boundary=1), dec, {"g1": 0})
+    return Marking(dec, {"g1": 0}, SurfaceSpec(1, boundary=1))
 
 
 @pytest.fixture(scope="session")

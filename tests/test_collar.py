@@ -23,7 +23,7 @@ def thick_components_oracle(marking, removed):
     """Connected components of the pants graph via networkx."""
     graph = nx.MultiGraph()
     graph.add_nodes_from(p.name for p in marking.decomposition.pants)
-    for curve, places in marking.curve_sides().items():
+    for curve, places in marking.decomposition.sides().items():
         if curve not in removed:
             graph.add_edge(places[0][0], places[1][0], key=curve)
     return sorted(tuple(sorted(c)) for c in nx.connected_components(graph))

@@ -336,6 +336,37 @@ class TestGeodesicPoint:
             )
 
 
+class TestIdealPoints:
+    """R u {inf} has one point at infinity: the float INFTY, also named by -inf."""
+
+    def test_infty_is_the_float_infinity(self):
+        assert INFTY == math.inf
+        assert HGeodesic(0.0, -math.inf) == HGeodesic(0.0, INFTY)
+        assert HGeodesic(-math.inf, 2.0).e0 == INFTY
+
+    @pytest.mark.parametrize("e0, e1", [(INFTY, INFTY), (INFTY, -math.inf), (1.5, 1.5)])
+    def test_equal_endpoints_rejected(self, e0, e1):
+        with pytest.raises(ValidationError):
+            HGeodesic(e0, e1)
+
+    @pytest.mark.parametrize("e0, e1", [(math.nan, 0.0), (0.0, math.nan)])
+    def test_nan_endpoint_rejected(self, e0, e1):
+        with pytest.raises(ValidationError):
+            HGeodesic(e0, e1)
+
+    def test_mobius_maps_infinity(self):
+        m = MobiusMap(2.0, 1.0, 1.0, 1.0)
+        assert m.apply_ideal(INFTY) == m.apply_ideal(-math.inf) == 2.0
+        assert m.apply_ideal(-1.0) == INFTY
+        assert MobiusMap(2.0, 1.0, 0.0, 1.0).apply_ideal(INFTY) == INFTY
+        with pytest.raises(ValidationError):
+            MobiusMap.to_zero_infinity(INFTY, -math.inf)
+
+    def test_point_is_its_own_complex(self):
+        z = UHPoint(1.0, 2.0)
+        assert MobiusMap(1.0, 3.0, 0.0, 1.0).apply(z) == complex(z) + 3.0
+
+
 class TestProjectIdealToAxis:
     AXIS = HGeodesic(0.0, INFTY)
 

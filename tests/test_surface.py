@@ -6,15 +6,14 @@ import pytest
 from teichlen import (
     CurveSystem,
     FNPoint,
+    Marking,
     SurfaceSpec,
     TwistUndefinedError,
     ValidationError,
-    build_marking,
     core_curve,
     curve_dehn_twist,
     estimated_twist,
     fn_dehn_twist,
-    intersection_number,
 )
 from teichlen.surface import CURVE, PUNCTURE, End, Pants, PantsDecomposition
 
@@ -57,7 +56,7 @@ class TestBuildMarking:
             ),
         )
         with pytest.raises(ValidationError):
-            build_marking(SurfaceSpec(2), dec, {"g1": 0, "g2": 0})
+            Marking(dec, {"g1": 0, "g2": 0}, SurfaceSpec(2))
 
     def test_dangling_end_rejected(self):
         dec = PantsDecomposition(
@@ -68,13 +67,13 @@ class TestBuildMarking:
             ),
         )
         with pytest.raises(ValidationError):
-            build_marking(SurfaceSpec(2), dec, {"g1": 0, "g2": 0, "g3": 0})
+            Marking(dec, {"g1": 0, "g2": 0, "g3": 0}, SurfaceSpec(2))
 
     def test_bad_seam_matching_rejected(self, genus2):
         with pytest.raises(ValidationError):
-            build_marking(genus2.spec, genus2.decomposition, {"g1": 0, "g2": 2, "g3": 0})
+            Marking(genus2.decomposition, {"g1": 0, "g2": 2, "g3": 0}, genus2.spec)
         with pytest.raises(ValidationError):
-            build_marking(genus2.spec, genus2.decomposition, {"g1": 0, "g2": 0})
+            Marking(genus2.decomposition, {"g1": 0, "g2": 0}, genus2.spec)
 
     def test_exact_curve_count_law(self):
         # closed genus-g surfaces with p punctures need 3g - 3 + p curves
@@ -124,11 +123,11 @@ class TestFNPoint:
 class TestCurveSystem:
     def test_intersection_number(self):
         beta = genus2_curve(i1=3, b1=1, i2=1, i3=2)
-        assert intersection_number(beta, "g1") == 3
+        assert beta.intersection("g1") == 3
 
     def test_core_reports_zero_intersection(self, genus2):
         core = core_curve(genus2, "g1")
-        assert intersection_number(core, "g1") == 0
+        assert core.intersection("g1") == 0
         assert core.core_copies("g1") == 1
 
     def test_core_with_crossings_rejected(self):
