@@ -3,10 +3,10 @@
 Commands: validate, collar, extremal, distance, product, instability.
 A command exits 0 on success; a ParseError, ValidationError or
 NumericDomainError is reported on stderr and exits with the error's
-``exit_code`` (2, 3 or 4).  The config keys are the fields of ``RunConfig``.  Each can
-be set by an environment variable with prefix ``TEICHLEN_`` and most by
-command-line flags; flags win over the environment, which wins over
---config files, which win over defaults.
+``exit_code`` (2, 3 or 4).  The config keys are the fields of
+``RunConfig``.  Each can be set by an environment variable with prefix
+``TEICHLEN_`` and most by command-line flags; flags win over the
+environment, which wins over --config files, which win over defaults.
 """
 
 from __future__ import annotations

@@ -190,6 +190,8 @@ def annulus_ratio_check(b: float, x1: float, y1: float,
     k_ratio_sup((x1,y1), (x2,y2)); used as an internal consistency check
     between annulus contributions and the half-plane factor metric.
     """
+    if not all(math.isfinite(v) for v in (b, x1, y1, x2, y2)):
+        raise ValidationError(f"profile arguments must be finite, got {(b, x1, y1, x2, y2)}")
     if not (y1 > 0 and y2 > 0):
         raise ValidationError("heights must be positive")
     return float(_annulus_term(1, 0, y2, b + x2) / _annulus_term(1, 0, y1, b + x1))

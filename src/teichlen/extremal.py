@@ -25,6 +25,7 @@ pi in the distance estimator.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -49,8 +50,8 @@ def _annulus_term(i, n, height, t):
 
 def lambda_annulus(i: int, n: int, m: float, t_hat: float | None = None) -> float:
     """Annulus contribution: i^2 (m + t^2/m) for crossings, n^2/m for cores."""
-    if i < 0 or n < 0:
-        raise ValidationError("counts must be nonnegative")
+    if not all(isinstance(k, numbers.Integral) and k >= 0 for k in (i, n)):
+        raise ValidationError(f"counts must be integers >= 0, got {i!r}, {n!r}")
     if not 0 < m < math.inf:
         raise ValidationError("modulus must be positive and finite")
     if i > 0 and (t_hat is None or not math.isfinite(t_hat)):
@@ -77,8 +78,8 @@ def arc_multiplicities(m1: int, m2: int, m3: int) -> ArcMultiplicities:
     it.  This is the unique pairing with the fewest same-cuff arcs.
     """
     counts = [m1, m2, m3]
-    if min(counts) < 0:
-        raise ValidationError("endpoint counts must be nonnegative")
+    if not all(isinstance(m, numbers.Integral) and m >= 0 for m in counts):
+        raise ValidationError(f"endpoint counts must be integers >= 0, got {tuple(counts)}")
     if sum(counts) % 2 != 0:
         raise ValidationError(f"endpoint counts {tuple(counts)} have odd total")
     big = counts.index(max(counts))

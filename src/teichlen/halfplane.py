@@ -254,8 +254,8 @@ def twist_prime(axis: HGeodesic, ell: float, crossing: HGeodesic,
     sides taken relative to the axis orientation.  Invariant under Moebius
     conjugation of both geodesics and under sliding along the axis.
     """
-    if not ell > 0:
-        raise ValidationError("translation length must be positive")
+    if not 0 < ell < math.inf:
+        raise ValidationError(f"translation length must be positive and finite, got {ell}")
     m, log_y0 = _axis_chart(axis, origin, orientation)
     w0 = m.apply_ideal(crossing.e0)
     w1 = m.apply_ideal(crossing.e1)
@@ -278,6 +278,8 @@ def twist_min(values: Sequence[float]) -> float:
     """
     if len(values) == 0:
         raise NoCrossingsError("no crossings supplied")
+    if not all(map(math.isfinite, values)):
+        raise ValidationError(f"twists must be finite, got {list(values)}")
     spread = max(values) - min(values)
     if spread > 1.0 + _SPREAD_TOL:
         warnings.warn(

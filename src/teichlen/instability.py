@@ -97,6 +97,11 @@ def is_delta_between(space: MetricSpaceHandle, x: Point, y: Point, z: Point,
     return slack < delta, slack
 
 
+def _check_size(size: int, what: str) -> None:
+    if not (isinstance(size, numbers.Integral) and size >= 1):
+        raise ValidationError(f"{what} must be an integer >= 1, got {size!r}")
+
+
 def _check_resolution(resolution: float) -> None:
     if not resolution > 0:
         raise ValidationError("resolution must be positive")
@@ -160,8 +165,7 @@ def instability_lower_bound(space: MetricSpaceHandle, delta: float, L: float,
     """
     if not (0 <= delta < math.inf and 0 < L < math.inf):
         raise ValidationError("need finite delta >= 0 and L > 0")
-    if not (isinstance(budget, numbers.Integral) and budget >= 1):
-        raise ValidationError(f"budget must be a positive integer, got {budget!r}")
+    _check_size(budget, "budget")
     _check_resolution(resolution)
     candidates = []
     if space.witnesses is not None:
@@ -262,8 +266,8 @@ def distortion_transfer_check(s_x: dict, s_y: dict, c: float) -> TransferReport:
     exceeding the right side counts as a violation; s_y must contain
     every shifted argument, matched after rounding to 9 decimals.
     """
-    if c < 0:
-        raise ValidationError("distortion bound c must be nonnegative")
+    if not 0 <= c < math.inf:
+        raise ValidationError(f"distortion bound c must be finite and nonnegative, got {c}")
 
     def key(delta, L):
         return (round(delta, 9), round(L, 9))
@@ -305,8 +309,7 @@ def _normed_space(name: str, dim: int, norm: Callable[[np.ndarray], np.ndarray],
     Structured witnesses (dim >= 2) are the midpoint offsets x = 0,
     y = L e1, z = (L/2) e1 + h e2 for 40 heights h up to ``h_cap(delta, L)``.
     """
-    if dim < 1:
-        raise ValidationError("dimension must be positive")
+    _check_size(dim, "dimension")
 
     def segment_distances(triples, ts):
         x, y, z = _stacked(triples, float, dim).transpose(1, 0, 2)[:, :, None, :]
@@ -420,8 +423,7 @@ def _halfplane_product_hooks(k: int):
 
 def hyp_product_space(factors: int) -> MetricSpaceHandle:
     """Product of half-planes with the sup of the (halved) hyperbolic metrics."""
-    if factors < 1:
-        raise ValidationError("need at least one factor")
+    _check_size(factors, "factor count")
     segment_distances, witnesses, random_triple = _halfplane_product_hooks(factors)
     return MetricSpaceHandle(
         name=f"hyp-product:{factors}",

@@ -51,8 +51,8 @@ class FlatAnnulus:
     height: float
 
     def __post_init__(self):
-        if not (self.circumference > 0 and self.height > 0):
-            raise ValidationError("annulus dimensions must be positive")
+        if not (0 < self.circumference < math.inf and 0 < self.height < math.inf):
+            raise ValidationError("annulus dimensions must be positive and finite")
 
     @property
     def modulus(self) -> float:
@@ -68,8 +68,8 @@ def hexagon_side(a: float, gamma: float, b: float) -> float:
     which keeps long sides around a short gamma from cancelling.
     Symmetric in a, b.
     """
-    if min(a, gamma, b) < 0:
-        raise ValidationError("hexagon sides must be nonnegative")
+    if not all(0 <= side < math.inf for side in (a, gamma, b)):
+        raise ValidationError(f"hexagon sides must be finite and >= 0, got {(a, gamma, b)}")
     try:
         s, h = math.sinh(gamma / 2.0), math.cosh(abs(a - b) / 2.0)
         excess = _finite(2.0 * (math.sinh(a) * s) * (math.sinh(b) * s) - 2.0 * h * h)

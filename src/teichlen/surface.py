@@ -10,6 +10,7 @@ as (intersection count, integer twist offset, core copies).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -332,6 +333,8 @@ def fn_dehn_twist(sigma: FNPoint, j: str, power: int) -> FNPoint:
     """Dehn twist about internal curve j: shifts the twist coordinate by power."""
     if j not in sigma.twists:
         raise ValidationError(f"cannot twist about {j!r}: no twist coordinate")
+    if not isinstance(power, numbers.Integral):
+        raise ValidationError(f"a Dehn twist power is an integer, got {power!r}")
     twists = dict(sigma.twists)
     twists[j] = twists[j] + power
     return FNPoint(sigma.lengths, twists)

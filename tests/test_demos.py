@@ -21,3 +21,20 @@ def test_demo_runs(script):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
+
+
+def readme_block(heading: str, language: str) -> str:
+    """The first ``language`` code block under a README heading."""
+    section = (ROOT / "README.md").read_text().split(f"\n## {heading}\n", 1)[1]
+    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_quick_start_runs():
+    result = subprocess.run(
+        [sys.executable, "-c", readme_block("Library quick start", "python")],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

@@ -1,0 +1,64 @@
+"""Invalid sizes, counts and non-finite inputs raise ValidationError."""
+
+import math
+
+import pytest
+
+from teichlen import (
+    FlatAnnulus,
+    FNPoint,
+    HGeodesic,
+    INFTY,
+    UHPoint,
+    ValidationError,
+    annulus_ratio_check,
+    arc_multiplicities,
+    distortion_transfer_check,
+    euclidean_space,
+    fn_dehn_twist,
+    hexagon_side,
+    hyp_product_space,
+    lambda_annulus,
+    sup_product_space,
+    twist_min,
+    twist_prime,
+)
+
+SPACES = {"euclidean": euclidean_space, "supprod": sup_product_space,
+          "hyp-product": hyp_product_space}
+
+
+@pytest.mark.parametrize("size", [2.0, "2", 0, -1, None])
+@pytest.mark.parametrize("kind", sorted(SPACES))
+def test_space_size_checked_at_construction(kind, size):
+    with pytest.raises(ValidationError):
+        SPACES[kind](size)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: arc_multiplicities(1.5, 0.5, 0),
+    lambda: arc_multiplicities(2.0, 1, 1),
+    lambda: lambda_annulus(1.5, 0, 1.0, 0.0),
+    lambda: lambda_annulus(0, 0.5, 1.0),
+    lambda: fn_dehn_twist(FNPoint({"g1": 1.0}, {"g1": 0.0}), "g1", 0.5),
+], ids=["arc-fraction", "arc-float", "annulus-crossings", "annulus-cores", "dehn-twist"])
+def test_non_integer_counts_rejected(call):
+    with pytest.raises(ValidationError):
+        call()
+
+
+AXIS = HGeodesic(0.0, INFTY)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: hexagon_side(math.nan, 1.0, 1.0),
+    lambda: FlatAnnulus(math.inf, 1.0),
+    lambda: annulus_ratio_check(0.0, 0.0, math.inf, 0.0, 1.0),
+    lambda: twist_prime(AXIS, math.inf, HGeodesic(-1.0, 1.0), UHPoint(0.0, 1.0)),
+    lambda: twist_min([math.nan, 1.0]),
+    lambda: distortion_transfer_check({(0.0, 1.0): 0.0}, {(0.0, 1.0): 0.0}, math.nan),
+], ids=["hexagon_side", "FlatAnnulus", "annulus_ratio_check", "twist_prime",
+        "twist_min", "distortion_transfer_check"])
+def test_non_finite_kernel_input_rejected(call):
+    with pytest.raises(ValidationError, match="finite"):
+        call()

@@ -15,10 +15,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from teichlen import (
+    ArcMultiplicities,
     DegenerateHexagonError,
     FlatAnnulus,
     NoCollarError,
     NumericDomainError,
+    OrthoLengths,
     PantsCuffs,
     ValidationError,
     annulus_arc_crossings,
@@ -219,6 +221,12 @@ class TestHexagonSide:
 
 
 class TestPantsOrthogeodesics:
+    def test_fields_follow_arc_multiplicities(self):
+        # the evaluator indexes an orthogeodesic row by arc number
+        assert [f.replace("d", "a") for f in OrthoLengths._fields] == list(
+            ArcMultiplicities._fields)
+        assert isinstance(pants_orthogeodesics(PantsCuffs(1.0, 2.0, 3.0)), tuple)
+
     def test_equilateral_seams(self):
         ortho = pants_orthogeodesics(PantsCuffs(2, 2, 2))
         expected = math.acosh((math.cosh(1) + math.cosh(1) ** 2) / math.sinh(1) ** 2)
