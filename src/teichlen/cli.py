@@ -7,6 +7,10 @@ NumericDomainError is reported on stderr and exits with the error's
 ``RunConfig``.  Each can be set by an environment variable with prefix
 ``TEICHLEN_`` and most by command-line flags; flags win over the
 environment, which wins over --config files, which win over defaults.
+Each command computes its result once and returns (header, rows, table
+lines); ``main`` alone writes them, as tab-separated rows under a
+``#`` header for ``--format rows`` and as the table lines otherwise.
+``instability`` checks its whole ladder before it searches any rung.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from .instability import (
     euclidean_space,
     growth_rate_estimate,
     hyp_product_space,
-    instability_lower_bound,
     sup_product_space,
 )
 from .spaces import pi_image_space
@@ -130,94 +133,65 @@ def _load(config: RunConfig, surface_path: str, *fn_paths: str) -> tuple:
     return (marking, *points)
 
 
-def _emit_rows(out, header: list[str], rows: list[list[str]]):
-    out.write("#" + "\t".join(header) + "\n")
-    for row in rows:
-        out.write("\t".join(row) + "\n")
-
-
-def cmd_validate(args, config: RunConfig, out) -> int:
+def cmd_validate(args, config: RunConfig) -> tuple:
     (marking,) = _load(config, args.surface)
-    spec = marking.spec
     n = len(marking.curves)
     p = len(marking.decomposition.pants)
-    if config.format == "rows":
-        _emit_rows(out, ["curves", "pants", "chi"],
-                   [[str(n), str(p), str(spec.euler_characteristic)]])
-    else:
-        curve_word = "curve" if n == 1 else "curves"
-        out.write(f"{n} {curve_word}, {p} pants, chi={spec.euler_characteristic}\n")
-    return 0
+    chi = marking.spec.euler_characteristic
+    curve_word = "curve" if n == 1 else "curves"
+    return (["curves", "pants", "chi"], [[str(n), str(p), str(chi)]],
+            [f"{n} {curve_word}, {p} pants, chi={chi}"])
 
 
-def cmd_collar(args, config: RunConfig, out) -> int:
+def cmd_collar(args, config: RunConfig) -> tuple:
     marking, point = _load(config, args.surface, args.fn)
     dec = collar_decomposition(marking, point, config.params())
     rows = []
+    lines = [f"thin annuli: {len(dec.thin)}, thick components: {len(dec.thick)}"]
     for annulus in dec.thin:
-        rows.append([
-            "thin", annulus.curve, _fmt(annulus.core_length, config),
-            _fmt(annulus.modulus, config), str(int(annulus.peripheral)),
-        ])
+        core = _fmt(annulus.core_length, config)
+        modulus = _fmt(annulus.modulus, config)
+        rows.append(["thin", annulus.curve, core, modulus, str(int(annulus.peripheral))])
+        lines.append(f"  thin {annulus.curve}: core length {core}, modulus {modulus}"
+                     + (" (peripheral)" if annulus.peripheral else ""))
     for comp in dec.thick:
         rows.append(["thick", comp.component_id, "-", "-", "-"])
-    if config.format == "rows":
-        _emit_rows(out, ["kind", "id", "core_length", "modulus", "peripheral"], rows)
-    else:
-        out.write(f"thin annuli: {len(dec.thin)}, thick components: {len(dec.thick)}\n")
-        for row in rows:
-            if row[0] == "thin":
-                out.write(
-                    f"  thin {row[1]}: core length {row[2]}, modulus {row[3]}"
-                    + (" (peripheral)\n" if row[4] == "1" else "\n")
-                )
-            else:
-                out.write(f"  {row[1]}\n")
-    return 0
+        lines.append(f"  {comp.component_id}")
+    return ["kind", "id", "core_length", "modulus", "peripheral"], rows, lines
 
 
-def cmd_extremal(args, config: RunConfig, out) -> int:
+def cmd_extremal(args, config: RunConfig) -> tuple:
     marking, point = _load(config, args.surface, args.fn)
     systems = parse_curves(_read(args.curves), marking)
     if args.curve is not None:
         if args.curve not in systems:
             raise ValidationError(f"no curve {args.curve!r} in {args.curves}")
         systems = {args.curve: systems[args.curve]}
-    rows = []
+    rows, lines = [], []
     for label in sorted(systems):
         result = lambda_surface_estimate(systems[label], point, marking, config.params())
         for component in result.components:
-            rows.append([label, component.component, component.kind,
-                         _fmt(component.value, config)])
-        rows.append([label, "TOTAL", "max", _fmt(result.value, config)])
-    if config.format == "rows":
-        _emit_rows(out, ["curve", "component", "kind", "value"], rows)
-    else:
-        for row in rows:
-            if row[1] == "TOTAL":
-                out.write(f"{row[0]}: extremal length estimate {row[3]}\n")
-            else:
-                out.write(f"  {row[0]} {row[2]:7s} {row[1]}: {row[3]}\n")
-    return 0
+            value = _fmt(component.value, config)
+            rows.append([label, component.component, component.kind, value])
+            lines.append(f"  {label} {component.kind:7s} {component.component}: {value}")
+        total = _fmt(result.value, config)
+        rows.append([label, "TOTAL", "max", total])
+        lines.append(f"{label}: extremal length estimate {total}")
+    return ["curve", "component", "kind", "value"], rows, lines
 
 
 def _family(marking, config: RunConfig) -> CurveFamily:
     return default_curve_family(marking, config.family_i_max, config.family_b)
 
 
-def cmd_distance(args, config: RunConfig, out) -> int:
+def cmd_distance(args, config: RunConfig) -> tuple:
     marking, point1, point2 = _load(config, args.surface, args.fn1, args.fn2)
-    value = kerckhoff_distance_estimate(
-        point1, point2, _family(marking, config), marking, config.params()
-    )
-    if config.format == "rows":
-        _emit_rows(out, ["d_teich"], [[_fmt(value, config)]])
-    else:
-        out.write(f"d_teich = {_fmt(value, config)}\n")
-    return 0
+    value = _fmt(kerckhoff_distance_estimate(
+        point1, point2, _family(marking, config), marking, config.params()), config)
+    return ["d_teich"], [[value]], [f"d_teich = {value}"]
 
 
-def cmd_product(args, config: RunConfig, out) -> int:
+def cmd_product(args, config: RunConfig) -> tuple:
     marking, point1, point2 = _load(config, args.surface, args.fn1, args.fn2)
     gamma = [token for token in args.gamma.split(",") if token]
     if not gamma:
@@ -226,20 +200,12 @@ def cmd_product(args, config: RunConfig, out) -> int:
         point1, point2, gamma, marking, config.params(),
         family=_family(marking, config),
     )
-    if config.format == "rows":
-        _emit_rows(
-            out,
-            ["d_teich", "d_product", "discrepancy", "thin_ok"],
-            [[_fmt(report.d_teich, config), _fmt(report.d_product, config),
-              _fmt(report.discrepancy, config), str(int(report.thin_ok))]],
-        )
-    else:
-        out.write(f"d_teich = {_fmt(report.d_teich, config)}\n")
-        out.write(f"d_product = {_fmt(report.d_product, config)}\n")
-        out.write(f"discrepancy = {_fmt(report.discrepancy, config)}\n")
-        if not report.thin_ok:
-            out.write("warning: pinched curves are not thin at both points\n")
-    return 0
+    names = ["d_teich", "d_product", "discrepancy"]
+    values = [_fmt(getattr(report, name), config) for name in names]
+    lines = [f"{name} = {value}" for name, value in zip(names, values)]
+    if not report.thin_ok:
+        lines.append("warning: pinched curves are not thin at both points")
+    return names + ["thin_ok"], [values + [str(int(report.thin_ok))]], lines
 
 
 # --space kind -> the space built from the text after the colon
@@ -259,29 +225,29 @@ def _make_space(spec: str):
     return _SPACES[kind](arg)
 
 
-def cmd_instability(args, config: RunConfig, out) -> int:
+def cmd_instability(args, config: RunConfig) -> tuple:
     space = _make_space(args.space)
     ladder = [_number(float, token, "--ladder value")
               for token in args.ladder.split(",") if token]
-    results = [
-        instability_lower_bound(space, args.delta, L, budget=config.budget,
-                                seed=config.seed)
-        for L in ladder
-    ]
-    fit = growth_rate_estimate(
-        space, args.delta, ladder, s_values=[value for value, _ in results]
-    )
-    rows = [
-        [_fmt(args.delta, config), _fmt(L, config), _fmt(value, config),
-         _fmt(fit.slope, config)]
-        for L, (value, _) in zip(ladder, results)
-    ]
-    if config.format == "rows":
-        _emit_rows(out, ["delta", "L", "s_lower", "slope"], rows)
-    else:
-        for row in rows:
-            out.write(f"delta={row[0]} L={row[1]} s_lower={row[2]} slope={row[3]}\n")
-    return 0
+    fit = growth_rate_estimate(space, args.delta, ladder, budget=config.budget,
+                               seed=config.seed)
+    s_lower = dict(fit.points)  # a rung whose search found nothing is not fitted
+    rows = [[_fmt(args.delta, config), _fmt(L, config), _fmt(s_lower.get(L, 0.0), config),
+             _fmt(fit.slope, config)] for L in ladder]
+    return (["delta", "L", "s_lower", "slope"], rows,
+            ["delta={} L={} s_lower={} slope={}".format(*row) for row in rows])
+
+
+# name, help, positional arguments and handler of each subcommand
+_COMMANDS = (
+    ("validate", "check a surface file", ("surface",), cmd_validate),
+    ("collar", "collar decomposition of a point", ("surface", "fn"), cmd_collar),
+    ("extremal", "extremal length estimates", ("surface", "fn", "curves"), cmd_extremal),
+    ("distance", "distance estimate between two points", ("surface", "fn1", "fn2"),
+     cmd_distance),
+    ("product", "product-model comparison", ("surface", "fn1", "fn2"), cmd_product),
+    ("instability", "instability ladder for a model space", (), cmd_instability),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -298,43 +264,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, help="search seed")
     parser.add_argument("--budget", type=int, help="search budget")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check a surface file")
-    p.add_argument("surface")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("collar", help="collar decomposition of a point")
-    p.add_argument("surface")
-    p.add_argument("fn")
-    p.set_defaults(func=cmd_collar)
-
-    p = sub.add_parser("extremal", help="extremal length estimates")
-    p.add_argument("surface")
-    p.add_argument("fn")
-    p.add_argument("curves")
-    p.add_argument("--curve", help="restrict to one curve section")
-    p.set_defaults(func=cmd_extremal)
-
-    p = sub.add_parser("distance", help="distance estimate between two points")
-    p.add_argument("surface")
-    p.add_argument("fn1")
-    p.add_argument("fn2")
-    p.set_defaults(func=cmd_distance)
-
-    p = sub.add_parser("product", help="product-model comparison")
-    p.add_argument("surface")
-    p.add_argument("fn1")
-    p.add_argument("fn2")
-    p.add_argument("--gamma", required=True, help="comma-separated pinched curves")
-    p.set_defaults(func=cmd_product)
-
-    p = sub.add_parser("instability", help="instability ladder for a model space")
-    p.add_argument("--space", required=True,
-                   help="euclidean:N | supprod:N | hyp-product:K | pi-image:<surface>")
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--ladder", required=True, help="comma-separated L values (>= 5)")
-    p.set_defaults(func=cmd_instability)
-
+    commands = {}
+    for name, help_text, positionals, handler in _COMMANDS:
+        commands[name] = sub.add_parser(name, help=help_text)
+        for positional in positionals:
+            commands[name].add_argument(positional)
+        commands[name].set_defaults(func=handler)
+    commands["extremal"].add_argument("--curve", help="restrict to one curve section")
+    commands["product"].add_argument("--gamma", required=True,
+                                     help="comma-separated pinched curves")
+    instability = commands["instability"]
+    instability.add_argument("--space", required=True,
+                             help="euclidean:N | supprod:N | hyp-product:K | pi-image:<surface>")
+    instability.add_argument("--delta", type=float, required=True)
+    instability.add_argument("--ladder", required=True,
+                             help="comma-separated L values (>= 5)")
     return parser
 
 
@@ -344,10 +288,14 @@ def main(argv=None, out=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config, {key: getattr(args, key, None) for key in _KEYS})
-        return args.func(args, config, out)
+        header, rows, table = args.func(args, config)
     except (ParseError, ValidationError, NumericDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    if config.format == "rows":
+        table = ["#" + "\t".join(header), *("\t".join(row) for row in rows)]
+    out.write("".join(line + "\n" for line in table))
+    return 0
 
 
 if __name__ == "__main__":
