@@ -48,7 +48,6 @@ class RunConfig:
     eps0: float = 0.5
     eps1: float = 0.1
     ell0: float = 10.0  # largest admissible boundary length
-    family_i_max: int = 2
     family_b: int = 8
     seed: int = 0
     budget: int = 400
@@ -57,8 +56,8 @@ class RunConfig:
     def __post_init__(self):
         if not self.ell0 > 0:
             raise ValidationError("ell0 must be positive")
-        if self.family_i_max < 1 or self.family_b < 0:
-            raise ValidationError("family bounds must be positive")
+        if self.family_b < 0:
+            raise ValidationError("family_b must be nonnegative")
         if self.budget < 1:
             raise ValidationError("budget must be positive")
         if self.format not in ("table", "rows"):
@@ -181,7 +180,7 @@ def cmd_extremal(args, config: RunConfig) -> tuple:
 
 
 def _family(marking, config: RunConfig) -> CurveFamily:
-    return default_curve_family(marking, config.family_i_max, config.family_b)
+    return default_curve_family(marking, twist_bound=config.family_b)
 
 
 def cmd_distance(args, config: RunConfig) -> tuple:

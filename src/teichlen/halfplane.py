@@ -32,10 +32,13 @@ _SPREAD_TOL = 1e-9  # rounding allowance on the twist-spread bound 1
 
 
 def _check_ideal(xi: float) -> float:
-    xi = float(xi)
-    if math.isnan(xi):
-        raise ValidationError("an ideal point is a float or INFTY, not nan")
-    return abs(xi) if math.isinf(xi) else xi
+    try:
+        value = float(xi)
+    except (TypeError, ValueError):
+        value = math.nan
+    if math.isnan(value):
+        raise ValidationError(f"an ideal point is a finite float or INFTY, not {xi!r}")
+    return abs(value) if math.isinf(value) else value
 
 
 class UHPoint(complex):
@@ -209,6 +212,8 @@ def k_ratio_sup(z1: UHPoint, z2: UHPoint) -> float:
 
 def torus_extremal_length(lat: TorusLattice, u: float, v: float) -> float:
     """Extremal length of the (u, v) class on the torus spanned by the lattice."""
+    if not (math.isfinite(u) and math.isfinite(v)):
+        raise ValidationError(f"(u, v) must be finite, got ({u}, {v})")
     if u == 0 and v == 0:
         raise ValidationError("(u, v) must be nonzero")
     w = u * lat.alpha + v * lat.beta

@@ -17,7 +17,7 @@ The distance from z to [xy] is refined by zooming, for all rows of a
 search at once: each round evaluates 65 evenly spaced parameters per row
 in one ``segment_distances`` call, first on [0, 1], then on the bracket
 [t_{k-1}, t_{k+1}] around the row's best sample t_k, until every bracket
-is at most ``resolution`` wide (4 rounds at 1e-6).  The bracket keeps
+is at most a fixed 1e-6 wide (4 zoom rounds).  The bracket keeps
 the minimiser because t -> d(z, gamma(t)) is convex: distance to a point
 is convex along geodesics of the CAT(0) half-plane factors and along
 affine paths of normed spaces, and a maximum of convex functions is
@@ -44,6 +44,7 @@ from .halfplane import UHPoint, geodesic_distances, geodesic_point
 Point = Any
 _BETWEEN_ATOL = 1e-12  # closure tolerance so exact-slack witnesses count at delta = 0
 _ZOOM_GRID = np.linspace(0.0, 1.0, 65)  # samples per row and zoom round
+_RESOLUTION = 1e-6  # zooming stops once every bracket is this narrow
 
 
 @dataclass
@@ -102,13 +103,7 @@ def _check_size(size: int, what: str) -> None:
         raise ValidationError(f"{what} must be an integer >= 1, got {size!r}")
 
 
-def _check_resolution(resolution: float) -> None:
-    if not resolution > 0:
-        raise ValidationError("resolution must be positive")
-
-
-def _segment_distances(space: MetricSpaceHandle, triples: Sequence[tuple],
-                       resolution: float) -> np.ndarray:
+def _segment_distances(space: MetricSpaceHandle, triples: Sequence[tuple]) -> np.ndarray:
     """Distance from each z to its chosen geodesic [xy], all rows zoomed together.
 
     A constant path (x == y) needs no branch: the kernel returns d(z, x)
@@ -128,19 +123,17 @@ def _segment_distances(space: MetricSpaceHandle, triples: Sequence[tuple],
         best = np.minimum(best, d[at, k])
         lo = ts[at, np.maximum(k - 1, 0)]
         width = ts[at, np.minimum(k + 1, last)] - lo
-        if (width <= resolution).all():
+        if (width <= _RESOLUTION).all():
             return best
 
 
-def segment_distance(space: MetricSpaceHandle, x: Point, y: Point, z: Point,
-                     resolution: float = 1e-6) -> float:
-    """Distance from z to the chosen geodesic [xy], refined to ``resolution``.
+def segment_distance(space: MetricSpaceHandle, x: Point, y: Point, z: Point) -> float:
+    """Distance from z to the chosen geodesic [xy], refined to a bracket of 1e-6.
 
     The one-triple case of the search's zoom: an upper bound on the true
     minimum for the chosen representative, attained at a point of the path.
     """
-    _check_resolution(resolution)
-    return float(_segment_distances(space, [(x, y, z)], resolution)[0])
+    return float(_segment_distances(space, [(x, y, z)])[0])
 
 
 def euclidean_instability_exact(delta: float, L: float) -> float:
@@ -151,8 +144,7 @@ def euclidean_instability_exact(delta: float, L: float) -> float:
 
 
 def instability_lower_bound(space: MetricSpaceHandle, delta: float, L: float,
-                            budget: int = 500, resolution: float = 1e-6,
-                            seed: int = 0,
+                            budget: int = 500, seed: int = 0,
                             ) -> tuple[float, BetweennessWitness | None]:
     """Certified lower bound for s(delta, L) with its best witness.
 
@@ -166,7 +158,6 @@ def instability_lower_bound(space: MetricSpaceHandle, delta: float, L: float,
     if not (0 <= delta < math.inf and 0 < L < math.inf):
         raise ValidationError("need finite delta >= 0 and L > 0")
     _check_size(budget, "budget")
-    _check_resolution(resolution)
     candidates = []
     if space.witnesses is not None:
         candidates.extend(itertools.islice(space.witnesses(delta, L), budget))
@@ -181,7 +172,7 @@ def instability_lower_bound(space: MetricSpaceHandle, delta: float, L: float,
                           & ((slacks < delta) | (slacks <= _BETWEEN_ATOL)))
     if not len(keep):
         return 0.0, None
-    values = _segment_distances(space, [candidates[k] for k in keep], resolution)
+    values = _segment_distances(space, [candidates[k] for k in keep])
     k = int(values.argmax())  # the first maximum
     value = float(values[k])
     if not value > 0.0:

@@ -151,8 +151,8 @@ def collar_modulus(delta: float, eps0: float) -> float:
 
     The collar's internal boundary circles have length eps0.
     """
-    if not (delta > 0 and eps0 > 0):
-        raise ValidationError("delta and eps0 must be positive")
+    if not (0 < delta < math.inf and 0 < eps0 < math.inf):
+        raise ValidationError(f"delta and eps0 must be positive and finite, got {delta}, {eps0}")
     if delta > eps0:
         raise NoCollarError(f"core length {delta} exceeds boundary length {eps0}")
     m = math.pi / delta - 2.0 / eps0
@@ -163,6 +163,8 @@ def collar_modulus(delta: float, eps0: float) -> float:
 
 def flat_annulus_twist(ann: FlatAnnulus, y0: float, y1: float) -> float:
     """Twist (y1 - y0)/H of a crossing arc lifted to endpoints (0,y0), (L,y1)."""
+    if not (math.isfinite(y0) and math.isfinite(y1)):
+        raise ValidationError(f"lift endpoints must be finite, got {y0} and {y1}")
     return (y1 - y0) / ann.height
 
 

@@ -27,8 +27,8 @@ def _default_base_point(marking: Marking) -> FNPoint:
     return FNPoint(lengths, twists)
 
 
-def pi_image_space(marking: Marking, gamma: tuple[str, ...] | None = None,
-                   base: FNPoint | None = None) -> MetricSpaceHandle:
+def pi_image_space(marking: Marking,
+                   gamma: tuple[str, ...] | None = None) -> MetricSpaceHandle:
     """Sup-metric space of product points over a fixed pinched base.
 
     ``gamma`` defaults to all internal pants curves.  Factor segments are
@@ -36,9 +36,9 @@ def pi_image_space(marking: Marking, gamma: tuple[str, ...] | None = None,
     is constant since all points share the base, and the base distance is
     0 between points on it.
     """
-    base_point = base if base is not None else _default_base_point(marking)
     # pi_map sorts and deduplicates the pinched curves, for the space and its points
-    template = pi_map(base_point, marking.curves if gamma is None else gamma, marking)
+    template = pi_map(_default_base_point(marking),
+                      marking.curves if gamma is None else gamma, marking)
     gamma = template.gamma
     if not gamma:
         raise ValidationError("need at least one pinched curve")

@@ -8,7 +8,14 @@ import pathlib
 import pytest
 
 from teichlen import ParseError
-from teichlen import UHPoint, default_curve_family, hyp_distance, kerckhoff_distance_estimate
+from teichlen import (
+    UHPoint,
+    default_curve_family,
+    hyp_distance,
+    kerckhoff_distance_estimate,
+    sup_product_space,
+)
+from teichlen import cli
 from teichlen.cli import main
 from teichlen.files import (
     parse_curves,
@@ -229,6 +236,27 @@ class TestCliInstability:
         )
         assert code == 3
 
+    def test_short_ladder_rejected_before_any_search(self, monkeypatch):
+        kernel_calls = []
+
+        def counted_sup_product_space(dim):
+            space = sup_product_space(dim)
+            kernel = space.segment_distances
+
+            def segment_distances(triples, ts):
+                kernel_calls.append(len(triples))
+                return kernel(triples, ts)
+
+            space.segment_distances = segment_distances
+            return space
+
+        monkeypatch.setattr(cli, "sup_product_space", counted_sup_product_space)
+        argv = ("--budget", "5", "instability", "--space", "supprod:2", "--delta", "0")
+        assert run_cli(*argv, "--ladder", "1,10,100,1000")[0] == 3
+        assert kernel_calls == []
+        assert run_cli(*argv, "--ladder", "1,10,100,1000,10000")[0] == 0
+        assert kernel_calls  # the counter sees the searches of a well-formed ladder
+
     def test_unknown_space_rejected(self):
         code, _ = run_cli(
             "instability", "--space", "what:3", "--delta", "0",
@@ -275,6 +303,7 @@ class TestCliBadInput:
         ("eps1 = abc\n", {}, ("validate", str(SURFACE)), 2),
         (None, {"TEICHLEN_EPS1": "abc"}, ("validate", str(SURFACE)), 2),
         ("torus_n = 5\n", {}, ("validate", str(SURFACE)), 3),
+        ("family_i_max = 3\n", {}, ("validate", str(SURFACE)), 3),
         ("margulis = 1.7\n", {}, ("validate", str(SURFACE)), 3),
         (None, {}, INSTABILITY + ("--space", "supprod:x"), 3),
         (None, {}, INSTABILITY + ("--space", "euclidean:"), 3),
@@ -285,7 +314,7 @@ class TestCliBadInput:
         (None, {}, ("instability", "--space", "euclidean:2", "--delta", "nan",
                     "--ladder", "1,10,100,1000,10000"), 3),
     ], ids=["missing-config", "config-not-a-number", "env-not-a-number",
-            "config-torus_n", "config-margulis", "space-bad-size", "space-empty-size", "ladder-not-a-number",
+            "config-torus_n", "config-family_i_max", "config-margulis", "space-bad-size", "space-empty-size", "ladder-not-a-number",
             "ladder-inf", "delta-nan"])
     def test_exit_codes(self, tmp_path, monkeypatch, config_text, env, argv, code):
         argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
@@ -315,6 +344,40 @@ class TestCliBadInput:
 
 
 class TestCliOutputPaths:
+    # Each table text below is the output of the version before commands
+    # returned rows to main.  Measuring thick-part arcs only inside the
+    # thick part will move d_teich, and the product text with it.
+    def test_collar_table(self):
+        code, out = run_cli("collar", str(SURFACE), str(FN_THIN))
+        assert code == 0
+        assert out == ("thin annuli: 1, thick components: 1\n"
+                       "  thin g1: core length 0.01, modulus 310.159\n"
+                       "  thick[pA,pB]\n")
+
+    def test_collar_table_marks_a_peripheral_annulus(self, tmp_path):
+        fn = tmp_path / "thin_boundary.fn"
+        fn.write_text("[fn]\ng1 = 0.8 0.0\nboundary:b1 = 0.05\n")
+        code, out = run_cli("collar", str(DATA / "holed_torus.surf"), str(fn))
+        assert code == 0
+        assert out == ("thin annuli: 1, thick components: 1\n"
+                       "  thin b1: core length 0.05, modulus 58.8319 (peripheral)\n"
+                       "  thick[p]\n")
+
+    def test_product_table(self):
+        code, out = run_cli("product", str(SURFACE), str(FN_THIN), str(FN_TWISTED),
+                            "--gamma", "g1")
+        assert code == 0
+        assert out == "d_teich = 0\nd_product = 0.0499792\ndiscrepancy = 0.0499792\n"
+
+    def test_instability_table(self):
+        code, out = run_cli(*TestCliInstability.ARGS)
+        assert code == 0
+        assert out == ("delta=0 L=1 s_lower=0.5 slope=1\n"
+                       "delta=0 L=10 s_lower=5 slope=1\n"
+                       "delta=0 L=100 s_lower=50 slope=1\n"
+                       "delta=0 L=1000 s_lower=500 slope=1\n"
+                       "delta=0 L=10000 s_lower=5000 slope=1\n")
+
     def test_extremal_table(self):
         code, out = run_cli("extremal", str(SURFACE), str(FN_THIN), str(CURVES),
                             "--curve", "core1")

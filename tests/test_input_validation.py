@@ -9,17 +9,21 @@ from teichlen import (
     FNPoint,
     HGeodesic,
     INFTY,
+    TorusLattice,
     UHPoint,
     ValidationError,
     annulus_ratio_check,
     arc_multiplicities,
+    collar_modulus,
     distortion_transfer_check,
     euclidean_space,
+    flat_annulus_twist,
     fn_dehn_twist,
     hexagon_side,
     hyp_product_space,
     lambda_annulus,
     sup_product_space,
+    torus_extremal_length,
     twist_min,
     twist_prime,
 )
@@ -57,8 +61,17 @@ AXIS = HGeodesic(0.0, INFTY)
     lambda: twist_prime(AXIS, math.inf, HGeodesic(-1.0, 1.0), UHPoint(0.0, 1.0)),
     lambda: twist_min([math.nan, 1.0]),
     lambda: distortion_transfer_check({(0.0, 1.0): 0.0}, {(0.0, 1.0): 0.0}, math.nan),
+    lambda: torus_extremal_length(TorusLattice(1, 1j), math.nan, 1.0),
+    lambda: torus_extremal_length(TorusLattice(1, 1j), math.inf, 1.0),
+    lambda: flat_annulus_twist(FlatAnnulus(1, 1), math.nan, 0.0),
+    lambda: HGeodesic("a", 0.0),
+    lambda: HGeodesic(None, 0.0),
+    lambda: collar_modulus(math.inf, 0.5),
+    lambda: collar_modulus(0.1, math.inf),
 ], ids=["hexagon_side", "FlatAnnulus", "annulus_ratio_check", "twist_prime",
-        "twist_min", "distortion_transfer_check"])
+        "twist_min", "distortion_transfer_check", "torus_extremal_length-nan",
+        "torus_extremal_length-inf", "flat_annulus_twist", "HGeodesic-str",
+        "HGeodesic-None", "collar_modulus-core", "collar_modulus-eps0"])
 def test_non_finite_kernel_input_rejected(call):
     with pytest.raises(ValidationError, match="finite"):
         call()

@@ -301,8 +301,6 @@ class TestKernelMetric:
         assert is_delta_between(space, 0.0, 4.0, 1.0, 0.1) == (True, 0.0)
         assert is_delta_between(space, 0.0, 4.0, 5.0, 0.1) == (False, 2.0)
         assert instability_lower_bound(space, 0.1, 4.0, budget=5) == (0.0, None)
-        with pytest.raises(ValidationError):
-            instability_lower_bound(space, 0.1, 4.0, budget=5, resolution=0.0)
 
 
 class TestMalformedPoints:
