@@ -152,7 +152,8 @@ def collar_modulus(delta: float, eps0: float) -> float:
     The collar's internal boundary circles have length eps0.
     """
     if not (0 < delta < math.inf and 0 < eps0 < math.inf):
-        raise ValidationError(f"delta and eps0 must be positive and finite, got {delta}, {eps0}")
+        raise ValidationError(
+            f"delta and eps0 must be positive and finite, got {delta}, {eps0}")
     if delta > eps0:
         raise NoCollarError(f"core length {delta} exceeds boundary length {eps0}")
     m = math.pi / delta - 2.0 / eps0

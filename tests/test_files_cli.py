@@ -314,7 +314,8 @@ class TestCliBadInput:
         (None, {}, ("instability", "--space", "euclidean:2", "--delta", "nan",
                     "--ladder", "1,10,100,1000,10000"), 3),
     ], ids=["missing-config", "config-not-a-number", "env-not-a-number",
-            "config-torus_n", "config-family_i_max", "config-margulis", "space-bad-size", "space-empty-size", "ladder-not-a-number",
+            "config-torus_n", "config-family_i_max", "config-margulis", "space-bad-size",
+            "space-empty-size", "ladder-not-a-number",
             "ladder-inf", "delta-nan"])
     def test_exit_codes(self, tmp_path, monkeypatch, config_text, env, argv, code):
         argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
@@ -344,9 +345,9 @@ class TestCliBadInput:
 
 
 class TestCliOutputPaths:
-    # Each table text below is the output of the version before commands
-    # returned rows to main.  Measuring thick-part arcs only inside the
-    # thick part will move d_teich, and the product text with it.
+    # The exact table texts pin the table format of each command.  Measuring
+    # thick-part arcs only inside the thick part will move d_teich, and the
+    # product text with it.
     def test_collar_table(self):
         code, out = run_cli("collar", str(SURFACE), str(FN_THIN))
         assert code == 0
