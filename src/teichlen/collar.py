@@ -65,6 +65,12 @@ class CollarDecomposition:
     thin: tuple[ThinAnnulus, ...]
     thick: tuple[ThickComponent, ...]
 
+    @property
+    def labels(self) -> tuple[tuple[str, str], ...]:
+        """(name, kind) of each component: thin annuli, then thick components."""
+        return tuple([(a.curve, "annulus") for a in self.thin]
+                     + [(c.component_id, "thick") for c in self.thick])
+
     def thin_curves(self) -> tuple[str, ...]:
         return tuple(a.curve for a in self.thin if not a.peripheral)
 

@@ -6,13 +6,13 @@ and returns half its log.  A family (``extremal.CurveFamily``) keeps per
 curve each distinct (i, b, n) cell once, an index of cells by member and
 a grouping of members by crossing pattern; ``default_curve_family``
 shares one cell table among its curves and fills both indexes from its
-own blocks, with no ``np.unique``.  One ``ComponentEvaluator.table`` per
+own blocks, with no pass over the members.  One ``component_table`` per
 point computes each term per cell or pattern and gathers by member.  Its
-annulus terms sit at height m/pi rather than m, set in
-this one place by modulus_unit = pi, which puts twist- and pinch-direction
-ratios on the same hyperbolic scale as the product coordinates (s, 1/l);
-the public extremal-length estimate keeps the raw modulus.  For the torus
-the exact formula is available as ``torus_family_estimate`` / ``hyp_distance``.
+annulus terms sit at height m/pi rather than m, set in this one place by
+modulus_unit = pi, which puts twist- and pinch-direction ratios on the
+same hyperbolic scale as the product coordinates (s, 1/l); the public
+extremal-length estimate keeps the raw modulus.  For the torus the exact
+formula is available as ``torus_family_estimate`` / ``hyp_distance``.
 
 The product model's base factor is the same estimator on the pinched
 marking.  ``product_model`` builds the pinched marking and its base family
@@ -34,7 +34,7 @@ import numpy as np
 
 from .collar import DEFAULT_PARAMS, CollarParams, collar_decomposition
 from .errors import ValidationError
-from .extremal import ComponentEvaluator, CurveFamily, _annulus_term
+from .extremal import CurveFamily, _annulus_term, component_table
 from .halfplane import UHPoint, hyp_distance
 from .surface import CURVE, FNPoint, Marking
 
@@ -74,7 +74,7 @@ def default_curve_family(marking: Marking, i_max: int = 2,
     blocks.append(np.eye(len(curves), dtype=np.int64))  # cell 1 on its own curve
     patterns.append((0,) * len(curves))
     key = np.repeat(np.arange(len(blocks)), [block.shape[1] for block in blocks])
-    # valid and grouped by construction, so __init__'s checks and np.unique are skipped
+    # valid and grouped by construction, so __init__'s checks and grouping pass are skipped
     return CurveFamily.__new__(CurveFamily)._store(
         (cells,) * len(curves), tuple(np.concatenate(blocks, axis=1)), curves, key,
         tuple(patterns))
@@ -96,8 +96,8 @@ def kerckhoff_distance_estimate(sigma: FNPoint, tau: FNPoint,
             f"marking curves {sorted(marking.curves)}"
         )
     a, b = (
-        ComponentEvaluator(collar_decomposition(marking, point, params), point,
-                           modulus_unit=math.pi).table(family).max(0)
+        component_table(collar_decomposition(marking, point, params), point, family,
+                        modulus_unit=math.pi).max(0)
         for point in (sigma, tau)
     )
     usable = (a != 0.0) & (b != 0.0)

@@ -11,15 +11,15 @@ property tests, not by matching any particular multiplicative constant.
 
 A ``CurveFamily`` stores its curve systems by column, each distinct
 (i, b, n) cell of a curve once, and groups its members by crossing
-pattern when it is built.  It also owns the arc multiplicities of its
-patterns in each pants curve-end triple, worked out on first use and
-kept, since they do not depend on the point.  ``ComponentEvaluator.table``
-computes the contributions of a whole family at once, for the distance
-estimator and, as its one-member case, for the ``lambda_*`` estimators:
-annulus and twist-travel terms once per cell, and per pattern a thick arc
-sum of count * d over the point's orthogeodesic rows, each gathered by
-member.  A thin annulus is evaluated at height m / modulus_unit: 1 here,
-pi in the distance estimator.
+pattern when it is built, in one pass over the members.  It also owns
+the arc multiplicities of its patterns in each pants curve-end triple,
+worked out on first use and kept, since they do not depend on the point.
+``component_table`` computes the contributions of a whole family at one
+point, for the distance estimator and, with a one-member family, for the
+``lambda_*`` estimators: annulus and twist-travel terms once per cell,
+and per pattern a thick arc sum of count * d over the point's
+orthogeodesic rows, each gathered by member.  A thin annulus is evaluated
+at height m / modulus_unit: 1 here, pi in the distance estimator.
 """
 
 from __future__ import annotations
@@ -109,13 +109,19 @@ class CurveFamily:
         curves = members[0].data.keys() if members else {}.keys()
         if any(beta.data.keys() != curves for beta in members):
             raise ValidationError("curve family members must share one curve set")
-        # a CurveSystem keeps its curves sorted, so all rows share one column order
-        coords = np.array([list(beta.data.values()) for beta in members], dtype=np.int64)
-        coords = coords.reshape(len(members), len(curves), 3)
-        patterns, key = np.unique(coords[:, :, 0], axis=0, return_inverse=True)
-        unique = [np.unique(c, axis=0, return_inverse=True) for c in coords.swapaxes(0, 1)]
-        self._store(tuple(u[0] for u in unique), tuple(u[1] for u in unique),
-                    tuple(curves), key, tuple(map(tuple, patterns.tolist())))
+        # one pass over the members numbers each distinct cell of a column and
+        # each distinct pattern in first-seen order; a CurveSystem keeps its
+        # curves sorted, so all rows share one column order
+        cells, patterns = [{} for _ in curves], {}
+        index, key = [[] for _ in curves], []
+        for beta in members:
+            row = tuple(beta.data.values())
+            for seen, rows, cell in zip(cells, index, row):
+                rows.append(seen.setdefault(cell, len(seen)))
+            key.append(patterns.setdefault(tuple(i for i, _, _ in row), len(patterns)))
+        self._store(tuple(np.array(list(seen), dtype=np.int64).reshape(-1, 3) for seen in cells),
+                    tuple(np.array(rows, dtype=np.int64) for rows in index),
+                    tuple(curves), np.array(key, dtype=np.int64), tuple(patterns))
 
     def _store(self, cells: tuple[np.ndarray, ...], index: tuple[np.ndarray, ...],
                curves: tuple[str, ...], key: np.ndarray,
@@ -167,105 +173,68 @@ class CurveFamily:
         return iter(self.members)
 
 
-class ComponentEvaluator:
-    """Per-point table of the component contributions of a decomposition.
+def component_table(decomposition: CollarDecomposition, sigma: FNPoint,
+                    family: CurveFamily, modulus_unit: float = 1.0) -> np.ndarray:
+    """Contributions of every member of the family at sigma, shape (components, members).
 
-    Built once per point sigma, with the orthogeodesics of each pants (all
-    inf where they leave double range, so that only the curve systems
-    entering that pants overflow); ``table`` then gives one row per
-    component in the decomposition's order (thin annuli, then thick
-    components), labelled by ``labels``.
-    A thin annulus of modulus m is evaluated at height m / modulus_unit;
-    peripheral annuli always contribute 0.  Cuffs longer than the
-    decomposition's eps1 inside a thick component add the twist-travel term.
+    One row per component, in the order of ``decomposition.labels``.  A
+    thin annulus of modulus m is evaluated at height m / modulus_unit; a
+    peripheral one contributes 0.  Cuffs longer than the decomposition's
+    eps1 inside a thick component add the twist-travel term.  Annulus and
+    twist-travel terms are computed once per cell of ``family.cells`` and
+    gathered by ``family.index``; thick arc sums add count * d over the
+    family's ``arc_counts`` once per pattern and are gathered by
+    ``family.key``.  Terms are summed in the scalar order, so values are
+    bit-identical to a per-member loop.  A pants whose orthogeodesics leave
+    double range is a row of inf that only the patterns entering it meet;
+    a value outside double range raises NumericDomainError naming its
+    component.
     """
-
-    def __init__(self, decomposition: CollarDecomposition, sigma: FNPoint,
-                 modulus_unit: float = 1.0):
-        pants_by_name = decomposition.marking.pants_by_name()
-        eps1 = decomposition.params.eps1
-        self.labels = tuple(
-            [(a.curve, "annulus") for a in decomposition.thin]
-            + [(c.component_id, "thick") for c in decomposition.thick]
-        )
-        self._thin = tuple(
-            None if a.peripheral
-            else (a.curve, a.modulus / modulus_unit, sigma.twist(a.curve))
-            for a in decomposition.thin
-        )
-        self._thick = []
+    pants_by_name = decomposition.marking.pants_by_name()
+    eps1 = decomposition.params.eps1
+    column = {c: k for k, c in enumerate(family.curves)}
+    cells = [c.T.astype(float) for c in family.cells]  # (i, b, n) rows per curve
+    rows = []
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for a in decomposition.thin:
+            if a.peripheral:
+                rows.append(np.zeros(len(family)))
+                continue
+            k = column[a.curve]
+            i, b, n = cells[k]
+            rows.append(_annulus_term(i, n, a.modulus / modulus_unit,
+                                      b + sigma.twist(a.curve))[family.index[k]])
         for comp in decomposition.thick:
-            pants_rows = []
+            arcs = []
             for ends in (pants_by_name[name].ends for name in comp.pants):
                 try:
                     ortho = pants_orthogeodesics(PantsCuffs(
                         *(0.0 if e.kind == PUNCTURE else sigma.length(e.name) for e in ends)))
-                except NumericDomainError:  # table raises for the patterns entering it
+                except NumericDomainError:  # raised below for the patterns entering it
                     ortho = (math.inf,) * 6
-                pants_rows.append((tuple(e.name if e.kind == CURVE else None for e in ends),
-                                   ortho))
-            cuff_terms = tuple(
-                (cuff, sigma.length(cuff), sigma.twist(cuff))
-                for cuff in comp.internal_cuffs
-                if sigma.length(cuff) > eps1
-            )
-            self._thick.append((pants_rows, cuff_terms))
-
-    def table(self, family: CurveFamily) -> np.ndarray:
-        """Contributions of every member of the family, shape (components, members).
-
-        Annulus and twist-travel terms are computed once per cell of
-        ``family.cells`` and gathered by ``family.index``; thick arc sums
-        add count * d over the family's ``arc_counts`` once per pattern in
-        ``family.patterns`` and are gathered by ``family.key``.  The terms
-        are summed in the scalar order, so values are bit-identical to a
-        per-member loop, and a pattern that does not enter an overflowed
-        (inf) pants never meets its row.  A value outside double range
-        raises NumericDomainError naming its component.
-        """
-        column = {c: k for k, c in enumerate(family.curves)}
-        cells = [c.T.astype(float) for c in family.cells]  # (i, b, n) rows per curve
-        rows = []
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            for entry in self._thin:
-                if entry is None:
-                    rows.append(np.zeros(len(family)))
-                    continue
-                curve, height, twist = entry
-                k = column[curve]
-                i, b, n = cells[k]
-                rows.append(_annulus_term(i, n, height, b + twist)[family.index[k]])
-            for pants_rows, cuff_terms in self._thick:
-                arcs = [(family.arc_counts(ends), ortho) for ends, ortho in pants_rows]
-                sums = []
-                for p in range(len(family.patterns)):
-                    length = 0.0
-                    for counts, ortho in arcs:
-                        for arc, count in counts[p]:
-                            length += count * ortho[arc]
-                    sums.append(length)
-                length = np.array(sums)[family.key]
-                for cuff, ell, twist in cuff_terms:
+                curve_ends = tuple(e.name if e.kind == CURVE else None for e in ends)
+                arcs.append((family.arc_counts(curve_ends), ortho))
+            sums = []
+            for p in range(len(family.patterns)):
+                length = 0.0
+                for counts, ortho in arcs:
+                    for arc, count in counts[p]:
+                        length += count * ortho[arc]
+                sums.append(length)
+            length = np.array(sums)[family.key]
+            for cuff in comp.internal_cuffs:
+                ell = sigma.length(cuff)
+                if ell > eps1:
                     k = column[cuff]
                     i, b, _ = cells[k]
                     length = length + np.where(
-                        i > 0, np.abs(b + twist) * ell * i, 0.0)[family.index[k]]
-                rows.append(length * length)
-        table = np.array(rows)
-        if not np.isfinite(table).all():
-            component = self.labels[np.isfinite(table).all(axis=1).argmin()][0]
-            raise NumericDomainError(f"the contribution of {component} leaves double range")
-        return table
-
-    def contributions(self, beta: CurveSystem) -> list[float]:
-        """One value per component for a single curve system."""
-        # one member is its own cells and pattern, so np.unique is skipped
-        cells = np.array(list(beta.data.values()), dtype=np.int64).reshape(-1, 1, 3)
-        zero = np.zeros(1, dtype=np.int64)
-        single = CurveFamily.__new__(CurveFamily)._store(
-            tuple(cells), (zero,) * len(cells), tuple(beta.data), zero,
-            (tuple(i for i, _, _ in beta.data.values()),))
-        return self.table(single)[:, 0].tolist()
+                        i > 0, np.abs(b + sigma.twist(cuff)) * ell * i, 0.0)[family.index[k]]
+            rows.append(length * length)
+    table = np.array(rows)
+    if not np.isfinite(table).all():
+        component = decomposition.labels[np.isfinite(table).all(axis=1).argmin()][0]
+        raise NumericDomainError(f"the contribution of {component} leaves double range")
+    return table
 
 
 def lambda_thick(component: ThickComponent, beta: CurveSystem, sigma: FNPoint,
@@ -277,7 +246,7 @@ def lambda_thick(component: ThickComponent, beta: CurveSystem, sigma: FNPoint,
     """
     beta.validate_for(marking)
     single = CollarDecomposition(marking, params, (), (component,))
-    return ComponentEvaluator(single, sigma).contributions(beta)[0]
+    return float(component_table(single, sigma, CurveFamily((beta,)))[0, 0])
 
 
 @dataclass(frozen=True)
@@ -316,9 +285,9 @@ def lambda_surface_estimate(beta: CurveSystem, sigma: FNPoint, marking: Marking,
     sigma.validate_for(marking)
     if decomposition is None:
         decomposition = collar_decomposition(marking, sigma, params)
-    ev = ComponentEvaluator(decomposition, sigma)
+    values = component_table(decomposition, sigma, CurveFamily((beta,)))[:, 0].tolist()
     rows = tuple(
         ComponentLength(component, kind, value)
-        for (component, kind), value in zip(ev.labels, ev.contributions(beta))
+        for (component, kind), value in zip(decomposition.labels, values)
     )
     return EstimateResult(max((row.value for row in rows), default=0.0), rows)

@@ -29,7 +29,7 @@ from teichlen import (
     pants_orthogeodesics,
     partial_decomposition,
 )
-from teichlen.extremal import ComponentEvaluator
+from teichlen.extremal import component_table
 
 from conftest import genus2_curve, genus2_point, fn_point
 
@@ -181,9 +181,9 @@ class TestComponentEvaluator:
     def test_labels_follow_decomposition_with_peripheral_zero(self, holed_torus):
         sigma = fn_point(holed_torus, {"g1": 0.05, "b1": 0.05}, {"g1": 0.3})
         dec = collar_decomposition(holed_torus, sigma)
-        ev = ComponentEvaluator(dec, sigma)
-        assert ev.labels == (("g1", "annulus"), ("b1", "annulus"), ("thick[p]", "thick"))
-        values = ev.contributions(CurveSystem({"g1": (2, 1, 0)}))
+        assert dec.labels == (("g1", "annulus"), ("b1", "annulus"), ("thick[p]", "thick"))
+        values = component_table(
+            dec, sigma, CurveFamily([CurveSystem({"g1": (2, 1, 0)})]))[:, 0].tolist()
         m = dec.annulus("g1").modulus
         assert values[0] == lambda_annulus(2, 0, m, 1.3)
         assert values[1] == 0.0
@@ -193,8 +193,9 @@ class TestComponentEvaluator:
         dec = collar_decomposition(genus2, sigma)
         m = dec.annulus("g1").modulus
         beta = genus2_curve(i1=2, b1=3, i2=2)
-        scaled = ComponentEvaluator(dec, sigma, modulus_unit=math.pi).contributions(beta)
-        raw = ComponentEvaluator(dec, sigma).contributions(beta)
+        scaled = component_table(dec, sigma, CurveFamily([beta]),
+                                 modulus_unit=math.pi)[:, 0].tolist()
+        raw = component_table(dec, sigma, CurveFamily([beta]))[:, 0].tolist()
         assert scaled[0] == lambda_annulus(2, 0, m / math.pi, 3.2)
         assert raw[0] == lambda_annulus(2, 0, m, 3.2)
         assert scaled[1:] == raw[1:]
@@ -221,7 +222,7 @@ class TestComponentEvaluator:
                             {c: float(rng.uniform(-5, 5)) for c in marking.curves})
             dec = collar_decomposition(marking, sigma)
             for unit in (1.0, math.pi):
-                table = ComponentEvaluator(dec, sigma, unit).table(family)
+                table = component_table(dec, sigma, family, unit)
                 reference = [reference_contributions(dec, sigma, beta, unit)
                              for beta in members]
                 assert table.T.tolist() == reference
@@ -244,24 +245,24 @@ class TestComponentEvaluator:
         for sigma in points:
             dec = collar_decomposition(genus2, sigma)
             for unit in (1.0, math.pi):
-                ev = ComponentEvaluator(dec, sigma, unit)
-                table = ev.table(family)
+                table = component_table(dec, sigma, family, unit)
                 assert table.T.tolist() == [reference_contributions(dec, sigma, beta, unit)
                                             for beta in members]
                 for column, beta in zip(table.T.tolist(), members):
-                    assert ev.contributions(beta) == column
+                    single = component_table(dec, sigma, CurveFamily([beta]), unit)
+                    assert single[:, 0].tolist() == column
 
     def test_family_and_table_keep_no_full_float_copy(self, genus2):
         # bounds between the column layout (0.69 MB kept, 0.9 MB table peak) and
         # a (members, curves, 3) int array with a float copy per table (1.7, 2.4 MB)
         sigma = genus2_point()
-        ev = ComponentEvaluator(collar_decomposition(genus2, sigma), sigma, math.pi)
+        dec = collar_decomposition(genus2, sigma)
         tracemalloc.start()
         try:
             family = default_curve_family(genus2)
             kept = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            ev.table(family)
+            component_table(dec, sigma, family, math.pi)
             peak = tracemalloc.get_traced_memory()[1] - kept
         finally:
             tracemalloc.stop()
@@ -297,14 +298,14 @@ class TestFamilyArcCounts:
                             lambda *counts: calls.append(counts) or original(*counts))
         family = default_curve_family(genus2)
         sigma = genus2_point()
-        ev = ComponentEvaluator(collar_decomposition(genus2, sigma), sigma, math.pi)
-        first = ev.table(family)
+        dec = collar_decomposition(genus2, sigma)
+        first = component_table(dec, sigma, family, math.pi)
         # pA and pB share one curve-end triple, and the cores enter no pants
         assert len(calls) == len(family.patterns) - 1
         calls.clear()
-        assert ev.table(family).tolist() == first.tolist()
+        assert component_table(dec, sigma, family, math.pi).tolist() == first.tolist()
         other = genus2_point(l1=0.3, s2=2.0)
-        ComponentEvaluator(collar_decomposition(genus2, other), other).table(family)
+        component_table(collar_decomposition(genus2, other), other, family)
         assert calls == []
 
     def test_cores_only_family_ignores_an_overflowed_pants(self, holed_torus):
@@ -312,7 +313,7 @@ class TestFamilyArcCounts:
         sigma = FNPoint({"g1": 0.05, "b1": 2000.0}, {"g1": 0.0})
         members = [core_curve(holed_torus, "g1", n) for n in (1, 2, 3)]
         dec = collar_decomposition(holed_torus, sigma)
-        table = ComponentEvaluator(dec, sigma).table(CurveFamily(members))
+        table = component_table(dec, sigma, CurveFamily(members))
         assert np.isfinite(table).all()
         assert table.T.tolist() == [reference_contributions(dec, sigma, beta)
                                     for beta in members]
