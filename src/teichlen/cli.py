@@ -94,8 +94,10 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
                 continue
             if "=" not in line:
                 raise ParseError("config lines are 'key = value'", line_no)
-            key, _, value = line.partition("=")
-            values[key.strip()] = _coerce(key.strip(), value.strip())
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key in values:
+                raise ParseError(f"repeated key {key!r}", line_no)
+            values[key] = _coerce(key, value)
     for key in _KEYS:
         env = os.environ.get(ENV_PREFIX + key.upper())
         if env is not None:

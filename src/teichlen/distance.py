@@ -35,7 +35,7 @@ import numpy as np
 from .collar import DEFAULT_PARAMS, CollarParams, collar_decomposition
 from .errors import ValidationError
 from .extremal import CurveFamily, _annulus_term, component_table
-from .halfplane import UHPoint, hyp_distance
+from .halfplane import TorusLattice, UHPoint, _lattice_extremal_length, hyp_distance
 from .surface import CURVE, FNPoint, Marking
 
 
@@ -117,8 +117,7 @@ def torus_family_estimate(z1: UHPoint, z2: UHPoint, n_max: int) -> float:
     u, v = np.meshgrid(np.arange(-n_max, n_max + 1), np.arange(-n_max, n_max + 1))
     coprime = np.gcd(u, v) == 1
     u, v = u[coprime].astype(float), v[coprime].astype(float)
-    lam1 = ((u + v * z1.x) ** 2 + (v * z1.y) ** 2) / z1.y
-    lam2 = ((u + v * z2.x) ** 2 + (v * z2.y) ** 2) / z2.y
+    lam1, lam2 = (_lattice_extremal_length(TorusLattice(1.0, z), u, v) for z in (z1, z2))
     ratio = lam2 / lam1
     sup = max(ratio.max(), (1.0 / ratio).max())
     return 0.5 * math.log(sup)

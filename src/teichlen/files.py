@@ -35,8 +35,12 @@ def _strip(line: str) -> str:
 
 
 def parse_sections(text: str) -> list[tuple[str, str | None, list[tuple[int, str, str]]]]:
-    """Split a file into (section, label, [(line_no, key, value), ...]) triples."""
-    sections = []
+    """Split a file into (section, label, [(line_no, key, value), ...]) triples.
+
+    A section header repeated with the same label, or a key repeated within
+    one section, is an error at its line rather than a silent overwrite.
+    """
+    sections, headers = [], set()
     current = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = _strip(raw)
@@ -44,15 +48,21 @@ def parse_sections(text: str) -> list[tuple[str, str | None, list[tuple[int, str
             continue
         match = _SECTION_RE.match(line)
         if match:
-            current = (match.group(1), match.group(2), [])
+            if match.groups() in headers:
+                raise ParseError(f"repeated section {line}", line_no)
+            headers.add(match.groups())
+            current, keys, header = (*match.groups(), []), set(), line
             sections.append(current)
             continue
         if current is None:
             raise ParseError("content before any section header", line_no)
         if "=" not in line:
             raise ParseError(f"expected 'key = value', got {line!r}", line_no)
-        key, _, value = line.partition("=")
-        current[2].append((line_no, key.strip(), value.strip()))
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in keys:
+            raise ParseError(f"repeated key {key!r} in {header}", line_no)
+        keys.add(key)
+        current[2].append((line_no, key, value))
     return sections
 
 
@@ -186,8 +196,6 @@ def parse_curves(text: str, marking: Marking) -> dict[str, CurveSystem]:
     for section, label, rows in parse_sections(text):
         if section != "curve" or not label:
             raise ParseError('curve files contain only [curve "<name>"] sections')
-        if label in systems:
-            raise ParseError(f"duplicate curve section {label!r}")
         data = {name: (0, 0, 0) for name in marking.curves}
         for line_no, key, value in rows:
             tokens = value.split()

@@ -210,14 +210,20 @@ def k_ratio_sup(z1: UHPoint, z2: UHPoint) -> float:
     return root * root
 
 
+def _lattice_extremal_length(lat: TorusLattice, u, v):
+    """|u alpha + v beta|^2 / area for the lattice; u and v scalars or arrays."""
+    re = u * lat.alpha.real + v * lat.beta.real
+    im = u * lat.alpha.imag + v * lat.beta.imag
+    return (re * re + im * im) / lat.area
+
+
 def torus_extremal_length(lat: TorusLattice, u: float, v: float) -> float:
     """Extremal length of the (u, v) class on the torus spanned by the lattice."""
     if not (math.isfinite(u) and math.isfinite(v)):
         raise ValidationError(f"(u, v) must be finite, got ({u}, {v})")
     if u == 0 and v == 0:
         raise ValidationError("(u, v) must be nonzero")
-    w = u * lat.alpha + v * lat.beta
-    return (w.real * w.real + w.imag * w.imag) / lat.area
+    return _lattice_extremal_length(lat, u, v)
 
 
 def _axis_chart(axis: HGeodesic, origin: UHPoint, orientation: int):

@@ -79,6 +79,25 @@ class TestFileRoundTrip:
         with pytest.raises(ParseError):
             parse_surface("[surface]\ngenus = 2\n")
 
+    GENUS2 = SURFACE.read_text()
+
+    @pytest.mark.parametrize("parse, text, line", [
+        (parse_fn, "[fn]\ng1 = 0.01 0.0\ng1 = 5.0 0.0\ng2 = 1.2 0.1\ng3 = 0.8 -0.2\n", 3),
+        (parse_fn, "[fn]\ng1 = 0.01 0.0\ng2 = 1.2 0.1\ng3 = 0.8 -0.2\n[fn]\n", 5),
+        (parse_curves, '[curve "x"]\ng1 = 0 0 1\ng1 = 2 1\n', 3),
+        (parse_curves, '[curve "x"]\ng1 = 0 0 1\n\n[curve "x"]\ng2 = 0 0 1\n', 4),
+        (parse_surface, GENUS2.replace("g1 = 0\n", "g1 = 0\ng1 = 1\n"), 17),
+        (parse_surface, "[surface]\ngenus = 2\n" + GENUS2, 3),
+        (parse_surface, GENUS2.replace("g2 = +\n", "g1 = +\n"), 8),
+        (parse_surface, GENUS2.replace("pB = ", "pA = "), 13),
+    ], ids=["fn-key", "fn-section", "curve-key", "curve-section", "surface-seam",
+            "surface-section", "surface-curve-name", "surface-pants-name"])
+    def test_repeats_rejected_at_their_line(self, parse, text, line):
+        # a repeated key or section header once overwrote the first one silently
+        args = (text,) if parse is parse_surface else (text, parse_surface(self.GENUS2))
+        with pytest.raises(ParseError, match=f"^line {line}: "):
+            parse(*args)
+
 
 class TestCliValidate:
     def test_genus2_summary(self):
@@ -305,6 +324,7 @@ class TestCliBadInput:
         ("torus_n = 5\n", {}, ("validate", str(SURFACE)), 3),
         ("family_i_max = 3\n", {}, ("validate", str(SURFACE)), 3),
         ("margulis = 1.7\n", {}, ("validate", str(SURFACE)), 3),
+        ("eps1 = 0.005\neps1 = 0.2\n", {}, ("collar", str(SURFACE), str(FN_THIN)), 2),
         (None, {}, INSTABILITY + ("--space", "supprod:x"), 3),
         (None, {}, INSTABILITY + ("--space", "euclidean:"), 3),
         (None, {}, ("instability", "--space", "supprod:2", "--delta", "0",
@@ -314,7 +334,8 @@ class TestCliBadInput:
         (None, {}, ("instability", "--space", "euclidean:2", "--delta", "nan",
                     "--ladder", "1,10,100,1000,10000"), 3),
     ], ids=["missing-config", "config-not-a-number", "env-not-a-number",
-            "config-torus_n", "config-family_i_max", "config-margulis", "space-bad-size",
+            "config-torus_n", "config-family_i_max", "config-margulis",
+            "config-repeated-key", "space-bad-size",
             "space-empty-size", "ladder-not-a-number",
             "ladder-inf", "delta-nan"])
     def test_exit_codes(self, tmp_path, monkeypatch, config_text, env, argv, code):
@@ -386,6 +407,36 @@ class TestCliOutputPaths:
         assert out == ("  core1 annulus g1: 0.00322415\n"
                        "  core1 thick   thick[pA,pB]: 0\n"
                        "core1: extremal length estimate 0.00322415\n")
+
+    # cross1 and snake enter the thick pants, and snake adds a twist-travel
+    # term on g2; measuring thick-part arcs only inside the thick part
+    # (ROADMAP item 1) will move the thick values of this and the next text
+    def test_extremal_table_with_thick_arcs(self):
+        code, out = run_cli("extremal", str(SURFACE), str(FN_THIN), str(CURVES))
+        assert code == 0
+        assert out == ("  core1 annulus g1: 0.00322415\n"
+                       "  core1 thick   thick[pA,pB]: 0\n"
+                       "core1: extremal length estimate 0.00322415\n"
+                       "  cross1 annulus g1: 1240.64\n"
+                       "  cross1 thick   thick[pA,pB]: 741.956\n"
+                       "cross1: extremal length estimate 1240.64\n"
+                       "  snake annulus g1: 1240.75\n"
+                       "  snake thick   thick[pA,pB]: 973.752\n"
+                       "snake: extremal length estimate 1240.75\n")
+
+    def test_extremal_table_with_a_peripheral_annulus(self, tmp_path):
+        fn = tmp_path / "thin_boundary.fn"
+        fn.write_text("[fn]\ng1 = 0.8 0.0\nboundary:b1 = 0.05\n")
+        curves = tmp_path / "holed.crv"
+        curves.write_text('[curve "x"]\ng1 = 2 1\n\n[curve "core"]\ng1 = 0 0 1\n')
+        code, out = run_cli("extremal", str(DATA / "holed_torus.surf"), str(fn), str(curves))
+        assert code == 0
+        assert out == ("  core annulus b1: 0\n"
+                       "  core thick   thick[p]: 0\n"
+                       "core: extremal length estimate 0\n"
+                       "  x annulus b1: 0\n"
+                       "  x thick   thick[p]: 65.4624\n"
+                       "x: extremal length estimate 65.4624\n")
 
     def test_distance_rows_carry_the_estimate(self):
         code, out = run_cli("--format", "rows", "--family-b", "2", "distance",
