@@ -109,8 +109,8 @@ def torus_family_estimate(z1: UHPoint, z2: UHPoint, n_max: int) -> float:
     """Torus distance estimate from coprime classes |u|,|v| <= n_max.
 
     Uses the exact extremal lengths |u + v z|^2 / Im z of the lattice
-    (1, z); never exceeds hyp_distance(z1, z2) and is nondecreasing in
-    n_max.
+    (1, z), the expression of ``torus_extremal_length``; never exceeds
+    hyp_distance(z1, z2) and is nondecreasing in n_max.
     """
     if not (isinstance(n_max, numbers.Integral) and n_max >= 1):
         raise ValidationError(f"n_max must be an integer >= 1, got {n_max!r}")

@@ -119,7 +119,7 @@ class CurveFamily:
             for seen, rows, cell in zip(cells, index, row):
                 rows.append(seen.setdefault(cell, len(seen)))
             key.append(patterns.setdefault(tuple(i for i, _, _ in row), len(patterns)))
-        self._store(tuple(np.array(list(seen), dtype=np.int64).reshape(-1, 3) for seen in cells),
+        self._store(tuple(np.array(list(seen), dtype=np.int64) for seen in cells),
                     tuple(np.array(rows, dtype=np.int64) for rows in index),
                     tuple(curves), np.array(key, dtype=np.int64), tuple(patterns))
 
