@@ -366,13 +366,12 @@ def sup_product_space(dim: int) -> MetricSpaceHandle:
                          h_cap, random_triple)
 
 
-def _halfplane_product_hooks(k: int):
-    """Segment-distance, witness and random-triple hooks on k-tuples of UHPoints.
+def _halfplane_product(k: int) -> MetricSpaceHandle:
+    """``hyp-product:k``: k-tuples of UHPoints under the sup of the factor metrics.
 
-    Returns ``(segment_distances, witnesses, random_triple)``;
-    ``witnesses`` is None for a single factor.  Segments move every
-    factor along its half-plane geodesic at proportional speed, and the
-    distance to a path point is the largest factor distance.
+    Segments move every factor along its half-plane geodesic at
+    proportional speed, and the distance to a path point is the largest
+    factor distance.  A single factor has no structured witnesses.
     """
 
     def segment_distances(triples, ts):
@@ -409,16 +408,11 @@ def _halfplane_product_hooks(k: int):
         )
         return x, y, z
 
-    return segment_distances, (witnesses if k >= 2 else None), random_triple
+    return MetricSpaceHandle(f"hyp-product:{k}", segment_distances,
+                             witnesses if k >= 2 else None, random_triple)
 
 
 def hyp_product_space(factors: int) -> MetricSpaceHandle:
     """Product of half-planes with the sup of the (halved) hyperbolic metrics."""
     _check_size(factors, "factor count")
-    segment_distances, witnesses, random_triple = _halfplane_product_hooks(factors)
-    return MetricSpaceHandle(
-        name=f"hyp-product:{factors}",
-        segment_distances=segment_distances,
-        witnesses=witnesses,
-        random_triple=random_triple,
-    )
+    return _halfplane_product(factors)

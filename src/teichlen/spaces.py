@@ -3,19 +3,19 @@
 Points are images of the pinching projection with a fixed base point, so
 the search explores the half-plane factor directions while the base
 distance stays zero.  This is the product geometry the distance
-comparison experiments measure.  The segment-distance kernel, the only
-metric of the space, and the witness and random-triple hooks are those
-of ``instability.hyp_product_space``, applied to the factor tuples of the
-product points; a point that is not a ProductPoint, lies off the base
-or pinches other curves raises ``ValidationError`` in the one place that
-unpacks the factors.
+comparison experiments measure.  The space wraps the half-plane product
+handle ``hyp-product:k`` of the k pinched curves: its segment-distance
+kernel, the only metric of the space, and its witness and random-triple
+hooks are applied to the factor tuples of the product points; a point
+that is not a ProductPoint, lies off the base or pinches other curves
+raises ``ValidationError`` in the one place that unpacks the factors.
 """
 
 from __future__ import annotations
 
 from .distance import ProductPoint, pi_map
 from .errors import ValidationError
-from .instability import MetricSpaceHandle, _halfplane_product_hooks
+from .instability import MetricSpaceHandle, _halfplane_product
 from .surface import FNPoint, Marking
 
 
@@ -46,8 +46,8 @@ def pi_image_space(marking: Marking,
     def make_point(factors) -> ProductPoint:
         return ProductPoint(template.base, gamma, factors)
 
-    factor_segment_distances, factor_witnesses, factor_triple = (
-        _halfplane_product_hooks(len(gamma)))
+    # the private factory, not hyp_product_space, whose handles perfbench counts
+    product = _halfplane_product(len(gamma))
 
     def factors_on_base(p: ProductPoint):
         if not isinstance(p, ProductPoint):
@@ -60,19 +60,19 @@ def pi_image_space(marking: Marking,
         return p.factors
 
     def segment_distances(triples, ts):
-        return factor_segment_distances(
+        return product.segment_distances(
             [tuple(map(factors_on_base, triple)) for triple in triples], ts)
 
     def witnesses(delta: float, L: float):
-        for triple in factor_witnesses(delta, L):
+        for triple in product.witnesses(delta, L):
             yield tuple(map(make_point, triple))
 
     def random_triple(rng, delta, L):
-        return tuple(map(make_point, factor_triple(rng, delta, L)))
+        return tuple(map(make_point, product.random_triple(rng, delta, L)))
 
     return MetricSpaceHandle(
         name=f"pi-image[{','.join(gamma)}]",
         segment_distances=segment_distances,
-        witnesses=witnesses if factor_witnesses is not None else None,
+        witnesses=witnesses if product.witnesses is not None else None,
         random_triple=random_triple,
     )

@@ -197,24 +197,18 @@ class Marking:
         unknown = [g for g in gamma if g not in self.curves]
         if unknown:
             raise ValidationError(f"cannot pinch unknown curves {unknown}")
-        suffix: dict[str, int] = {g: 0 for g in gamma}
-        new_pants = []
-        for pants in self.decomposition.pants:
-            ends = []
-            for end in pants.ends:
-                if end.kind == CURVE and end.name in suffix:
-                    label = "ab"[suffix[end.name]]
-                    suffix[end.name] += 1
-                    ends.append(End(PUNCTURE, f"{end.name}.{label}"))
-                else:
-                    ends.append(end)
-            new_pants.append(Pants(pants.name, tuple(ends)))
+        sides = self.decomposition.sides()  # both sides of each curve, in end order
+        punctures = {side: End(PUNCTURE, f"{g}.{label}")
+                     for g in gamma for side, label in zip(sides[g], "ab")}
+        new_pants = tuple(Pants(p.name, tuple(punctures.get((p.name, slot), end)
+                                              for slot, end in enumerate(p.ends)))
+                          for p in self.decomposition.pants)
         keep = tuple(c for c in self.curves if c not in gamma)
         orientations = tuple(
             o for c, o in zip(self.curves, self.decomposition.orientations)
             if c not in gamma
         )
-        dec = PantsDecomposition(keep, tuple(new_pants), orientations)
+        dec = PantsDecomposition(keep, new_pants, orientations)
         seams = {c: self.seams[c] for c in keep}
         return Marking(dec, seams, spec=None)
 
