@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -33,7 +32,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .collar import DEFAULT_PARAMS, CollarParams, collar_decomposition
-from .errors import ValidationError
+from .errors import ValidationError, check_count
 from .extremal import CurveFamily, _annulus_term, component_table
 from .halfplane import TorusLattice, UHPoint, _lattice_extremal_length, hyp_distance
 from .surface import CURVE, FNPoint, Marking
@@ -51,9 +50,8 @@ def default_curve_family(marking: Marking, i_max: int = 2,
     ``itertools.product`` order, so the blocks are the family's pattern
     groups and the cores the last one.
     """
-    if not all(isinstance(k, numbers.Integral) and k >= 0 for k in (i_max, twist_bound)):
-        raise ValidationError(
-            f"i_max and twist_bound must be integers >= 0, got {i_max!r}, {twist_bound!r}")
+    check_count(i_max, "i_max")
+    check_count(twist_bound, "twist_bound")
     curves = marking.curves
     pants_columns = [[curves.index(e.name) for e in p.ends if e.kind == CURVE]
                      for p in marking.decomposition.pants]
@@ -112,8 +110,7 @@ def torus_family_estimate(z1: UHPoint, z2: UHPoint, n_max: int) -> float:
     (1, z), the expression of ``torus_extremal_length``; never exceeds
     hyp_distance(z1, z2) and is nondecreasing in n_max.
     """
-    if not (isinstance(n_max, numbers.Integral) and n_max >= 1):
-        raise ValidationError(f"n_max must be an integer >= 1, got {n_max!r}")
+    check_count(n_max, "n_max", 1)
     u, v = np.meshgrid(np.arange(-n_max, n_max + 1), np.arange(-n_max, n_max + 1))
     coprime = np.gcd(u, v) == 1
     u, v = u[coprime].astype(float), v[coprime].astype(float)

@@ -2,7 +2,10 @@
 
 Each of the three broad classes carries the CLI exit code of its errors
 as ``exit_code``: ParseError 2, ValidationError 3, NumericDomainError 4.
+``check_count`` is the one rule for sizes, counts and powers.
 """
+
+import numbers
 
 
 class TeichlenError(Exception):
@@ -59,3 +62,10 @@ class TwistUndefinedError(NumericDomainError):
 
 class TwistSpreadWarning(UserWarning):
     """Per-crossing twists spread wider than the conjugation bound allows."""
+
+
+def check_count(value, what: str, minimum: int | None = 0) -> None:
+    """Raise ValidationError unless value is an integer >= minimum (any integer for None)."""
+    if not (isinstance(value, numbers.Integral) and (minimum is None or value >= minimum)):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValidationError(f"{what} must be an integer{bound}, got {value!r}")

@@ -25,7 +25,6 @@ at height m / modulus_unit: 1 here, pi in the distance estimator.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -38,7 +37,7 @@ from .collar import (
     ThickComponent,
     collar_decomposition,
 )
-from .errors import NumericDomainError, ValidationError
+from .errors import NumericDomainError, ValidationError, check_count
 from .pants import PantsCuffs, pants_orthogeodesics
 from .surface import CURVE, PUNCTURE, CurveSystem, FNPoint, Marking
 
@@ -50,8 +49,8 @@ def _annulus_term(i, n, height, t):
 
 def lambda_annulus(i: int, n: int, m: float, t_hat: float | None = None) -> float:
     """Annulus contribution: i^2 (m + t^2/m) for crossings, n^2/m for cores."""
-    if not all(isinstance(k, numbers.Integral) and k >= 0 for k in (i, n)):
-        raise ValidationError(f"counts must be integers >= 0, got {i!r}, {n!r}")
+    check_count(i, "crossing count")
+    check_count(n, "core count")
     if not 0 < m < math.inf:
         raise ValidationError("modulus must be positive and finite")
     if i > 0 and (t_hat is None or not math.isfinite(t_hat)):
@@ -78,8 +77,8 @@ def arc_multiplicities(m1: int, m2: int, m3: int) -> ArcMultiplicities:
     it.  This is the unique pairing with the fewest same-cuff arcs.
     """
     counts = [m1, m2, m3]
-    if not all(isinstance(m, numbers.Integral) and m >= 0 for m in counts):
-        raise ValidationError(f"endpoint counts must be integers >= 0, got {tuple(counts)}")
+    for m in counts:
+        check_count(m, "endpoint count")
     if sum(counts) % 2 != 0:
         raise ValidationError(f"endpoint counts {tuple(counts)} have odd total")
     big = counts.index(max(counts))

@@ -34,8 +34,8 @@ def _strip(line: str) -> str:
     return line.strip()
 
 
-def parse_sections(text: str) -> list[tuple[str, str | None, list[tuple[int, str, str]]]]:
-    """Split a file into (section, label, [(line_no, key, value), ...]) triples.
+def parse_sections(text: str) -> list[tuple[int, str, str | None, list[tuple[int, str, str]]]]:
+    """Split a file into (header line_no, section, label, [(line_no, key, value), ...]).
 
     A section header repeated with the same label, or a key repeated within
     one section, is an error at its line rather than a silent overwrite.
@@ -51,7 +51,7 @@ def parse_sections(text: str) -> list[tuple[str, str | None, list[tuple[int, str
             if match.groups() in headers:
                 raise ParseError(f"repeated section {line}", line_no)
             headers.add(match.groups())
-            current, keys, header = (*match.groups(), []), set(), line
+            current, keys, header = (line_no, *match.groups(), []), set(), line
             sections.append(current)
             continue
         if current is None:
@@ -62,7 +62,7 @@ def parse_sections(text: str) -> list[tuple[str, str | None, list[tuple[int, str
         if key in keys:
             raise ParseError(f"repeated key {key!r} in {header}", line_no)
         keys.add(key)
-        current[2].append((line_no, key, value))
+        current[3].append((line_no, key, value))
     return sections
 
 
@@ -96,12 +96,14 @@ def parse_surface(text: str) -> Marking:
     pants_rows: list[Pants] = []
     seams: dict[str, int] = {}
     seen = set()
-    for section, label, rows in parse_sections(text):
+    for header, section, label, rows in parse_sections(text):
         if section == "surface":
             fields = {key: _parse_int(value, ln) for ln, key, value in rows}
-            extra = set(fields) - {"genus", "punctures", "boundary"}
+            extra = [(ln, key) for ln, key, _ in rows
+                     if key not in ("genus", "punctures", "boundary")]
             if extra:
-                raise ParseError(f"unknown surface fields {sorted(extra)}")
+                raise ParseError(f"unknown surface fields {sorted(key for _, key in extra)}",
+                                 extra[0][0])
             spec = SurfaceSpec(
                 fields.get("genus", 0),
                 fields.get("punctures", 0),
@@ -123,7 +125,7 @@ def parse_surface(text: str) -> Marking:
             for line_no, name, value in rows:
                 seams[name] = _parse_int(value, line_no)
         else:
-            raise ParseError(f"unknown section [{section}] in surface file")
+            raise ParseError(f"unknown section [{section}] in surface file", header)
         seen.add(section)
     missing = {"surface", "curves", "pants", "seams"} - seen
     if missing:
@@ -165,9 +167,12 @@ def parse_fn(text: str, marking: Marking) -> FNPoint:
     lengths: dict[str, float] = {}
     twists: dict[str, float] = {}
     sections = parse_sections(text)
-    if [s for s, _, _ in sections] != ["fn"]:
-        raise ParseError("coordinate file must contain exactly one [fn] section")
-    for line_no, key, value in sections[0][2]:
+    if [section for _, section, _, _ in sections] != ["fn"]:
+        # at the first section other than a leading [fn]; an empty file has none
+        stray = sections[1:] if sections and sections[0][1] == "fn" else sections
+        raise ParseError("coordinate file must contain exactly one [fn] section",
+                         stray[0][0] if stray else None)
+    for line_no, key, value in sections[0][3]:
         tokens = value.split()
         if key.startswith(f"{BOUNDARY}:"):
             if len(tokens) != 1:
@@ -193,9 +198,9 @@ def serialize_fn(point: FNPoint, marking: Marking) -> str:
 def parse_curves(text: str, marking: Marking) -> dict[str, CurveSystem]:
     """Parse a curve file: one [curve "name"] section per system."""
     systems: dict[str, CurveSystem] = {}
-    for section, label, rows in parse_sections(text):
+    for header, section, label, rows in parse_sections(text):
         if section != "curve" or not label:
-            raise ParseError('curve files contain only [curve "<name>"] sections')
+            raise ParseError('curve files contain only [curve "<name>"] sections', header)
         data = {name: (0, 0, 0) for name in marking.curves}
         for line_no, key, value in rows:
             tokens = value.split()

@@ -30,7 +30,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 import random
 import warnings
 from dataclasses import dataclass
@@ -38,7 +37,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_count
 from .halfplane import UHPoint, geodesic_distances, geodesic_point
 
 Point = Any
@@ -98,11 +97,6 @@ def is_delta_between(space: MetricSpaceHandle, x: Point, y: Point, z: Point,
     return slack < delta, slack
 
 
-def _check_size(size: int, what: str) -> None:
-    if not (isinstance(size, numbers.Integral) and size >= 1):
-        raise ValidationError(f"{what} must be an integer >= 1, got {size!r}")
-
-
 def _segment_distances(space: MetricSpaceHandle, triples: Sequence[tuple]) -> np.ndarray:
     """Distance from each z to its chosen geodesic [xy], all rows zoomed together.
 
@@ -157,7 +151,7 @@ def instability_lower_bound(space: MetricSpaceHandle, delta: float, L: float,
     """
     if not (0 <= delta < math.inf and 0 < L < math.inf):
         raise ValidationError("need finite delta >= 0 and L > 0")
-    _check_size(budget, "budget")
+    check_count(budget, "budget", 1)
     candidates = []
     if space.witnesses is not None:
         candidates.extend(itertools.islice(space.witnesses(delta, L), budget))
@@ -300,7 +294,7 @@ def _normed_space(name: str, dim: int, norm: Callable[[np.ndarray], np.ndarray],
     Structured witnesses (dim >= 2) are the midpoint offsets x = 0,
     y = L e1, z = (L/2) e1 + h e2 for 40 heights h up to ``h_cap(delta, L)``.
     """
-    _check_size(dim, "dimension")
+    check_count(dim, "dimension", 1)
 
     def segment_distances(triples, ts):
         x, y, z = _stacked(triples, float, dim).transpose(1, 0, 2)[:, :, None, :]
@@ -414,5 +408,5 @@ def _halfplane_product(k: int) -> MetricSpaceHandle:
 
 def hyp_product_space(factors: int) -> MetricSpaceHandle:
     """Product of half-planes with the sup of the (halved) hyperbolic metrics."""
-    _check_size(factors, "factor count")
+    check_count(factors, "factor count", 1)
     return _halfplane_product(factors)

@@ -149,17 +149,15 @@ def pants_orthogeodesics(cuffs: PantsCuffs) -> OrthoLengths:
 def collar_modulus(delta: float, eps0: float) -> float:
     """Modulus pi/delta - 2/eps0 of the collar about a core of length delta.
 
-    The collar's internal boundary circles have length eps0.
+    The collar's internal boundary circles have length eps0.  The modulus
+    is positive whenever delta <= eps0: it is at least (pi - 2)/eps0.
     """
     if not (0 < delta < math.inf and 0 < eps0 < math.inf):
         raise ValidationError(
             f"delta and eps0 must be positive and finite, got {delta}, {eps0}")
     if delta > eps0:
         raise NoCollarError(f"core length {delta} exceeds boundary length {eps0}")
-    m = math.pi / delta - 2.0 / eps0
-    if m <= 0:
-        raise NoCollarError(f"no collar: pi/{delta} <= 2/{eps0}")
-    return m
+    return math.pi / delta - 2.0 / eps0
 
 
 def flat_annulus_twist(ann: FlatAnnulus, y0: float, y1: float) -> float:

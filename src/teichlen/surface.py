@@ -10,12 +10,11 @@ as (intersection count, integer twist offset, core copies).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .errors import TwistUndefinedError, ValidationError
+from .errors import TwistUndefinedError, ValidationError, check_count
 
 CURVE = "curve"
 BOUNDARY = "boundary"
@@ -175,10 +174,9 @@ class Marking:
                 raise ValidationError(
                     f"expected {self.spec.pants_count} pants, got {len(dec.pants)}"
                 )
+            # the puncture count then matches too: 3 ends per pants, 2 per curve
             if len(boundary) != self.spec.boundary:
                 raise ValidationError("boundary component count mismatch")
-            if len(punctures) != self.spec.punctures:
-                raise ValidationError("puncture count mismatch")
 
     @property
     def curves(self) -> tuple[str, ...]:
@@ -327,8 +325,7 @@ def fn_dehn_twist(sigma: FNPoint, j: str, power: int) -> FNPoint:
     """Dehn twist about internal curve j: shifts the twist coordinate by power."""
     if j not in sigma.twists:
         raise ValidationError(f"cannot twist about {j!r}: no twist coordinate")
-    if not isinstance(power, numbers.Integral):
-        raise ValidationError(f"a Dehn twist power is an integer, got {power!r}")
+    check_count(power, "Dehn twist power", None)
     twists = dict(sigma.twists)
     twists[j] = twists[j] + power
     return FNPoint(sigma.lengths, twists)

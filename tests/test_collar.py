@@ -113,6 +113,11 @@ class TestCollarDecomposition:
         assert [a.curve for a in dec.thin] == ["b1"]
         assert dec.thin[0].peripheral
 
+    def test_annulus_of_a_thick_curve_rejected(self, genus2):
+        dec = collar_decomposition(genus2, genus2_point(l1=0.05))
+        with pytest.raises(ValidationError):
+            dec.annulus("g2")
+
 
 class TestPartialDecomposition:
     def test_full_subset_matches_collar_decomposition(self, genus2):

@@ -34,6 +34,7 @@ from teichlen import (
 
 from conftest import genus2_point
 from teichlen.distance import product_model
+from teichlen.distance import ProductPoint
 from teichlen.files import parse_surface
 from teichlen.surface import CURVE, Marking
 
@@ -142,7 +143,7 @@ class TestDefaultCurveFamily:
     @pytest.mark.parametrize("surface", ["genus2", "holed_torus", "punctured_torus"])
     @pytest.mark.parametrize("i_max, twist_bound", [(1, 0), (2, 3), (3, 1)])
     def test_patterns_group_the_members(self, request, surface, i_max, twist_bound):
-        # the block grouping of default_curve_family and the np.unique one
+        # the block grouping of default_curve_family and the one-pass one
         # of CurveFamily(members) both index each member's i-counts
         marking = request.getfixturevalue(surface)
         blocks = default_curve_family(marking, i_max, twist_bound)
@@ -583,3 +584,12 @@ class TestArgumentValidation:
         assert (product_region_discrepancy(sigma, tau, ["g1"], genus2)
                 == product_region_discrepancy(sigma, tau, ["g1"], genus2,
                                               family=default_curve_family(genus2)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ProductPoint(FNPoint({}, {}), ("g1",), ()),
+    lambda: annulus_ratio_check(0.0, 0.0, 0.0, 0.0, 1.0),
+], ids=["factor-count", "zero-height"])
+def test_invalid_product_inputs_rejected(call):
+    with pytest.raises(ValidationError):
+        call()

@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teichlen import (
     CollarParams,
@@ -335,6 +337,11 @@ class TestLambdaSurfaceEstimate:
         m = collar_modulus(0.05, 0.5)
         assert result.component_value("g1") == pytest.approx(4 * (m + 25 / m), rel=1e-12)
 
+    def test_unknown_component_rejected(self, genus2):
+        result = lambda_surface_estimate(core_curve(genus2, "g1"), genus2_point(), genus2)
+        with pytest.raises(ValidationError):
+            result.component_value("thick[nowhere]")
+
     def test_annulus_dominates_at_large_twist(self, genus2):
         sigma = genus2_point(l1=0.05, s1=0.0)
         beta = genus2_curve(i1=2, b1=60, i2=0)
@@ -435,3 +442,40 @@ def test_overflow_error_names_its_component(holed_torus):
     sigma = FNPoint({"g1": 0.05, "b1": 2000.0}, {"g1": 0.0})
     with pytest.raises(NumericDomainError, match=r"thick\[p\]"):
         lambda_surface_estimate(CurveSystem({"g1": (1, 0, 0)}), sigma, holed_torus)
+
+
+def orthogonality_identity(i_a, i_b, h, a, b):
+    """i_a^2 i_b^2 [(a - b)^2 + (ab + h^2)^2 / h^2], a sum of nonnegative terms."""
+    return i_a * i_a * i_b * i_b * ((a - b) ** 2 + (a * b + h * h) ** 2 / (h * h))
+
+
+class TestAnnulusOrthogonality:
+    """lambda(alpha) lambda(beta) for two curves crossing one annulus of height h.
+
+    With counts i_a, i_b and twists a, b the product is
+    i_a^2 i_b^2 [(a - b)^2 + (ab + h^2)^2 / h^2]: at least the squared
+    twist gap, with equality exactly when ab = -h^2, the paper's
+    t1 t2 = -m^2 for curves orthogonal in the annulus.
+    """
+
+    SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=300)
+
+    @SETTINGS
+    @given(h=st.floats(1e-3, 1e3), a=st.floats(-1e3, 1e3), b=st.floats(-1e3, 1e3),
+           i_a=st.integers(1, 4), i_b=st.integers(1, 4))
+    def test_lambda_annulus_product(self, h, a, b, i_a, i_b):
+        product = lambda_annulus(i_a, 0, h, a) * lambda_annulus(i_b, 0, h, b)
+        assert product == pytest.approx(orthogonality_identity(i_a, i_b, h, a, b), rel=1e-12)
+
+    @SETTINGS
+    @given(l1=st.floats(1e-4, 0.09), s=st.floats(-10.0, 10.0),
+           b_a=st.integers(-1000, 1000), b_b=st.integers(-1000, 1000))
+    def test_thin_annulus_rows_at_height_m_over_pi(self, genus2, l1, s, b_a, b_b):
+        sigma = genus2_point(l1=l1, s1=s)
+        dec = collar_decomposition(genus2, sigma)
+        family = CurveFamily([genus2_curve(i1=2, b1=b_a), genus2_curve(i1=2, b1=b_b)])
+        table = component_table(dec, sigma, family, modulus_unit=math.pi)
+        lam_a, lam_b = table[dec.labels.index(("g1", "annulus"))].tolist()
+        h = dec.annulus("g1").modulus / math.pi
+        identity = orthogonality_identity(2, 2, h, b_a + s, b_b + s)
+        assert lam_a * lam_b == pytest.approx(identity, rel=1e-12)

@@ -8,6 +8,7 @@ import pathlib
 import pytest
 
 from teichlen import ParseError
+from teichlen import ValidationError
 from teichlen import (
     UHPoint,
     default_curve_family,
@@ -34,6 +35,8 @@ FN_CORE = DATA / "genus2_core.fn"
 FN_TWISTED = DATA / "genus2_twisted.fn"
 FN_PINCHED = DATA / "genus2_pinched.fn"
 CURVES = DATA / "genus2_curves.crv"
+GENUS2 = SURFACE.read_text()
+FN = FN_THIN.read_text()
 
 
 def run_cli(*argv):
@@ -97,6 +100,41 @@ class TestFileRoundTrip:
         args = (text,) if parse is parse_surface else (text, parse_surface(self.GENUS2))
         with pytest.raises(ParseError, match=f"^line {line}: "):
             parse(*args)
+
+    @pytest.mark.parametrize("call, error, line", [
+        (lambda m: parse_surface("[surface]\ngenus 2\n"), ParseError, 2),
+        (lambda m: parse_surface(GENUS2.replace("pA = g1", "pA = ring:g1")), ParseError, 12),
+        (lambda m: parse_surface(GENUS2.replace("boundary = 0\n", "boundary = 0\nholes = 1\n")),
+         ParseError, 5),
+        (lambda m: parse_surface(GENUS2.replace("g1 = +", "g1 = up")), ParseError, 7),
+        (lambda m: parse_surface(GENUS2.replace("pA = g1 g2 g3", "pA = g1 g2")), ParseError, 12),
+        (lambda m: parse_surface(GENUS2 + "[extra]\n"), ParseError, 19),
+        (lambda m: serialize_surface(m.pinch(["g1"])), ValidationError, None),
+        (lambda m: parse_fn("[fn]\ng1 = x 0.0\n", m), ParseError, 2),
+        (lambda m: parse_fn(FN + '[curve "x"]\n', m), ParseError, 5),
+        (lambda m: parse_fn('[curve "x"]\n' + FN, m), ParseError, 1),
+        (lambda m: parse_fn("# empty\n", m), ParseError, None),
+        (lambda m: parse_fn(FN + "boundary:b1 = 1.0 2.0\n", m), ParseError, 5),
+        (lambda m: parse_fn("[fn]\ng1 = 0.01\n", m), ParseError, 2),
+        (lambda m: parse_curves('[curve "x"]\ng1 = 0 0 1\n\n[fn]\ng1 = 0.5 0.0\n', m),
+         ParseError, 4),
+        (lambda m: parse_curves("[curve]\ng1 = 0 0 1\n", m), ParseError, 1),
+        (lambda m: parse_curves('[curve "x"]\ng1 = 1\n', m), ParseError, 2),
+        (lambda m: parse_curves("# empty\n", m), ParseError, None),
+    ], ids=["no-equals", "end-kind", "surface-field", "orientation", "two-ends",
+            "surface-section", "serialize-derived", "fn-number", "fn-then-curve",
+            "curve-then-fn", "fn-empty", "fn-boundary-twist", "fn-no-twist", "curve-then-fn-section",
+            "curve-no-label", "curve-one-token", "curves-empty"])
+    def test_malformed_input_rejected(self, call, error, line):
+        # a whole-file error has no line; any other names the line at fault
+        with pytest.raises(error) as err:
+            call(parse_surface(self.GENUS2))
+        assert getattr(err.value, "line", None) == line
+
+    def test_fn_round_trip_with_a_boundary_length(self):
+        marking = parse_surface((DATA / "holed_torus.surf").read_text())
+        text = (DATA / "holed_torus.fn").read_text()
+        assert serialize_fn(parse_fn(text, marking), marking) == text
 
 
 class TestCliValidate:
@@ -333,11 +371,17 @@ class TestCliBadInput:
                     "--ladder", "1,10,100,1000,inf"), 3),
         (None, {}, ("instability", "--space", "euclidean:2", "--delta", "nan",
                     "--ladder", "1,10,100,1000,10000"), 3),
+        (None, {}, ("--family-b", "-1", "validate", str(SURFACE)), 3),
+        (None, {}, ("--budget", "0", "validate", str(SURFACE)), 3),
+        ("format = xml\n", {}, ("validate", str(SURFACE)), 3),
+        ("eps1 0.2\n", {}, ("validate", str(SURFACE)), 2),
+        (None, {}, ("product", str(SURFACE), str(FN_THIN), str(FN_CORE), "--gamma", ","), 3),
     ], ids=["missing-config", "config-not-a-number", "env-not-a-number",
             "config-torus_n", "config-family_i_max", "config-margulis",
             "config-repeated-key", "space-bad-size",
             "space-empty-size", "ladder-not-a-number",
-            "ladder-inf", "delta-nan"])
+            "ladder-inf", "delta-nan", "family-b-negative", "budget-zero",
+            "config-format-xml", "config-no-equals", "gamma-empty"])
     def test_exit_codes(self, tmp_path, monkeypatch, config_text, env, argv, code):
         argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
         if config_text is not None:
@@ -347,6 +391,19 @@ class TestCliBadInput:
         for key, value in env.items():
             monkeypatch.setenv(key, value)
         assert run_cli(*argv)[0] == code
+
+    @pytest.mark.parametrize("command, suffix, text, line", [
+        ("validate", ".surf", GENUS2.replace("boundary = 0\n", "boundary = 0\nholes = 1\n"), 5),
+        ("collar", ".fn", FN + '\n[curve "x"]\ng1 = 0 0 1\n', 6),
+        ("extremal", ".crv", '[curve "x"]\ng1 = 0 0 1\n\n[fn]\ng1 = 0.5 0.0\n', 4),
+    ], ids=["surface-field", "fn-then-curve", "curve-then-fn"])
+    def test_section_errors_name_their_line(self, tmp_path, capsys, command, suffix, text,
+                                            line):
+        bad = tmp_path / f"bad{suffix}"
+        bad.write_text(text)
+        paths = {"validate": [bad], "collar": [SURFACE, bad], "extremal": [SURFACE, FN_THIN, bad]}
+        assert run_cli(command, *map(str, paths[command]))[0] == 2
+        assert f"error: line {line}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["distance", "extremal"])
     def test_overflowing_curve_length_exits_4(self, tmp_path, command):

@@ -480,3 +480,12 @@ class TestTwistMin:
     def test_empty_rejected(self):
         with pytest.raises(NoCrossingsError):
             twist_min([])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: MobiusMap(1.0, 0.0, 0.0, 0.0),
+    lambda: project_ideal_to_axis(HGeodesic(0.0, INFTY), 1.0, UHPoint(0.0, 1.0), 0),
+], ids=["zero-determinant", "orientation-zero"])
+def test_invalid_maps_and_orientations_rejected(call):
+    with pytest.raises(ValidationError):
+        call()

@@ -445,6 +445,13 @@ class TestZoomRefinement:
         with pytest.raises(ValidationError):
             instability_lower_bound(space, 0.0, 1.0, budget=0)
 
+    def test_no_candidate_within_the_filters_gives_no_witness(self):
+        # the only candidate is longer than L = 1
+        candidate = (np.zeros(2), np.array([5.0, 0.0]), np.array([2.5, 1.0]))
+        space = dataclasses.replace(sup_product_space(2), random_triple=None,
+                                    witnesses=lambda delta, L: iter([candidate]))
+        assert instability_lower_bound(space, 0.0, 1.0, budget=10) == (0.0, None)
+
     def test_sample_off_the_half_plane_raises(self):
         # heights 1e-300 and 1e300: the geodesic circle's centre overflows
         space = hyp_product_space(1)
@@ -477,7 +484,12 @@ LADDER = [1.0, 10.0, 100.0, 1000.0, 10000.0]
     lambda: growth_rate_estimate(None, 0.0, LADDER, s_values=[1, 2, math.inf, 4, 5]),
     lambda: euclidean_instability_exact(math.nan, 1.0),
     lambda: euclidean_instability_exact(1.0, math.inf),
-], ids=["float-budget", "nan-s", "inf-s", "nan-delta", "inf-L"])
+    lambda: growth_rate_estimate(None, 0.0, LADDER),
+    lambda: growth_rate_estimate(None, 0.0, LADDER, s_values=[1, 2, 3]),
+    pytest.param(lambda: growth_rate_estimate(None, 0.0, LADDER, s_values=[0, 0, 0, 0, 5]),
+                 marks=pytest.mark.filterwarnings("ignore:s estimate vanished")),
+], ids=["float-budget", "nan-s", "inf-s", "nan-delta", "inf-L", "no-space", "short-s",
+        "one-nonzero-s"])
 def test_bad_arguments_raise_validation_error(call):
     with pytest.raises(ValidationError):
         call()

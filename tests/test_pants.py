@@ -408,3 +408,10 @@ class TestAnnulusArcCrossings:
     def test_non_finite_twists_rejected(self, t1, t2):
         with pytest.raises(ValidationError):
             annulus_arc_crossings(t1, t2)
+
+
+@pytest.mark.parametrize("cuffs", [(-1.0, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, math.inf)],
+                         ids=["negative", "nan", "inf"])
+def test_invalid_cuff_lengths_rejected(cuffs):
+    with pytest.raises(ValidationError):
+        PantsCuffs(*cuffs)

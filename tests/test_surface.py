@@ -1,5 +1,7 @@
 """Markings, Fenchel-Nielsen points, curve systems, and twist calculus."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from teichlen import (
     fn_dehn_twist,
 )
 from teichlen.surface import CURVE, PUNCTURE, End, Pants, PantsDecomposition
+from teichlen.surface import BOUNDARY
 
 from conftest import genus2_curve, genus2_point
 
@@ -229,3 +232,46 @@ class TestTwistCalculus:
 def test_curve_system_rejects_malformed_coordinates(coords):
     with pytest.raises(ValidationError):
         CurveSystem({"g1": coords})
+
+
+G1 = End(CURVE, "g1")
+TORUS = (Pants("p", (G1, G1, End(PUNCTURE, "cusp"))),)
+
+
+def two_pants(kind):
+    """Two pants glued along g1 whose first free ends share one name."""
+    return PantsDecomposition(("g1",), (Pants("pA", (G1, End(kind, "x"), End(kind, "y"))),
+                                        Pants("pB", (G1, End(kind, "x"), End(kind, "z")))))
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: End("ring", "x"),
+    lambda g: End(CURVE, ""),
+    lambda g: Pants("p", (G1, G1)),
+    lambda g: SurfaceSpec(2, punctures=-1),
+    lambda g: PantsDecomposition(("g1",), TORUS, (1, 1)),
+    lambda g: PantsDecomposition(("g1",), TORUS, (2,)),
+    lambda g: PantsDecomposition(("g1", "g1"), TORUS),
+    lambda g: PantsDecomposition(("g1",), TORUS + TORUS),
+    lambda g: Marking(PantsDecomposition(
+        ("g1",), (Pants("p", (G1, End(CURVE, "g2"), End(PUNCTURE, "cusp"))),)), {"g1": 0}),
+    lambda g: Marking(two_pants(BOUNDARY), {"g1": 0}),
+    lambda g: Marking(two_pants(PUNCTURE), {"g1": 0}),
+    lambda g: Marking(PantsDecomposition(("g1",), TORUS + (Pants("q", tuple(
+        End(PUNCTURE, name) for name in "xyz")),)), {"g1": 0}, SurfaceSpec(1, punctures=1)),
+    lambda g: Marking(PantsDecomposition(("g1",), TORUS), {"g1": 0}, SurfaceSpec(1, boundary=1)),
+    lambda g: FNPoint({"g1": 1.0}, {"g1": math.inf}),
+    lambda g: FNPoint({"g1": 1.0}, {"g1": 0.0}).length("g2"),
+    lambda g: FNPoint({"g1": 1.0}, {"g1": 0.0}).twist("g2"),
+    lambda g: FNPoint({"g1": 1.0, "g2": 1.0, "g3": 1.0}, {"g1": 0.0}).validate_for(g),
+    lambda g: CurveSystem({"g1": (0, 0, -1)}),
+    lambda g: CurveSystem({"g1": (0, 0, 1)}).validate_for(g),
+    lambda g: core_curve(g, "g4"),
+], ids=["end-kind", "end-name", "two-ends", "negative-count", "orientation-count",
+        "orientation-sign", "curve-name-twice", "pants-name-twice", "unknown-curve",
+        "boundary-twice", "puncture-twice", "pants-count", "boundary-count", "infinite-twist",
+        "no-length", "no-twist", "twists-mismatch", "negative-copies", "other-curves",
+        "core-of-unknown-curve"])
+def test_invalid_structures_rejected(genus2, call):
+    with pytest.raises(ValidationError):
+        call(genus2)
