@@ -7,6 +7,9 @@ NumericDomainError is reported on stderr and exits with the error's
 ``RunConfig``.  Each can be set by an environment variable with prefix
 ``TEICHLEN_`` and most by command-line flags; flags win over the
 environment, which wins over --config files, which win over defaults.
+A --config file is header-less ``key = value`` lines, read by
+``files.parse_sections`` with the comment and repeat rules of every
+input file, so a bad value names its line.
 Each command computes its result once and returns (header, rows, table
 lines); ``main`` alone writes them, as tab-separated rows under a
 ``#`` header for ``--format rows`` and as the table lines otherwise.
@@ -29,7 +32,7 @@ from .distance import (
 )
 from .errors import NumericDomainError, ParseError, ValidationError
 from .extremal import lambda_surface_estimate
-from .files import parse_curves, parse_fn, parse_surface
+from .files import parse_curves, parse_fn, parse_number, parse_sections, parse_surface
 from .instability import (
     euclidean_space,
     growth_rate_estimate,
@@ -71,33 +74,24 @@ class RunConfig:
 _KEYS = {f.name: type(f.default) for f in fields(RunConfig)}
 
 
-def _number(kind, text: str, what: str, error=ValidationError):
+def _number(kind, text: str, what: str):
     try:
-        return kind(text)
-    except ValueError:
-        noun = "an integer" if kind is int else "a number"
-        raise error(f"{what} must be {noun}, got {text!r}") from None
+        return parse_number(kind, text, None, what)
+    except ParseError as exc:  # a bad argument is invalid input, not unparsable text
+        raise ValidationError(str(exc)) from None
 
 
-def _coerce(key: str, value: str):
+def _coerce(key: str, value: str, line: int | None = None):
     if key not in _KEYS:
         raise ValidationError(f"unknown config key {key!r}")
-    return _number(_KEYS[key], value, key, ParseError)
+    return parse_number(_KEYS[key], value, line, key)
 
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
     values: dict = {}
     if path is not None:
-        for line_no, raw in enumerate(_read(path).splitlines(), start=1):
-            line = raw.split("#")[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError("config lines are 'key = value'", line_no)
-            key, _, value = (part.strip() for part in line.partition("="))
-            if key in values:
-                raise ParseError(f"repeated key {key!r}", line_no)
-            values[key] = _coerce(key, value)
+        ((_, _, _, rows),) = parse_sections(_read(path), {None: False})
+        values = {key: _coerce(key, value, line_no) for line_no, key, value in rows}
     for key in _KEYS:
         env = os.environ.get(ENV_PREFIX + key.upper())
         if env is not None:

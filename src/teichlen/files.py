@@ -1,15 +1,18 @@
-"""Line-oriented text formats for surfaces, coordinates, and curves.
+"""Line-oriented text formats for surfaces, coordinates, curves and run settings.
 
-Sections are ``[surface]``, ``[curves]``, ``[pants]``, ``[seams]`` (the
-surface file), ``[fn]`` (a coordinate file), and ``[curve "<name>"]``
-(curve files, one section per curve system).  Lines are ``key = values``
-with ``#`` comments.  Serialization is canonical: parsing a canonical
-file and re-serializing reproduces it byte for byte.
+This module alone knows how a text file is laid out: a run of sections of
+``key = value`` lines with ``#`` comments.  Surface files hold ``[surface]``,
+``[curves]``, ``[pants]`` and ``[seams]``; coordinate files one ``[fn]``;
+curve files one ``[curve "<name>"]`` per curve system; config files have no
+header.  Only ``curve`` headers take a label, and every section a format
+lists must appear.  Serialization is canonical: parsing a canonical file
+and re-serializing reproduces it byte for byte.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 
 from .errors import ParseError, ValidationError
 from .surface import (
@@ -34,50 +37,65 @@ def _strip(line: str) -> str:
     return line.strip()
 
 
-def parse_sections(text: str) -> list[tuple[int, str, str | None, list[tuple[int, str, str]]]]:
-    """Split a file into (header line_no, section, label, [(line_no, key, value), ...]).
+def parse_sections(text: str, layout: dict) -> Iterator[tuple]:
+    """Yield (header line_no, section, label, [(line_no, key, value), ...]) in file order.
 
-    A section header repeated with the same label, or a key repeated within
-    one section, is an error at its line rather than a silent overwrite.
+    ``layout`` maps each allowed section to whether its header carries a
+    label; the key None stands for lines before any header.  An unknown
+    section, a missing or stray label, or a repeated header or key is an
+    error at its line; a listed section the file lacks is an error of the
+    file.  Each section is yielded as it ends, so errors come in file order.
     """
-    sections, headers = [], set()
-    current = None
+    seen, keys = set(), set()
+    current = (None, None, None, [])
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = _strip(raw)
         if not line:
             continue
         match = _SECTION_RE.match(line)
         if match:
-            if match.groups() in headers:
+            if current[1] in layout:
+                yield current
+            section, label = match.groups()
+            if section not in layout:
+                raise ParseError(f"unexpected section {line}", line_no)
+            if layout[section] != (label is not None):
+                raise ParseError(f"[{section}] {'needs a' if layout[section] else 'takes no'} label",
+                                 line_no)
+            if (section, label) in seen:
                 raise ParseError(f"repeated section {line}", line_no)
-            headers.add(match.groups())
-            current, keys, header = (line_no, *match.groups(), []), set(), line
-            sections.append(current)
+            seen.add((section, label))
+            current, keys = (line_no, section, label, []), set()
             continue
-        if current is None:
+        if current[1] not in layout:
             raise ParseError("content before any section header", line_no)
         if "=" not in line:
             raise ParseError(f"expected 'key = value', got {line!r}", line_no)
         key, _, value = (part.strip() for part in line.partition("="))
         if key in keys:
-            raise ParseError(f"repeated key {key!r} in {header}", line_no)
+            raise ParseError(f"repeated key {key!r}", line_no)
         keys.add(key)
         current[3].append((line_no, key, value))
-    return sections
+    if current[1] in layout:
+        yield current
+    missing = set(layout) - {section for section, _ in seen} - {None}
+    if missing:
+        raise ParseError(f"missing sections {sorted(missing)}")
 
 
-def _parse_int(value: str, line_no: int) -> int:
+def format_sections(sections) -> str:
+    """Canonical text of (header, [(key, value), ...]) pairs, a blank line between sections."""
+    return "\n\n".join("\n".join([f"[{header}]", *(f"{key} = {value}" for key, value in rows)])
+                       for header, rows in sections) + "\n"
+
+
+def parse_number(kind, value: str, line: int | None, what: str):
+    """``kind(value)``; a ParseError at ``line`` naming ``what`` if it is not a ``kind``."""
     try:
-        return int(value)
+        return kind(value)
     except ValueError:
-        raise ParseError(f"expected an integer, got {value!r}", line_no) from None
-
-
-def _parse_float(value: str, line_no: int) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ParseError(f"expected a number, got {value!r}", line_no) from None
+        noun = "an integer" if kind is int else "a number"
+        raise ParseError(f"{what} must be {noun}, got {value!r}", line) from None
 
 
 def _parse_end(token: str, line_no: int) -> End:
@@ -95,10 +113,10 @@ def parse_surface(text: str) -> Marking:
     curve_rows: list[tuple[str, int]] = []
     pants_rows: list[Pants] = []
     seams: dict[str, int] = {}
-    seen = set()
-    for header, section, label, rows in parse_sections(text):
+    layout = dict.fromkeys(("surface", "curves", "pants", "seams"), False)
+    for _, section, _, rows in parse_sections(text, layout):
         if section == "surface":
-            fields = {key: _parse_int(value, ln) for ln, key, value in rows}
+            fields = {key: parse_number(int, value, ln, key) for ln, key, value in rows}
             extra = [(ln, key) for ln, key, _ in rows
                      if key not in ("genus", "punctures", "boundary")]
             if extra:
@@ -121,15 +139,9 @@ def parse_surface(text: str) -> Marking:
                     raise ParseError("each pants needs exactly 3 ends", line_no)
                 ends = tuple(_parse_end(t, line_no) for t in tokens)
                 pants_rows.append(Pants(name, ends))
-        elif section == "seams":
+        else:  # seams
             for line_no, name, value in rows:
-                seams[name] = _parse_int(value, line_no)
-        else:
-            raise ParseError(f"unknown section [{section}] in surface file", header)
-        seen.add(section)
-    missing = {"surface", "curves", "pants", "seams"} - seen
-    if missing:
-        raise ParseError(f"surface file is missing sections {sorted(missing)}")
+                seams[name] = parse_number(int, value, line_no, name)
     decomposition = PantsDecomposition(
         tuple(name for name, _ in curve_rows),
         tuple(pants_rows),
@@ -143,86 +155,59 @@ def serialize_surface(marking: Marking) -> str:
     if spec is None:
         raise ValidationError("cannot serialize a derived marking without a spec")
     dec = marking.decomposition
-    lines = ["[surface]"]
-    lines.append(f"genus = {spec.genus}")
-    lines.append(f"punctures = {spec.punctures}")
-    lines.append(f"boundary = {spec.boundary}")
-    lines.append("")
-    lines.append("[curves]")
-    for name, orientation in zip(dec.curves, dec.orientations):
-        lines.append(f"{name} = {'+' if orientation == 1 else '-'}")
-    lines.append("")
-    lines.append("[pants]")
-    for pants in dec.pants:
-        lines.append(f"{pants.name} = " + " ".join(str(e) for e in pants.ends))
-    lines.append("")
-    lines.append("[seams]")
-    for name in dec.curves:
-        lines.append(f"{name} = {marking.seams[name]}")
-    return "\n".join(lines) + "\n"
+    return format_sections([
+        ("surface", [("genus", spec.genus), ("punctures", spec.punctures),
+                     ("boundary", spec.boundary)]),
+        ("curves", [(name, "+" if orientation == 1 else "-")
+                    for name, orientation in zip(dec.curves, dec.orientations)]),
+        ("pants", [(pants.name, " ".join(str(e) for e in pants.ends)) for pants in dec.pants]),
+        ("seams", [(name, marking.seams[name]) for name in dec.curves]),
+    ])
 
 
 def parse_fn(text: str, marking: Marking) -> FNPoint:
     """Parse an [fn] file against a marking."""
     lengths: dict[str, float] = {}
     twists: dict[str, float] = {}
-    sections = parse_sections(text)
-    if [section for _, section, _, _ in sections] != ["fn"]:
-        # at the first section other than a leading [fn]; an empty file has none
-        stray = sections[1:] if sections and sections[0][1] == "fn" else sections
-        raise ParseError("coordinate file must contain exactly one [fn] section",
-                         stray[0][0] if stray else None)
-    for line_no, key, value in sections[0][3]:
+    ((_, _, _, rows),) = parse_sections(text, {"fn": False})
+    for line_no, key, value in rows:
         tokens = value.split()
         if key.startswith(f"{BOUNDARY}:"):
             if len(tokens) != 1:
                 raise ParseError("boundary entries carry a single length", line_no)
-            lengths[key.partition(":")[2]] = _parse_float(tokens[0], line_no)
+            lengths[key.partition(":")[2]] = parse_number(float, tokens[0], line_no, key)
         else:
             if len(tokens) != 2:
                 raise ParseError("curve entries are '<length> <twist>'", line_no)
-            lengths[key] = _parse_float(tokens[0], line_no)
-            twists[key] = _parse_float(tokens[1], line_no)
+            lengths[key], twists[key] = [parse_number(float, token, line_no, key)
+                                         for token in tokens]
     return FNPoint(lengths, twists).validate_for(marking)
 
 
 def serialize_fn(point: FNPoint, marking: Marking) -> str:
-    lines = ["[fn]"]
-    for name in marking.curves:
-        lines.append(f"{name} = {point.length(name)!r} {point.twist(name)!r}")
-    for name in marking.decomposition.boundary_names():
-        lines.append(f"{BOUNDARY}:{name} = {point.length(name)!r}")
-    return "\n".join(lines) + "\n"
+    rows = [(name, f"{point.length(name)!r} {point.twist(name)!r}") for name in marking.curves]
+    rows += [(f"{BOUNDARY}:{name}", repr(point.length(name)))
+             for name in marking.decomposition.boundary_names()]
+    return format_sections([("fn", rows)])
 
 
 def parse_curves(text: str, marking: Marking) -> dict[str, CurveSystem]:
     """Parse a curve file: one [curve "name"] section per system."""
     systems: dict[str, CurveSystem] = {}
-    for header, section, label, rows in parse_sections(text):
-        if section != "curve" or not label:
-            raise ParseError('curve files contain only [curve "<name>"] sections', header)
+    for _, _, label, rows in parse_sections(text, {"curve": True}):
         data = {name: (0, 0, 0) for name in marking.curves}
         for line_no, key, value in rows:
             tokens = value.split()
             if len(tokens) not in (2, 3):
                 raise ParseError("curve entries are '<i> <b>' or '<i> <b> <n>'", line_no)
-            i = _parse_int(tokens[0], line_no)
-            b = _parse_int(tokens[1], line_no)
-            n = _parse_int(tokens[2], line_no) if len(tokens) == 3 else 0
-            data[key] = (i, b, n)
+            counts = [parse_number(int, token, line_no, key) for token in tokens]
+            data[key] = (*counts, 0) if len(counts) == 2 else tuple(counts)
         systems[label] = CurveSystem(data).validate_for(marking)
-    if not systems:
-        raise ParseError("curve file contains no curve sections")
     return systems
 
 
 def serialize_curves(systems: dict[str, CurveSystem], marking: Marking) -> str:
-    blocks = []
-    for label in sorted(systems):
-        beta = systems[label]
-        lines = [f'[curve "{label}"]']
-        for name in marking.curves:
-            i, b, n = beta.data[name]
-            lines.append(f"{name} = {i} {b} {n}")
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + "\n"
+    return format_sections(
+        (f'curve "{label}"', [(name, " ".join(map(str, systems[label].data[name])))
+                              for name in marking.curves])
+        for label in sorted(systems))

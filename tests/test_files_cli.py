@@ -121,10 +121,14 @@ class TestFileRoundTrip:
         (lambda m: parse_curves("[curve]\ng1 = 0 0 1\n", m), ParseError, 1),
         (lambda m: parse_curves('[curve "x"]\ng1 = 1\n', m), ParseError, 2),
         (lambda m: parse_curves("# empty\n", m), ParseError, None),
+        (lambda m: parse_fn(FN.replace("[fn]", '[fn "x"]'), m), ParseError, 1),
+        (lambda m: parse_surface(GENUS2.replace("[pants]", '[pants "x"]')), ParseError, 11),
+        (lambda m: parse_surface(GENUS2.replace("[surface]", '[surface "s"]')), ParseError, 1),
     ], ids=["no-equals", "end-kind", "surface-field", "orientation", "two-ends",
             "surface-section", "serialize-derived", "fn-number", "fn-then-curve",
             "curve-then-fn", "fn-empty", "fn-boundary-twist", "fn-no-twist", "curve-then-fn-section",
-            "curve-no-label", "curve-one-token", "curves-empty"])
+            "curve-no-label", "curve-one-token", "curves-empty", "fn-label", "pants-label",
+            "surface-label"])
     def test_malformed_input_rejected(self, call, error, line):
         # a whole-file error has no line; any other names the line at fault
         with pytest.raises(error) as err:
@@ -396,12 +400,14 @@ class TestCliBadInput:
         ("validate", ".surf", GENUS2.replace("boundary = 0\n", "boundary = 0\nholes = 1\n"), 5),
         ("collar", ".fn", FN + '\n[curve "x"]\ng1 = 0 0 1\n', 6),
         ("extremal", ".crv", '[curve "x"]\ng1 = 0 0 1\n\n[fn]\ng1 = 0.5 0.0\n', 4),
-    ], ids=["surface-field", "fn-then-curve", "curve-then-fn"])
+        ("--config", ".cfg", "# a config value that is not a number\neps1 = abc\n", 2),
+    ], ids=["surface-field", "fn-then-curve", "curve-then-fn", "config-not-a-number"])
     def test_section_errors_name_their_line(self, tmp_path, capsys, command, suffix, text,
                                             line):
         bad = tmp_path / f"bad{suffix}"
         bad.write_text(text)
         paths = {"validate": [bad], "collar": [SURFACE, bad], "extremal": [SURFACE, FN_THIN, bad]}
+        paths["--config"] = [bad, "validate", SURFACE]
         assert run_cli(command, *map(str, paths[command]))[0] == 2
         assert f"error: line {line}: " in capsys.readouterr().err
 
