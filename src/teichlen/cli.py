@@ -19,6 +19,7 @@ lines); ``main`` alone writes them, as tab-separated rows under a
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -245,6 +246,7 @@ _COMMANDS = (
 )
 
 
+@functools.cache  # built once per process: building it cost more than a validate run
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="teichlen",

@@ -65,7 +65,11 @@ class TwistSpreadWarning(UserWarning):
 
 
 def check_count(value, what: str, minimum: int | None = 0) -> None:
-    """Raise ValidationError unless value is an integer >= minimum (any integer for None)."""
-    if not (isinstance(value, numbers.Integral) and (minimum is None or value >= minimum)):
+    """Raise ValidationError unless value is an integer >= minimum (any integer for None).
+
+    ``bool`` is an ``Integral`` but never a count: ``True`` is rejected too.
+    """
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and (minimum is None or value >= minimum)):
         bound = "" if minimum is None else f" >= {minimum}"
         raise ValidationError(f"{what} must be an integer{bound}, got {value!r}")

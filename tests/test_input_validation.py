@@ -32,7 +32,7 @@ SPACES = {"euclidean": euclidean_space, "supprod": sup_product_space,
           "hyp-product": hyp_product_space}
 
 
-@pytest.mark.parametrize("size", [2.0, "2", 0, -1, None])
+@pytest.mark.parametrize("size", [2.0, "2", 0, -1, None, True])
 @pytest.mark.parametrize("kind", sorted(SPACES))
 def test_space_size_checked_at_construction(kind, size):
     with pytest.raises(ValidationError):
@@ -45,7 +45,10 @@ def test_space_size_checked_at_construction(kind, size):
     lambda: lambda_annulus(1.5, 0, 1.0, 0.0),
     lambda: lambda_annulus(0, 0.5, 1.0),
     lambda: fn_dehn_twist(FNPoint({"g1": 1.0}, {"g1": 0.0}), "g1", 0.5),
-], ids=["arc-fraction", "arc-float", "annulus-crossings", "annulus-cores", "dehn-twist"])
+    lambda: fn_dehn_twist(FNPoint({"g1": 1.0}, {"g1": 0.0}), "g1", True),
+    lambda: arc_multiplicities(True, True, 0),
+], ids=["arc-fraction", "arc-float", "annulus-crossings", "annulus-cores", "dehn-twist",
+        "dehn-twist-bool", "arc-bool"])
 def test_non_integer_counts_rejected(call):
     with pytest.raises(ValidationError):
         call()
