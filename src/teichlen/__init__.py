@@ -31,13 +31,9 @@ from .distance import (
 from .errors import (
     DegenerateHexagonError,
     NoCollarError,
-    NoCrossingsError,
-    NotCrossingError,
     NumericDomainError,
     ParseError,
-    ProjectionUndefinedError,
     TeichlenError,
-    TwistSpreadWarning,
     TwistUndefinedError,
     ValidationError,
 )
@@ -52,18 +48,12 @@ from .extremal import (
     lambda_thick,
 )
 from .halfplane import (
-    HGeodesic,
-    INFTY,
-    MobiusMap,
     TorusLattice,
     UHPoint,
     geodesic_point,
     hyp_distance,
     k_ratio_sup,
-    project_ideal_to_axis,
     torus_extremal_length,
-    twist_min,
-    twist_prime,
 )
 from .instability import (
     BetweennessWitness,

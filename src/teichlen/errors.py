@@ -36,18 +36,6 @@ class NumericDomainError(TeichlenError):
     exit_code = 4
 
 
-class ProjectionUndefinedError(NumericDomainError):
-    """Orthogonal projection of an ideal point onto a geodesic it bounds."""
-
-
-class NotCrossingError(NumericDomainError):
-    """Two geodesics were required to cross transversally but do not."""
-
-
-class NoCrossingsError(NumericDomainError):
-    """A twist was requested for a curve pair with no intersections."""
-
-
 class DegenerateHexagonError(NumericDomainError):
     """Alternating side lengths do not bound a right-angled hexagon."""
 
@@ -58,10 +46,6 @@ class NoCollarError(NumericDomainError):
 
 class TwistUndefinedError(NumericDomainError):
     """Twist estimate requested where the curve misses the pants curve."""
-
-
-class TwistSpreadWarning(UserWarning):
-    """Per-crossing twists spread wider than the conjugation bound allows."""
 
 
 def check_count(value, what: str, minimum: int | None = 0) -> None:

@@ -1,44 +1,18 @@
 """Exact geometry in the upper half-plane model.
 
 Distances carry the factor 1/2 used for Teichmueller distance, so
-``hyp_distance`` is half of the textbook hyperbolic distance.  Ideal
-boundary points are floats: the boundary circle R u {inf} has a single
-point at infinity, ``INFTY``, which is ``math.inf``.  ``-math.inf`` names
-the same point and is stored as ``INFTY``; nan raises ValidationError.
-A ``UHPoint`` is a complex number, so Moebius maps act on it directly.
+``hyp_distance`` is half of the textbook hyperbolic distance.  A
+``UHPoint`` is a complex number, so Moebius maps act on it directly.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    NoCrossingsError,
-    NotCrossingError,
-    ProjectionUndefinedError,
-    TwistSpreadWarning,
-    ValidationError,
-)
-
-
-INFTY = math.inf  # the one point at infinity of R u {inf}; -inf names it too
-_ON_AXIS_TOL = 1e-9  # relative offset at which an origin is off its axis
-_SPREAD_TOL = 1e-9  # rounding allowance on the twist-spread bound 1
-
-
-def _check_ideal(xi: float) -> float:
-    try:
-        value = float(xi)
-    except (TypeError, ValueError):
-        value = math.nan
-    if math.isnan(value):
-        raise ValidationError(f"an ideal point is a finite float or INFTY, not {xi!r}")
-    return abs(value) if math.isinf(value) else value
+from .errors import ValidationError
 
 
 class UHPoint(complex):
@@ -63,20 +37,6 @@ class UHPoint(complex):
 
 
 @dataclass(frozen=True)
-class HGeodesic:
-    """Complete geodesic given by two distinct ideal endpoints."""
-
-    e0: float
-    e1: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "e0", _check_ideal(self.e0))
-        object.__setattr__(self, "e1", _check_ideal(self.e1))
-        if self.e0 == self.e1:
-            raise ValidationError("geodesic endpoints must be distinct")
-
-
-@dataclass(frozen=True)
 class TorusLattice:
     """Oriented lattice basis (alpha, beta) with Im(beta * conj(alpha)) > 0."""
 
@@ -90,61 +50,6 @@ class TorusLattice:
     @property
     def area(self) -> float:
         return (self.beta * self.alpha.conjugate()).imag
-
-
-@dataclass(frozen=True)
-class MobiusMap:
-    """Real Moebius map z -> (az+b)/(cz+d) with ad - bc > 0."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-
-    def __post_init__(self):
-        if not self.det > 0:
-            raise ValidationError("Moebius map must have positive determinant")
-
-    @property
-    def det(self) -> float:
-        return self.a * self.d - self.b * self.c
-
-    def normalized(self) -> "MobiusMap":
-        s = math.sqrt(self.det)
-        return MobiusMap(self.a / s, self.b / s, self.c / s, self.d / s)
-
-    def apply(self, z: UHPoint) -> UHPoint:
-        w = (self.a * z + self.b) / (self.c * z + self.d)
-        return UHPoint(w.real, w.imag)
-
-    def apply_ideal(self, xi: float) -> float:
-        if math.isinf(xi):
-            if self.c == 0:
-                return INFTY
-            return self.a / self.c
-        denom = self.c * xi + self.d
-        if denom == 0:
-            return INFTY
-        return (self.a * xi + self.b) / denom
-
-    def apply_geodesic(self, g: HGeodesic) -> HGeodesic:
-        return HGeodesic(self.apply_ideal(g.e0), self.apply_ideal(g.e1))
-
-    @classmethod
-    def to_zero_infinity(cls, p: float, q: float) -> "MobiusMap":
-        """The orientation-preserving map sending p -> 0 and q -> infinity."""
-        p = _check_ideal(p)
-        q = _check_ideal(q)
-        if p == q:
-            raise ValidationError("endpoints must be distinct")
-        if p == INFTY:
-            # z -> -1/(z - q)
-            return cls(0.0, -1.0, 1.0, -q)
-        if q == INFTY:
-            return cls(1.0, -p, 0.0, 1.0)
-        if p < q:
-            return cls(1.0, -p, -1.0, q)
-        return cls(1.0, -p, 1.0, -q)
 
 
 def _sinh_distance(z1: UHPoint, z2: UHPoint) -> float:
@@ -225,77 +130,3 @@ def torus_extremal_length(lat: TorusLattice, u: float, v: float) -> float:
         raise ValidationError("(u, v) must be nonzero")
     return _lattice_extremal_length(lat, u, v)
 
-
-def _axis_chart(axis: HGeodesic, origin: UHPoint, orientation: int):
-    """Normalize so the axis is (0, infinity) oriented upward.
-
-    Returns the chart map and log-height of the origin, which fixes the
-    zero of the arclength coordinate along the axis.
-    """
-    if orientation not in (-1, 1):
-        raise ValidationError("orientation must be +1 or -1")
-    tail, head = (axis.e0, axis.e1) if orientation == 1 else (axis.e1, axis.e0)
-    m = MobiusMap.to_zero_infinity(tail, head)
-    w0 = m.apply(origin)
-    if abs(w0.x) > _ON_AXIS_TOL * w0.y:
-        raise ValidationError("origin does not lie on the axis")
-    return m, math.log(w0.y)
-
-
-def project_ideal_to_axis(axis: HGeodesic, xi: float, origin: UHPoint,
-                          orientation: int = 1) -> float:
-    """Signed arclength position of the orthogonal projection of ideal xi.
-
-    Positions run along the axis, zero at origin, increasing toward the
-    endpoint the orientation selects.  Projection of an axis endpoint
-    escapes to infinity and raises ProjectionUndefinedError.
-    """
-    m, log_y0 = _axis_chart(axis, origin, orientation)
-    w = m.apply_ideal(_check_ideal(xi))
-    if math.isinf(w) or w == 0.0:
-        raise ProjectionUndefinedError("ideal point is an endpoint of the axis")
-    return math.log(abs(w)) - log_y0
-
-
-def twist_prime(axis: HGeodesic, ell: float, crossing: HGeodesic,
-                origin: UHPoint, orientation: int = 1) -> float:
-    """Signed twisting number of a crossing geodesic about an oriented axis.
-
-    Equals (position of right endpoint - position of left endpoint) / ell,
-    sides taken relative to the axis orientation.  Invariant under Moebius
-    conjugation of both geodesics and under sliding along the axis.
-    """
-    if not 0 < ell < math.inf:
-        raise ValidationError(f"translation length must be positive and finite, got {ell}")
-    m, log_y0 = _axis_chart(axis, origin, orientation)
-    w0 = m.apply_ideal(crossing.e0)
-    w1 = m.apply_ideal(crossing.e1)
-    for w in (w0, w1):
-        if math.isinf(w) or w == 0.0:
-            raise NotCrossingError("geodesics share an ideal endpoint")
-    if (w0 > 0) == (w1 > 0):
-        raise NotCrossingError("geodesic endpoints do not separate the axis endpoints")
-    w_right, w_left = (w0, w1) if w0 > 0 else (w1, w0)
-    pos_right = math.log(w_right) - log_y0
-    pos_left = math.log(-w_left) - log_y0
-    return (pos_right - pos_left) / ell
-
-
-def twist_min(values: Sequence[float]) -> float:
-    """Minimum of per-crossing twists; warns if their spread exceeds 1.
-
-    Twists measured at different crossings of the same pair differ by at
-    most 1, so a wider spread indicates inconsistent inputs.
-    """
-    if len(values) == 0:
-        raise NoCrossingsError("no crossings supplied")
-    if not all(map(math.isfinite, values)):
-        raise ValidationError(f"twists must be finite, got {list(values)}")
-    spread = max(values) - min(values)
-    if spread > 1.0 + _SPREAD_TOL:
-        warnings.warn(
-            f"twist spread {spread:.6g} exceeds the conjugation bound 1",
-            TwistSpreadWarning,
-            stacklevel=2,
-        )
-    return min(values)

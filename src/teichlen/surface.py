@@ -277,7 +277,8 @@ class CurveSystem:
             coords = self.data[name]
             try:
                 i, b, n = (int(x) for x in coords)
-                exact = (i, b, n) == tuple(coords)
+                exact = ((i, b, n) == tuple(coords)
+                         and not any(isinstance(x, bool) for x in coords))
             except (TypeError, ValueError, OverflowError):  # not three finite numbers
                 exact = False
             if not exact:
@@ -334,6 +335,7 @@ def fn_dehn_twist(sigma: FNPoint, j: str, power: int) -> FNPoint:
 def curve_dehn_twist(beta: CurveSystem, j: str, power: int) -> CurveSystem:
     """Dehn twist acting on a curve system: offsets b_j by power when i_j > 0."""
     i, b, n = beta._entry(j)
+    check_count(power, "Dehn twist power", None)
     if i == 0:
         return beta
     data = dict(beta.data)
@@ -357,6 +359,7 @@ def core_curve(marking: Marking, j: str, copies: int = 1) -> CurveSystem:
     """Curve system consisting of parallel copies of the core of pants curve j."""
     if j not in marking.curves:
         raise ValidationError(f"unknown pants curve {j!r}")
+    check_count(copies, "core copies")
     data = {name: (0, 0, 0) for name in marking.curves}
     data[j] = (0, 0, copies)
     return CurveSystem(data)

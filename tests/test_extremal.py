@@ -24,6 +24,7 @@ from teichlen import (
     core_curve,
     default_curve_family,
     empty_curve,
+    estimated_twist,
     fn_dehn_twist,
     lambda_annulus,
     lambda_surface_estimate,
@@ -479,3 +480,21 @@ class TestAnnulusOrthogonality:
         h = dec.annulus("g1").modulus / math.pi
         identity = orthogonality_identity(2, 2, h, b_a + s, b_b + s)
         assert lam_a * lam_b == pytest.approx(identity, rel=1e-12)
+
+    @pytest.mark.parametrize("s1", [0.0, 0.37, -0.25])
+    @pytest.mark.parametrize("l1", [1e-2, 1e-3, 1e-4])
+    def test_surface_estimate_tight_at_the_orthogonal_twist(self, genus2, l1, s1):
+        # beta crosses a thin g1 twice at twist t1 = f m, alpha at -m^2 / t1;
+        # with I = sum i_a i_b max(0, |t_a - t_b| - 2), the product
+        # lambda(alpha) lambda(beta) / I^2 stays in [1, 1.0065] here
+        sigma = genus2_point(l1=l1, s1=s1)
+        m = collar_decomposition(genus2, sigma).annulus("g1").modulus
+        for f in (1 / 30, 1 / 10, 1 / 3, 1, 3, 10, 30):
+            beta = genus2_curve(i1=2, b1=round(f * m - s1))
+            t1 = estimated_twist(beta, sigma, "g1")
+            alpha = genus2_curve(i1=2, b1=round(-m * m / t1 - s1))
+            gap = abs(estimated_twist(alpha, sigma, "g1") - t1)
+            crossings = 4 * max(0.0, gap - 2)
+            product = (lambda_surface_estimate(alpha, sigma, genus2).value
+                       * lambda_surface_estimate(beta, sigma, genus2).value)
+            assert 1.0 <= product / crossings ** 2 <= 1.01

@@ -1,5 +1,5 @@
-"""Upper half-plane oracles: distances, the quadratic-ratio sup, torus
-lengths, projections, and twisting numbers."""
+"""Upper half-plane oracles: distances, geodesic points, the
+quadratic-ratio sup and torus lengths."""
 
 import math
 
@@ -10,23 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from teichlen import (
-    HGeodesic,
-    INFTY,
-    MobiusMap,
-    NoCrossingsError,
-    NotCrossingError,
-    ProjectionUndefinedError,
     TorusLattice,
-    TwistSpreadWarning,
     UHPoint,
     ValidationError,
     geodesic_point,
     hyp_distance,
     k_ratio_sup,
-    project_ideal_to_axis,
     torus_extremal_length,
-    twist_min,
-    twist_prime,
 )
 from teichlen.halfplane import geodesic_distances
 
@@ -38,6 +28,7 @@ def random_point(rng, x_range=2.0, y_low=0.2, y_high=5.0):
 
 
 def random_mobius(rng):
+    """Coefficients (a, b, c, d) of a real Moebius map with ad - bc = 1."""
     while True:
         a, b, c, d = rng.normal(size=4)
         det = a * d - b * c
@@ -45,7 +36,14 @@ def random_mobius(rng):
             break
     if det < 0:
         a, b, c, d = c, d, a, b
-    return MobiusMap(a, b, c, d).normalized()
+    s = math.sqrt(abs(det))
+    return a / s, b / s, c / s, d / s
+
+
+def mobius(a, b, c, d, z):
+    """The image (az + b)/(cz + d) of a half-plane point, as a UHPoint."""
+    w = (a * z + b) / (c * z + d)
+    return UHPoint(w.real, w.imag)
 
 
 class TestHypDistance:
@@ -76,7 +74,7 @@ class TestHypDistance:
         for _ in range(200):
             z1, z2 = random_point(rng), random_point(rng)
             m = random_mobius(rng)
-            assert hyp_distance(m.apply(z1), m.apply(z2)) == pytest.approx(
+            assert hyp_distance(mobius(*m, z1), mobius(*m, z2)) == pytest.approx(
                 hyp_distance(z1, z2), abs=1e-10
             )
 
@@ -336,156 +334,7 @@ class TestGeodesicPoint:
             )
 
 
-class TestIdealPoints:
-    """R u {inf} has one point at infinity: the float INFTY, also named by -inf."""
-
-    def test_infty_is_the_float_infinity(self):
-        assert INFTY == math.inf
-        assert HGeodesic(0.0, -math.inf) == HGeodesic(0.0, INFTY)
-        assert HGeodesic(-math.inf, 2.0).e0 == INFTY
-
-    @pytest.mark.parametrize("e0, e1", [(INFTY, INFTY), (INFTY, -math.inf), (1.5, 1.5)])
-    def test_equal_endpoints_rejected(self, e0, e1):
-        with pytest.raises(ValidationError):
-            HGeodesic(e0, e1)
-
-    @pytest.mark.parametrize("e0, e1", [(math.nan, 0.0), (0.0, math.nan)])
-    def test_nan_endpoint_rejected(self, e0, e1):
-        with pytest.raises(ValidationError):
-            HGeodesic(e0, e1)
-
-    def test_mobius_maps_infinity(self):
-        m = MobiusMap(2.0, 1.0, 1.0, 1.0)
-        assert m.apply_ideal(INFTY) == m.apply_ideal(-math.inf) == 2.0
-        assert m.apply_ideal(-1.0) == INFTY
-        assert MobiusMap(2.0, 1.0, 0.0, 1.0).apply_ideal(INFTY) == INFTY
-        with pytest.raises(ValidationError):
-            MobiusMap.to_zero_infinity(INFTY, -math.inf)
-
+class TestMobiusAction:
     def test_point_is_its_own_complex(self):
         z = UHPoint(1.0, 2.0)
-        assert MobiusMap(1.0, 3.0, 0.0, 1.0).apply(z) == complex(z) + 3.0
-
-
-class TestProjectIdealToAxis:
-    AXIS = HGeodesic(0.0, INFTY)
-
-    def test_symmetric_point(self):
-        assert project_ideal_to_axis(self.AXIS, -1.0, I) == pytest.approx(0.0, abs=1e-12)
-
-    def test_positive_point(self):
-        assert project_ideal_to_axis(self.AXIS, 2.0, I) == pytest.approx(
-            math.log(2), abs=1e-12
-        )
-
-    def test_unit_point(self):
-        assert project_ideal_to_axis(self.AXIS, 1.0, I) == pytest.approx(0.0, abs=1e-12)
-
-    def test_orientation_flip(self):
-        assert project_ideal_to_axis(self.AXIS, 2.0, I, orientation=-1) == pytest.approx(
-            -math.log(2), abs=1e-12
-        )
-
-    def test_endpoint_rejected(self):
-        with pytest.raises(ProjectionUndefinedError):
-            project_ideal_to_axis(self.AXIS, 0.0, I)
-        with pytest.raises(ProjectionUndefinedError):
-            project_ideal_to_axis(self.AXIS, INFTY, I)
-
-    def test_origin_off_axis_rejected(self):
-        with pytest.raises(ValidationError):
-            project_ideal_to_axis(self.AXIS, 2.0, UHPoint(1.0, 1.0))
-
-    def test_mobius_equivariance(self):
-        rng = np.random.default_rng(7)
-        for _ in range(100):
-            xi = rng.uniform(0.1, 10.0)
-            pos = project_ideal_to_axis(self.AXIS, xi, I)
-            m = random_mobius(rng)
-            moved = project_ideal_to_axis(
-                m.apply_geodesic(self.AXIS), m.apply_ideal(xi), m.apply(I)
-            )
-            assert moved == pytest.approx(pos, abs=1e-9)
-
-
-class TestTwistPrime:
-    AXIS = HGeodesic(0.0, INFTY)
-
-    def test_orthogonal_crossing(self):
-        assert twist_prime(self.AXIS, 1.0, HGeodesic(-1.0, 1.0), I) == pytest.approx(
-            0.0, abs=1e-12
-        )
-
-    def test_asymmetric_crossing(self):
-        assert twist_prime(self.AXIS, 1.0, HGeodesic(-1.0, 2.0), I) == pytest.approx(
-            math.log(2), abs=1e-12
-        )
-
-    def test_translation_invariance(self):
-        # image of (-1, 2) under z -> 4z
-        assert twist_prime(self.AXIS, 1.0, HGeodesic(-4.0, 8.0), I) == pytest.approx(
-            math.log(2), abs=1e-12
-        )
-
-    def test_scaling_by_length(self):
-        assert twist_prime(self.AXIS, 2.0, HGeodesic(-1.0, 2.0), I) == pytest.approx(
-            0.5 * math.log(2), abs=1e-12
-        )
-
-    def test_orientation_reversal_invariance(self):
-        crossing = HGeodesic(-3.0, 5.0)
-        forward = twist_prime(self.AXIS, 1.0, crossing, I, orientation=1)
-        backward = twist_prime(self.AXIS, 1.0, crossing, I, orientation=-1)
-        assert forward == pytest.approx(backward, abs=1e-12)
-
-    def test_mobius_conjugation_invariance(self):
-        rng = np.random.default_rng(8)
-        for _ in range(100):
-            crossing = HGeodesic(rng.uniform(-10, -0.1), rng.uniform(0.1, 10))
-            value = twist_prime(self.AXIS, 1.7, crossing, I)
-            m = random_mobius(rng)
-            moved = twist_prime(
-                m.apply_geodesic(self.AXIS),
-                1.7,
-                m.apply_geodesic(crossing),
-                m.apply(I),
-            )
-            assert moved == pytest.approx(value, abs=1e-9)
-
-    def test_non_crossing_rejected(self):
-        with pytest.raises(NotCrossingError):
-            twist_prime(self.AXIS, 1.0, HGeodesic(1.0, 2.0), I)
-        with pytest.raises(NotCrossingError):
-            twist_prime(self.AXIS, 1.0, HGeodesic(0.0, 2.0), I)
-
-
-class TestTwistMin:
-    def test_singleton(self):
-        assert twist_min([0.4]) == 0.4
-
-    def test_minimum(self):
-        assert twist_min([0.4, 1.1]) == 0.4
-
-    def test_spread_warning(self):
-        with pytest.warns(TwistSpreadWarning):
-            assert twist_min([0.0, 1.5]) == 0.0
-
-    def test_no_warning_at_bound(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert twist_min([0.0, 1.0]) == 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(NoCrossingsError):
-            twist_min([])
-
-
-@pytest.mark.parametrize("call", [
-    lambda: MobiusMap(1.0, 0.0, 0.0, 0.0),
-    lambda: project_ideal_to_axis(HGeodesic(0.0, INFTY), 1.0, UHPoint(0.0, 1.0), 0),
-], ids=["zero-determinant", "orientation-zero"])
-def test_invalid_maps_and_orientations_rejected(call):
-    with pytest.raises(ValidationError):
-        call()
+        assert mobius(1.0, 3.0, 0.0, 1.0, z) == complex(z) + 3.0

@@ -5,16 +5,18 @@ import math
 import pytest
 
 from teichlen import (
+    CurveSystem,
     FlatAnnulus,
     FNPoint,
-    HGeodesic,
-    INFTY,
     TorusLattice,
     UHPoint,
     ValidationError,
     annulus_ratio_check,
     arc_multiplicities,
     collar_modulus,
+    core_curve,
+    curve_dehn_twist,
+    default_curve_family,
     distortion_transfer_check,
     euclidean_space,
     flat_annulus_twist,
@@ -24,9 +26,10 @@ from teichlen import (
     lambda_annulus,
     sup_product_space,
     torus_extremal_length,
-    twist_min,
-    twist_prime,
+    torus_family_estimate,
 )
+
+from conftest import genus2_curve, make_genus2_marking
 
 SPACES = {"euclidean": euclidean_space, "supprod": sup_product_space,
           "hyp-product": hyp_product_space}
@@ -39,6 +42,10 @@ def test_space_size_checked_at_construction(kind, size):
         SPACES[kind](size)
 
 
+GENUS2 = make_genus2_marking()
+Z = UHPoint(0.0, 1.0)
+
+
 @pytest.mark.parametrize("call", [
     lambda: arc_multiplicities(1.5, 0.5, 0),
     lambda: arc_multiplicities(2.0, 1, 1),
@@ -47,34 +54,38 @@ def test_space_size_checked_at_construction(kind, size):
     lambda: fn_dehn_twist(FNPoint({"g1": 1.0}, {"g1": 0.0}), "g1", 0.5),
     lambda: fn_dehn_twist(FNPoint({"g1": 1.0}, {"g1": 0.0}), "g1", True),
     lambda: arc_multiplicities(True, True, 0),
+    lambda: curve_dehn_twist(genus2_curve(), "g1", "abc"),
+    lambda: curve_dehn_twist(genus2_curve(), "g1", None),
+    lambda: curve_dehn_twist(genus2_curve(), "g1", math.nan),
+    lambda: curve_dehn_twist(genus2_curve(i1=2), "g1", True),
+    lambda: core_curve(GENUS2, "g1", True),
+    lambda: CurveSystem({"g1": (True, 0, 0)}),
+    lambda: default_curve_family(GENUS2, True),
+    lambda: default_curve_family(GENUS2, 2, 1.5),
+    lambda: torus_family_estimate(Z, Z, True),
 ], ids=["arc-fraction", "arc-float", "annulus-crossings", "annulus-cores", "dehn-twist",
-        "dehn-twist-bool", "arc-bool"])
+        "dehn-twist-bool", "arc-bool", "curve-dehn-twist-missed-str",
+        "curve-dehn-twist-missed-None", "curve-dehn-twist-missed-nan",
+        "curve-dehn-twist-bool", "core-copies-bool", "curve-coordinate-bool",
+        "family-i_max-bool", "family-twist_bound-float", "torus-family-bool"])
 def test_non_integer_counts_rejected(call):
     with pytest.raises(ValidationError):
         call()
-
-
-AXIS = HGeodesic(0.0, INFTY)
 
 
 @pytest.mark.parametrize("call", [
     lambda: hexagon_side(math.nan, 1.0, 1.0),
     lambda: FlatAnnulus(math.inf, 1.0),
     lambda: annulus_ratio_check(0.0, 0.0, math.inf, 0.0, 1.0),
-    lambda: twist_prime(AXIS, math.inf, HGeodesic(-1.0, 1.0), UHPoint(0.0, 1.0)),
-    lambda: twist_min([math.nan, 1.0]),
     lambda: distortion_transfer_check({(0.0, 1.0): 0.0}, {(0.0, 1.0): 0.0}, math.nan),
     lambda: torus_extremal_length(TorusLattice(1, 1j), math.nan, 1.0),
     lambda: torus_extremal_length(TorusLattice(1, 1j), math.inf, 1.0),
     lambda: flat_annulus_twist(FlatAnnulus(1, 1), math.nan, 0.0),
-    lambda: HGeodesic("a", 0.0),
-    lambda: HGeodesic(None, 0.0),
     lambda: collar_modulus(math.inf, 0.5),
     lambda: collar_modulus(0.1, math.inf),
-], ids=["hexagon_side", "FlatAnnulus", "annulus_ratio_check", "twist_prime",
-        "twist_min", "distortion_transfer_check", "torus_extremal_length-nan",
-        "torus_extremal_length-inf", "flat_annulus_twist", "HGeodesic-str",
-        "HGeodesic-None", "collar_modulus-core", "collar_modulus-eps0"])
+], ids=["hexagon_side", "FlatAnnulus", "annulus_ratio_check", "distortion_transfer_check",
+        "torus_extremal_length-nan", "torus_extremal_length-inf", "flat_annulus_twist",
+        "collar_modulus-core", "collar_modulus-eps0"])
 def test_non_finite_kernel_input_rejected(call):
     with pytest.raises(ValidationError, match="finite"):
         call()

@@ -1,5 +1,6 @@
 """Product-point metric space over a fixed pinched base."""
 
+import pathlib
 import random
 
 import numpy as np
@@ -17,7 +18,9 @@ from teichlen import (
     segment_distance,
 )
 from teichlen.distance import ProductPoint
+from teichlen.files import parse_surface
 
+DATA = pathlib.Path(__file__).resolve().parent.parent / "demos" / "data"
 LADDER = [0.3, 3.0, 30.0, 100.0, 300.0]
 
 
@@ -113,3 +116,15 @@ def test_a_malformed_point_rejected(genus2):
             space.segment_distances([(x, y, other)], np.full((1, 3), 0.5))
         with pytest.raises(ValidationError):
             segment_distance(space, x, y, other)
+
+
+def test_bordered_surface_base_and_single_factor():
+    # one pinched curve: the space is one half-plane, whose geodesics are unique
+    marking = parse_surface((DATA / "holed_torus.surf").read_text())
+    space = pi_image_space(marking)
+    x, y, _ = space.random_triple(random.Random(78), 0.1, 2.0)
+    assert x.base.lengths["b1"] == 1.0
+    assert space.distance(x, y) == pytest.approx(
+        hyp_distance(x.factors[0], y.factors[0]), rel=1e-12, abs=0.0)
+    value, _ = instability_lower_bound(space, 0.0, 4.0, budget=20, seed=1)
+    assert value <= 1e-6
