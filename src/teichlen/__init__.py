@@ -14,7 +14,6 @@ from .collar import (
     ThickComponent,
     ThinAnnulus,
     collar_decomposition,
-    partial_decomposition,
 )
 from .distance import (
     DiscrepancyReport,
@@ -45,7 +44,6 @@ from .extremal import (
     arc_multiplicities,
     lambda_annulus,
     lambda_surface_estimate,
-    lambda_thick,
 )
 from .halfplane import (
     TorusLattice,

@@ -4,14 +4,14 @@ A pants curve is thin when its length is at most eps1; its collar gets
 internal boundary circles of length eps0 and modulus pi/l - 2/eps0.
 Only pants curves (and boundary components) can be thin in this model,
 so inputs should use a decomposition adapted to the intended thin locus.
-Thick components merge one set per pants across every uncut glued curve.
+``collar_decomposition``, the one constructor, cuts every thin pants curve;
+thick components merge one set per pants across every uncut glued curve.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import NumericDomainError, ValidationError
 from .pants import collar_modulus
@@ -108,43 +108,13 @@ def _annulus(curve: str, sigma: FNPoint, params: CollarParams,
     return ThinAnnulus(curve, length, m, peripheral=peripheral)
 
 
-def _thin_sets(marking: Marking, sigma: FNPoint, params: CollarParams):
-    internal = {c for c in marking.curves if sigma.length(c) <= params.eps1}
-    peripheral = {
-        b for b in marking.decomposition.boundary_names()
-        if sigma.length(b) <= params.eps1
-    }
-    return internal, peripheral
-
-
 def collar_decomposition(marking: Marking, sigma: FNPoint,
                          params: CollarParams = DEFAULT_PARAMS) -> CollarDecomposition:
     """Split the marked surface into thin collars and thick components."""
     sigma.validate_for(marking)
-    return _decomposition(marking, sigma, params, *_thin_sets(marking, sigma, params))
-
-
-def partial_decomposition(marking: Marking, sigma: FNPoint, params: CollarParams,
-                          subset: Iterable[str]) -> CollarDecomposition:
-    """Decomposition that keeps only the selected thin annuli.
-
-    ``subset`` must consist of curves that are thin for sigma; the thick
-    components merge across the unselected thin curves.
-    """
-    sigma.validate_for(marking)
-    subset = set(subset)
-    internal, peripheral = _thin_sets(marking, sigma, params)
-    stray = subset - internal - peripheral
-    if stray:
-        raise ValidationError(f"curves {sorted(stray)} are not thin for this point")
-    return _decomposition(marking, sigma, params, subset & internal, subset & peripheral)
-
-
-def _decomposition(marking: Marking, sigma: FNPoint, params: CollarParams,
-                   internal: set[str], peripheral: set[str]) -> CollarDecomposition:
-    """Thin annuli around the given curves; thick components cut along the internal ones."""
-    thin = tuple(
-        [_annulus(c, sigma, params, False) for c in sorted(internal)]
-        + [_annulus(b, sigma, params, True) for b in sorted(peripheral)]
-    )
-    return CollarDecomposition(marking, params, thin, _components(marking, internal))
+    internal = sorted(c for c in marking.curves if sigma.length(c) <= params.eps1)
+    peripheral = sorted(b for b in marking.decomposition.boundary_names()
+                        if sigma.length(b) <= params.eps1)
+    thin = tuple([_annulus(c, sigma, params, False) for c in internal]
+                 + [_annulus(b, sigma, params, True) for b in peripheral])
+    return CollarDecomposition(marking, params, thin, _components(marking, set(internal)))

@@ -57,3 +57,8 @@ def check_count(value, what: str, minimum: int | None = 0) -> None:
             and (minimum is None or value >= minimum)):
         bound = "" if minimum is None else f" >= {minimum}"
         raise ValidationError(f"{what} must be an integer{bound}, got {value!r}")
+
+
+def is_real(value) -> bool:
+    """True for a real number that is not a ``bool``; numpy scalars count."""
+    return type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)

@@ -14,12 +14,13 @@ A ``CurveFamily`` stores its curve systems by column, each distinct
 pattern when it is built, in one pass over the members.  It also owns
 the arc multiplicities of its patterns in each pants curve-end triple,
 worked out on first use and kept, since they do not depend on the point.
-``component_table`` computes the contributions of a whole family at one
-point, for the distance estimator and, with a one-member family, for the
-``lambda_*`` estimators: annulus and twist-travel terms once per cell,
-and per pattern a thick arc sum of count * d over the point's
-orthogeodesic rows, each gathered by member.  A thin annulus is evaluated
-at height m / modulus_unit: 1 here, pi in the distance estimator.
+``component_table``, the one place contributions are computed, takes a
+whole family at one point over the point's collar decomposition: for the
+distance estimator, and with a one-member family for
+``lambda_surface_estimate``.  It computes annulus and twist-travel terms
+once per cell, and per pattern a thick arc sum of count * d over the
+point's orthogeodesic rows, each gathered by member.  A thin annulus is
+evaluated at height m / modulus_unit: 1 here, pi in the distance estimator.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .collar import (
     DEFAULT_PARAMS,
     CollarDecomposition,
     CollarParams,
-    ThickComponent,
     collar_decomposition,
 )
 from .errors import NumericDomainError, ValidationError, check_count
@@ -236,18 +236,6 @@ def component_table(decomposition: CollarDecomposition, sigma: FNPoint,
     return table
 
 
-def lambda_thick(component: ThickComponent, beta: CurveSystem, sigma: FNPoint,
-                 marking: Marking, params: CollarParams = DEFAULT_PARAMS) -> float:
-    """Thick contribution: square of the length proxy of beta inside the component.
-
-    Core components parallel to a thin cuff contribute nothing here; they
-    are counted by the annulus term alone.
-    """
-    beta.validate_for(marking)
-    single = CollarDecomposition(marking, params, (), (component,))
-    return float(component_table(single, sigma, CurveFamily((beta,)))[0, 0])
-
-
 @dataclass(frozen=True)
 class ComponentLength:
     """Labeled contribution of one decomposition component."""
@@ -270,20 +258,14 @@ class EstimateResult:
 
 
 def lambda_surface_estimate(beta: CurveSystem, sigma: FNPoint, marking: Marking,
-                            params: CollarParams = DEFAULT_PARAMS,
-                            decomposition: CollarDecomposition | None = None,
-                            ) -> EstimateResult:
-    """Surface extremal-length estimate: max over decomposition components.
+                            params: CollarParams = DEFAULT_PARAMS) -> EstimateResult:
+    """Surface extremal-length estimate: max over collar decomposition components.
 
-    Returns the maximum together with the per-component breakdown.  When
-    ``decomposition`` is omitted the full collar decomposition of sigma
-    is used; a partial decomposition gives the coarser estimate.  The
-    decomposition's own params set the moderate-cuff threshold.
+    Returns the maximum together with the per-component breakdown, over
+    the collar decomposition of sigma under params.
     """
     beta.validate_for(marking)
-    sigma.validate_for(marking)
-    if decomposition is None:
-        decomposition = collar_decomposition(marking, sigma, params)
+    decomposition = collar_decomposition(marking, sigma, params)
     values = component_table(decomposition, sigma, CurveFamily((beta,)))[:, 0].tolist()
     rows = tuple(
         ComponentLength(component, kind, value)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, is_real
 
 
 class UHPoint(complex):
@@ -28,8 +28,10 @@ class UHPoint(complex):
     y = complex.imag
 
     def __new__(cls, x: float, y: float):
-        if not (y > 0 and math.isfinite(x) and math.isfinite(y)):
-            raise ValidationError(f"not an upper half-plane point: ({x}, {y})")
+        # two floats skip the isinstance tests: most points are built from floats
+        if not ((type(x) is type(y) is float or is_real(x) and is_real(y))
+                and y > 0 and math.isfinite(x) and math.isfinite(y)):
+            raise ValidationError(f"not an upper half-plane point: ({x!r}, {y!r})")
         return super().__new__(cls, x, y)
 
     def __repr__(self):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .errors import TwistUndefinedError, ValidationError, check_count
+from .errors import TwistUndefinedError, ValidationError, check_count, is_real
 
 CURVE = "curve"
 BOUNDARY = "boundary"
@@ -230,11 +230,11 @@ class FNPoint:
         object.__setattr__(self, "lengths", _sorted_proxy(self.lengths))
         object.__setattr__(self, "twists", _sorted_proxy(self.twists))
         for name, value in self.lengths.items():
-            if not (value > 0 and math.isfinite(value)):
-                raise ValidationError(f"length of {name} must be positive, got {value}")
+            if not (is_real(value) and value > 0 and math.isfinite(value)):
+                raise ValidationError(f"length of {name} must be a positive number, got {value!r}")
         for name, value in self.twists.items():
-            if not math.isfinite(value):
-                raise ValidationError(f"twist of {name} must be finite")
+            if not (is_real(value) and math.isfinite(value)):
+                raise ValidationError(f"twist of {name} must be a finite number, got {value!r}")
 
     def length(self, name: str) -> float:
         try:
@@ -276,21 +276,18 @@ class CurveSystem:
         for name in sorted(self.data):
             coords = self.data[name]
             try:
-                i, b, n = (int(x) for x in coords)
-                exact = ((i, b, n) == tuple(coords)
-                         and not any(isinstance(x, bool) for x in coords))
-            except (TypeError, ValueError, OverflowError):  # not three finite numbers
-                exact = False
-            if not exact:
+                i, b, n = coords
+            except (TypeError, ValueError):  # not three values
                 raise ValidationError(f"coordinates on {name} must be three integers, "
-                                      f"got {coords!r}")
-            if i < 0 or n < 0:
-                raise ValidationError(f"negative counts on {name}")
+                                      f"got {coords!r}") from None
+            check_count(i, f"intersection count on {name}")
+            check_count(b, f"twist offset on {name}", None)
+            check_count(n, f"core count on {name}")
             if i > 0 and n != 0:
                 raise ValidationError(
                     f"curve {name}: core copies require zero intersection"
                 )
-            clean[name] = (i, b, n)
+            clean[name] = (int(i), int(b), int(n))
         object.__setattr__(self, "data", MappingProxyType(clean))
 
     def _entry(self, name: str) -> tuple[int, int, int]:

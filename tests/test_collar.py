@@ -13,7 +13,6 @@ from teichlen import (
     ValidationError,
     collar_decomposition,
     collar_modulus,
-    partial_decomposition,
 )
 
 from conftest import genus2_point, fn_point
@@ -117,32 +116,3 @@ class TestCollarDecomposition:
         dec = collar_decomposition(genus2, genus2_point(l1=0.05))
         with pytest.raises(ValidationError):
             dec.annulus("g2")
-
-
-class TestPartialDecomposition:
-    def test_full_subset_matches_collar_decomposition(self, genus2):
-        sigma = genus2_point(l1=0.05, l2=0.05, l3=0.8)
-        full = collar_decomposition(genus2, sigma)
-        partial = partial_decomposition(genus2, sigma, full.params, {"g1", "g2"})
-        assert partial.thin == full.thin
-        assert partial.thick == full.thick
-
-    def test_empty_subset(self, genus2):
-        sigma = genus2_point(l1=0.05, l2=0.05, l3=0.05)
-        partial = partial_decomposition(genus2, sigma, CollarParams(), set())
-        assert partial.thin == ()
-        assert len(partial.thick) == 1
-        assert partial.thick[0].pants == ("pA", "pB")
-
-    def test_proper_subset_merges(self, genus2):
-        sigma = genus2_point(l1=0.05, l2=0.05, l3=0.05)
-        partial = partial_decomposition(genus2, sigma, CollarParams(), {"g1"})
-        assert partial.thin_curves() == ("g1",)
-        assert len(partial.thick) == 1
-        # the unselected thin curves stay inside the merged component
-        assert partial.thick[0].internal_cuffs == ("g2", "g3")
-
-    def test_non_thin_subset_rejected(self, genus2):
-        sigma = genus2_point(l1=0.05, l2=1.2, l3=0.8)
-        with pytest.raises(ValidationError):
-            partial_decomposition(genus2, sigma, CollarParams(), {"g2"})

@@ -24,7 +24,6 @@ from teichlen import (
     hyp_distance,
     k_ratio_sup,
     kerckhoff_distance_estimate,
-    lambda_surface_estimate,
     pi_map,
     pi_map_inverse,
     product_distance,
@@ -35,6 +34,7 @@ from teichlen import (
 from conftest import genus2_point
 from teichlen.distance import product_model
 from teichlen.distance import ProductPoint
+from teichlen.extremal import component_table
 from teichlen.files import parse_surface
 from teichlen.surface import CURVE, Marking
 
@@ -277,8 +277,8 @@ class TestKerckhoffDistanceEstimate:
                                             family, genus2)
 
     def test_agrees_with_surface_estimate_at_height_m_over_pi(self, genus2):
-        # reference: ratio sup of lambda_surface_estimate over collar
-        # decompositions whose thin moduli are divided by pi
+        # reference: ratio sup of the per-member max over components of
+        # collar decompositions whose thin moduli are divided by pi
         family = default_curve_family(genus2, i_max=1, twist_bound=2)
         rng = np.random.default_rng(44)
 
@@ -297,10 +297,8 @@ class TestKerckhoffDistanceEstimate:
             d_sigma, d_tau = scaled(sigma), scaled(tau)
             sup = 1.0
             for beta in family:
-                a = lambda_surface_estimate(beta, sigma, genus2,
-                                            decomposition=d_sigma).value
-                b = lambda_surface_estimate(beta, tau, genus2,
-                                            decomposition=d_tau).value
+                a = component_table(d_sigma, sigma, CurveFamily((beta,))).max()
+                b = component_table(d_tau, tau, CurveFamily((beta,))).max()
                 if a > 0.0 and b > 0.0:
                     sup = max(sup, a / b, b / a)
             assert kerckhoff_distance_estimate(sigma, tau, family, genus2) == (

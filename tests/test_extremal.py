@@ -28,9 +28,7 @@ from teichlen import (
     fn_dehn_twist,
     lambda_annulus,
     lambda_surface_estimate,
-    lambda_thick,
     pants_orthogeodesics,
-    partial_decomposition,
 )
 from teichlen.extremal import component_table
 
@@ -146,7 +144,8 @@ class TestLambdaThick:
     def test_disjoint_curve_contributes_zero(self, genus2):
         sigma = genus2_point(l1=0.05)
         dec = collar_decomposition(genus2, sigma)
-        assert lambda_thick(dec.thick[0], core_curve(genus2, "g1"), sigma, genus2) == 0.0
+        assert lambda_surface_estimate(core_curve(genus2, "g1"), sigma, genus2).component_value(
+            dec.thick[0].component_id) == 0.0
 
     def test_single_pants_arc(self, punctured_torus):
         # one arc crossing g1 inside the self-glued pants with cuffs (l, l, 0)
@@ -156,7 +155,8 @@ class TestLambdaThick:
         beta = CurveSystem({"g1": (1, 0, 0)})
         dec = collar_decomposition(punctured_torus, sigma)
         ortho = pants_orthogeodesics(PantsCuffs(2.0, 2.0, 0.0))
-        value = lambda_thick(dec.thick[0], beta, sigma, punctured_torus)
+        value = lambda_surface_estimate(beta, sigma, punctured_torus).component_value(
+            dec.thick[0].component_id)
         assert value == pytest.approx(ortho.d12 ** 2, rel=1e-12)
 
     def test_doubling_multiplies_by_four(self, genus2):
@@ -164,8 +164,9 @@ class TestLambdaThick:
         dec = collar_decomposition(genus2, sigma)
         beta = genus2_curve(i1=2, b1=1, i2=2, b2=-1)
         doubled = genus2_curve(i1=4, b1=1, i2=4, b2=-1)
-        one = lambda_thick(dec.thick[0], beta, sigma, genus2)
-        four = lambda_thick(dec.thick[0], doubled, sigma, genus2)
+        thick = dec.thick[0].component_id
+        one = lambda_surface_estimate(beta, sigma, genus2).component_value(thick)
+        four = lambda_surface_estimate(doubled, sigma, genus2).component_value(thick)
         assert four == 4.0 * one
 
     def test_twist_travel_term(self, genus2):
@@ -175,8 +176,9 @@ class TestLambdaThick:
         dec = collar_decomposition(genus2, sigma)
         beta0 = genus2_curve(i1=2, b1=0, i2=2)
         beta5 = genus2_curve(i1=2, b1=5, i2=2)
-        l0 = math.sqrt(lambda_thick(dec.thick[0], beta0, sigma, genus2))
-        l5 = math.sqrt(lambda_thick(dec.thick[0], beta5, sigma, genus2))
+        thick = dec.thick[0].component_id
+        l0 = math.sqrt(lambda_surface_estimate(beta0, sigma, genus2).component_value(thick))
+        l5 = math.sqrt(lambda_surface_estimate(beta5, sigma, genus2).component_value(thick))
         assert l5 - l0 == pytest.approx(5 * 0.6 * 2, rel=1e-12)
 
 
@@ -396,39 +398,6 @@ class TestLambdaSurfaceEstimate:
                 * lambda_surface_estimate(beta2, sigma, genus2).value
             )
             assert product >= (i1 * i2 * (dt - 1)) ** 2 - 1e-9
-
-    def test_partial_decomposition_consistency(self, genus2):
-        # estimates from full and partial decompositions agree within a
-        # bounded multiplicative factor on crossing curves
-        rng = np.random.default_rng(43)
-        params = CollarParams()
-        worst = 1.0
-        for _ in range(100):
-            lengths = np.exp(rng.uniform(np.log(2e-3), np.log(1.5), size=3))
-            sigma = genus2_point(*lengths, *rng.uniform(-2, 2, size=3))
-            i_choices = [(2, 0, 0), (2, 2, 0), (2, 2, 2), (0, 2, 2)]
-            i1, i2, i3 = i_choices[rng.integers(0, len(i_choices))]
-            beta = genus2_curve(
-                i1=i1, b1=int(rng.integers(-3, 4)),
-                i2=i2, b2=int(rng.integers(-3, 4)),
-                i3=i3, b3=int(rng.integers(-3, 4)),
-            )
-            full_dec = collar_decomposition(genus2, sigma, params)
-            thin = set(full_dec.thin_curves())
-            full = lambda_surface_estimate(beta, sigma, genus2, params).value
-            if full == 0.0:
-                continue
-            for r in range(len(thin) + 1):
-                for subset in itertools.combinations(sorted(thin), r):
-                    dec = partial_decomposition(genus2, sigma, params, set(subset))
-                    partial = lambda_surface_estimate(
-                        beta, sigma, genus2, params, decomposition=dec
-                    ).value
-                    if partial == 0.0:
-                        continue
-                    ratio = max(full / partial, partial / full)
-                    worst = max(worst, ratio)
-        assert worst <= 50.0
 
 
 @pytest.mark.parametrize("args", [(1, 0, math.inf, 1.0), (0, 1, math.inf, None),

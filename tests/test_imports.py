@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used by its module."""
+"""Every module-level import in the package is used by its module, and
+only ``collar`` builds a ``CollarDecomposition``."""
 
 import ast
 import pathlib
@@ -26,6 +27,19 @@ def unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def decomposition_constructions(path: pathlib.Path) -> list[tuple[str, str]]:
+    """(module, top-level definition) of each ``CollarDecomposition(...)`` call."""
+    return [(path.stem, getattr(top, "name", "<module>"))
+            for top in ast.parse(path.read_text()).body for node in ast.walk(top)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "CollarDecomposition"]
+
+
+def test_only_collar_decomposition_builds_a_decomposition():
+    sites = [site for path in MODULES for site in decomposition_constructions(path)]
+    assert sites == [("collar", "collar_decomposition")]
 
 
 def test_unused_import_detected():

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from teichlen import (
@@ -60,6 +61,9 @@ Z = UHPoint(0.0, 1.0)
     lambda: curve_dehn_twist(genus2_curve(i1=2), "g1", True),
     lambda: core_curve(GENUS2, "g1", True),
     lambda: CurveSystem({"g1": (True, 0, 0)}),
+    lambda: CurveSystem({"g1": (2.0, 0, 0)}),
+    lambda: CurveSystem({"g1": (2, 0.0, 0)}),
+    lambda: CurveSystem({"g1": (np.True_, 0, 0)}),
     lambda: default_curve_family(GENUS2, True),
     lambda: default_curve_family(GENUS2, 2, 1.5),
     lambda: torus_family_estimate(Z, Z, True),
@@ -67,6 +71,7 @@ Z = UHPoint(0.0, 1.0)
         "dehn-twist-bool", "arc-bool", "curve-dehn-twist-missed-str",
         "curve-dehn-twist-missed-None", "curve-dehn-twist-missed-nan",
         "curve-dehn-twist-bool", "core-copies-bool", "curve-coordinate-bool",
+        "curve-coordinate-float-i", "curve-coordinate-float-b", "curve-coordinate-numpy-bool",
         "family-i_max-bool", "family-twist_bound-float", "torus-family-bool"])
 def test_non_integer_counts_rejected(call):
     with pytest.raises(ValidationError):
@@ -89,3 +94,25 @@ def test_non_integer_counts_rejected(call):
 def test_non_finite_kernel_input_rejected(call):
     with pytest.raises(ValidationError, match="finite"):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: UHPoint("a", 1.0),
+    lambda: UHPoint(0.0, None),
+    lambda: UHPoint(True, 1.0),
+    lambda: FNPoint({"g1": "1"}, {"g1": 0.0}),
+    lambda: FNPoint({"g1": True}, {"g1": 0.0}),
+    lambda: FNPoint({"g1": 1.0}, {"g1": "0"}),
+], ids=["UHPoint-str-x", "UHPoint-None-y", "UHPoint-bool-x", "FNPoint-str-length",
+        "FNPoint-bool-length", "FNPoint-str-twist"])
+def test_non_number_point_coordinates_rejected(call):
+    with pytest.raises(ValidationError):
+        call()
+
+
+def test_numpy_coordinates_accepted():
+    assert UHPoint(np.float64(0.5), np.int64(2)) == complex(0.5, 2.0)
+    point = FNPoint({"g1": np.float64(0.5)}, {"g1": np.int64(1)})
+    assert (point.length("g1"), point.twist("g1")) == (0.5, 1)
+    beta = CurveSystem({"g1": (np.int64(2), np.int64(-1), 0)})
+    assert [type(x) for x in beta.data["g1"]] == [int, int, int]  # stored as plain ints
