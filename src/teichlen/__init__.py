@@ -21,6 +21,7 @@ from .distance import (
     annulus_ratio_check,
     default_curve_family,
     kerckhoff_distance_estimate,
+    pair_curve_family,
     pi_map,
     pi_map_inverse,
     product_distance,

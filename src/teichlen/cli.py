@@ -26,9 +26,8 @@ from dataclasses import dataclass, fields
 
 from .collar import CollarParams, collar_decomposition
 from .distance import (
-    CurveFamily,
-    default_curve_family,
     kerckhoff_distance_estimate,
+    pair_curve_family,
     product_region_discrepancy,
 )
 from .errors import NumericDomainError, ParseError, ValidationError
@@ -52,7 +51,6 @@ class RunConfig:
     eps0: float = 0.5
     eps1: float = 0.1
     ell0: float = 10.0  # largest admissible boundary length
-    family_b: int = 8
     seed: int = 0
     budget: int = 400
     format: str = "table"
@@ -60,8 +58,6 @@ class RunConfig:
     def __post_init__(self):
         if not self.ell0 > 0:
             raise ValidationError("ell0 must be positive")
-        if self.family_b < 0:
-            raise ValidationError("family_b must be nonnegative")
         if self.budget < 1:
             raise ValidationError("budget must be positive")
         if self.format not in ("table", "rows"):
@@ -176,14 +172,11 @@ def cmd_extremal(args, config: RunConfig) -> tuple:
     return ["curve", "component", "kind", "value"], rows, lines
 
 
-def _family(marking, config: RunConfig) -> CurveFamily:
-    return default_curve_family(marking, twist_bound=config.family_b)
-
-
 def cmd_distance(args, config: RunConfig) -> tuple:
     marking, point1, point2 = _load(config, args.surface, args.fn1, args.fn2)
     value = _fmt(kerckhoff_distance_estimate(
-        point1, point2, _family(marking, config), marking, config.params()), config)
+        point1, point2, pair_curve_family(marking, point1, point2), marking,
+        config.params()), config)
     return ["d_teich"], [[value]], [f"d_teich = {value}"]
 
 
@@ -192,10 +185,7 @@ def cmd_product(args, config: RunConfig) -> tuple:
     gamma = [token for token in args.gamma.split(",") if token]
     if not gamma:
         raise ValidationError("--gamma needs at least one curve name")
-    report = product_region_discrepancy(
-        point1, point2, gamma, marking, config.params(),
-        family=_family(marking, config),
-    )
+    report = product_region_discrepancy(point1, point2, gamma, marking, config.params())
     names = ["d_teich", "d_product", "discrepancy"]
     values = [_fmt(getattr(report, name), config) for name in names]
     lines = [f"{name} = {value}" for name, value in zip(names, values)]
@@ -255,8 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="config file of 'key = value' lines")
     parser.add_argument("--eps0", type=float, help="collar boundary length")
     parser.add_argument("--eps1", type=float, help="thin threshold")
-    parser.add_argument("--family-b", type=int, dest="family_b",
-                        help="twist-offset bound of the default curve family")
     parser.add_argument("--format", choices=("table", "rows"))
     parser.add_argument("--seed", type=int, help="search seed")
     parser.add_argument("--budget", type=int, help="search budget")

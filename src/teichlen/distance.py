@@ -4,20 +4,41 @@ The distance estimator takes the supremum of extremal-length ratios over
 a finite family of curve systems, symmetrized over the two directions,
 and returns half its log.  A family (``extremal.CurveFamily``) keeps per
 curve each distinct (i, b, n) cell once, an index of cells by member and
-a grouping of members by crossing pattern; ``default_curve_family``
-shares one cell table among its curves and fills both indexes from its
-own blocks, with no pass over the members.  One ``component_table`` per
-point computes each term per cell or pattern and gathers by member.  Its
-annulus terms sit at height m/pi rather than m, set in this one place by
-modulus_unit = pi, which puts twist- and pinch-direction ratios on the
-same hyperbolic scale as the product coordinates (s, 1/l); the public
-extremal-length estimate keeps the raw modulus.  For the torus the exact
-formula is available as ``torus_family_estimate`` / ``hyp_distance``.
+a grouping of members by crossing pattern.  One builder, ``_curve_family``,
+makes a family from one array of twist offsets b per curve: crossing
+patterns with i <= 2 that meet the pants parity rule, each crossed curve
+taking its offsets, plus the cores.  It fills both indexes by pattern
+block, with no pass over the members.
+
+``default_curve_family`` is the box family, |b| <= 8 on every curve.
+``pair_curve_family`` picks each curve's offsets from the two points, so
+that the curves attaining the supremum are in the family wherever the
+points are.  For curve c with twist t and height 1/l at each point:
+
+- the nearest integer to -t at each point: the curve that untwists it,
+  which makes the family move with a Dehn twist of both points;
+- the integers within one of -xi for both ideal endpoints xi of the
+  half-plane geodesic through (t(sigma), 1/l(sigma)) and (t(tau),
+  1/l(tau)): the annulus ratio of one crossing peaks there, at
+  ``k_ratio_sup`` (the paper's orthogonal twist t2 = -m^2/t1);
+- the untwisting offsets +- _FAR_OFFSET (32): on a thick curve the
+  twist-travel ratio can keep growing with |b + t| toward the squared
+  ratio of the two lengths, which offsets next to the untwisting ones
+  would miss.
+
+One component_table per point computes each term per cell or pattern and
+gathers by member.  Its annulus terms sit at height m/pi rather than m,
+set in this one place by modulus_unit = pi, which puts twist- and
+pinch-direction ratios on the same hyperbolic scale as the product
+coordinates (s, 1/l); the public extremal-length estimate keeps the raw
+modulus.  For the torus the exact formula is available as
+``torus_family_estimate`` / ``hyp_distance``.
 
 The product model's base factor is the same estimator on the pinched
-marking.  ``product_model`` builds the pinched marking and its base family
-once per (marking, gamma) and keeps the last few; when pinching leaves no
-internal curve the base factor is a single point and its distance is 0.
+marking, over the box family of the pinched marking.  ``product_model``
+builds the pinched marking and its base family once per (marking, gamma)
+and keeps the last few; when pinching leaves no internal curve the base
+factor is a single point and its distance is 0.
 """
 
 from __future__ import annotations
@@ -32,41 +53,46 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .collar import DEFAULT_PARAMS, CollarParams, collar_decomposition
-from .errors import ValidationError, check_count
+from .errors import NumericDomainError, ValidationError, check_count
 from .extremal import CurveFamily, _annulus_term, component_table
 from .halfplane import TorusLattice, UHPoint, _lattice_extremal_length, hyp_distance
 from .surface import CURVE, FNPoint, Marking
 
 
-def default_curve_family(marking: Marking, i_max: int = 2,
-                         twist_bound: int = 8) -> CurveFamily:
-    """All curve systems with i_j <= i_max and |b_j| <= twist_bound, plus cores.
+# the far offsets lie _FAR_OFFSET either side of each point's untwisting offset
+_FAR_OFFSET = 32
+_INT64_MAX = 2 ** 63 - 1
 
-    Crossing patterns are filtered by the per-pants parity constraint.
-    The family covers both kinds of ratio witnesses: curves confined to a
-    thick piece and curves twisting through an annulus.  Every column shares
-    one cell table: (0,0,0), (0,0,1), then (i, b, 0) in row 2 + (i-1) width + b + twist_bound.
-    The index is filled one block per crossing pattern, offsets in
-    ``itertools.product`` order, so the blocks are the family's pattern
-    groups and the cores the last one.
+
+def _curve_family(marking: Marking, offsets: list[np.ndarray], i_max: int = 2) -> CurveFamily:
+    """All curve systems with i_j <= i_max and b_j in offsets[j], plus cores.
+
+    ``offsets`` holds one sorted int64 array of distinct offsets per curve
+    of the marking.  Crossing patterns are filtered by the per-pants parity
+    constraint.  Curve k's cells are (0,0,0), (0,0,1), then (i, b, 0) in row
+    2 + (i-1) width_k + position of b.  The index is filled one block per
+    crossing pattern, offsets in ``itertools.product`` order, so the blocks
+    are the family's pattern groups and the cores the last one.
     """
-    check_count(i_max, "i_max")
-    check_count(twist_bound, "twist_bound")
     curves = marking.curves
     pants_columns = [[curves.index(e.name) for e in p.ends if e.kind == CURVE]
                      for p in marking.decomposition.pants]
-    width = 2 * twist_bound + 1
-    cells = np.array([(0, 0, 0), (0, 0, 1)] + [(i, b, 0) for i in range(1, i_max + 1)
-                      for b in range(-twist_bound, twist_bound + 1)], dtype=np.int64)
+    widths = [len(column) for column in offsets]
+    cells = []
+    for column in offsets:
+        crossing = np.zeros((i_max * len(column), 3), dtype=np.int64)
+        crossing[:, 0] = np.repeat(np.arange(1, i_max + 1), len(column))
+        crossing[:, 1] = np.tile(column, i_max)
+        cells.append(np.concatenate([[(0, 0, 0), (0, 0, 1)], crossing]))
     blocks, patterns = [], []
     for pattern in itertools.product(range(i_max + 1), repeat=len(curves)):
         if sum(pattern) == 0 or any(sum(pattern[k] for k in cols) % 2
                                     for cols in pants_columns):
             continue
         crossing = [k for k, count in enumerate(pattern) if count > 0]
-        grid = np.indices((width,) * len(crossing)).reshape(len(crossing), -1)
+        grid = np.indices([widths[k] for k in crossing]).reshape(len(crossing), -1)
         block = np.zeros((len(curves), grid.shape[1]), dtype=np.int64)
-        block[crossing] = grid + [[2 + (pattern[k] - 1) * width] for k in crossing]
+        block[crossing] = grid + [[2 + (pattern[k] - 1) * widths[k]] for k in crossing]
         blocks.append(block)
         patterns.append(pattern)
     blocks.append(np.eye(len(curves), dtype=np.int64))  # cell 1 on its own curve
@@ -74,8 +100,75 @@ def default_curve_family(marking: Marking, i_max: int = 2,
     key = np.repeat(np.arange(len(blocks)), [block.shape[1] for block in blocks])
     # valid and grouped by construction, so __init__'s checks and grouping pass are skipped
     return CurveFamily.__new__(CurveFamily)._store(
-        (cells,) * len(curves), tuple(np.concatenate(blocks, axis=1)), curves, key,
-        tuple(patterns))
+        tuple(cells), tuple(np.concatenate(blocks, axis=1)), curves, key, tuple(patterns))
+
+
+def default_curve_family(marking: Marking, i_max: int = 2,
+                         twist_bound: int = 8) -> CurveFamily:
+    """All curve systems with i_j <= i_max and |b_j| <= twist_bound, plus cores.
+
+    The box family: every curve takes the offsets -twist_bound..twist_bound.
+    """
+    check_count(i_max, "i_max")
+    check_count(twist_bound, "twist_bound")
+    box = np.arange(-twist_bound, twist_bound + 1, dtype=np.int64)
+    return _curve_family(marking, [box] * len(marking.curves), i_max)
+
+
+def _ideal_endpoints(x1: float, y1: float, x2: float, y2: float) -> tuple[float, ...]:
+    """The finite ideal endpoints of the half-plane geodesic through (x1,y1), (x2,y2).
+
+    Scaled by a power of two so that the largest of |x2 - x1|, y1, y2 is
+    about 1, the endpoints relative to x1 are the roots of
+    xi^2 - 2 c xi - y1^2, c the center relative to x1: the root larger in
+    size without cancellation, the other as -y1^2 over it.  A vertical
+    geodesic, or one whose twist difference vanishes at that scale, has
+    the one finite endpoint x1.  An endpoint past double range comes out
+    infinite.
+    """
+    exponent = math.frexp(max(abs(x2 - x1), y1, y2))[1]
+    u, h1, h2 = (math.ldexp(v, -exponent) for v in (x2 - x1, y1, y2))
+    if u == 0.0:
+        return (x1,)
+    center = (u * u + (h2 - h1) * (h2 + h1)) / (2.0 * u)
+    far = center + math.copysign(math.hypot(center, h1), center)
+    with np.errstate(over="ignore"):
+        return tuple(x1 + float(xi) for xi in np.ldexp([far, -h1 * h1 / far], exponent))
+
+
+def _pair_offsets(sigma: FNPoint, tau: FNPoint, curve: str) -> np.ndarray:
+    """Sorted distinct twist offsets for one curve, chosen from the pair of points.
+
+    The geodesic is taken in the frame that untwists sigma, shifted by the
+    integer n nearest to -t(sigma), where t(sigma) + n is exact; so a Dehn
+    twist of both points that is exact in floating point shifts every
+    offset by exactly its power.
+    """
+    x1, x2 = sigma.twist(curve), tau.twist(curve)
+    untwists = [math.floor(0.5 - x) for x in (x1, x2)]  # the nearest integers to -x
+    if max(map(abs, untwists)) > _INT64_MAX - _FAR_OFFSET:
+        raise NumericDomainError(f"the untwisting offset of {curve} leaves int64 range")
+    chosen = {n + d for n in untwists for d in (-_FAR_OFFSET, 0, _FAR_OFFSET)}
+    n = untwists[0]
+    for xi in _ideal_endpoints(x1 + n, 1.0 / sigma.length(curve),
+                               x2 + n, 1.0 / tau.length(curve)):
+        if math.isfinite(xi):  # a non-finite endpoint, or an offset past int64, is left out
+            chosen.update(b for b in range(n + math.floor(-xi) - 1, n + math.ceil(-xi) + 2)
+                          if abs(b) <= _INT64_MAX)
+    return np.array(sorted(chosen), dtype=np.int64)
+
+
+def pair_curve_family(marking: Marking, sigma: FNPoint, tau: FNPoint) -> CurveFamily:
+    """The default's crossing patterns and cores, with offsets chosen per curve from sigma, tau.
+
+    For curve c with twist t and height 1/l at each point, the offsets are
+    the nearest integer to -t at each point and those +- _FAR_OFFSET, and
+    the integers within one of -xi for each finite ideal endpoint xi of the
+    half-plane geodesic through (t(sigma), 1/l(sigma)) and (t(tau), 1/l(tau)).
+    """
+    for point in (sigma, tau):
+        point.validate_for(marking)
+    return _curve_family(marking, [_pair_offsets(sigma, tau, c) for c in marking.curves])
 
 
 def kerckhoff_distance_estimate(sigma: FNPoint, tau: FNPoint,
@@ -99,8 +192,8 @@ def kerckhoff_distance_estimate(sigma: FNPoint, tau: FNPoint,
         for point in (sigma, tau)
     )
     usable = (a != 0.0) & (b != 0.0)
-    a, b = a[usable], b[usable]
-    return 0.5 * math.log(np.max(np.maximum(a, b) / np.minimum(a, b), initial=1.0))
+    up, down = (np.divide(p, q, out=np.ones_like(p), where=usable) for p, q in ((a, b), (b, a)))
+    return 0.5 * math.log(max(up.max(), down.max()))
 
 
 def torus_family_estimate(z1: UHPoint, z2: UHPoint, n_max: int) -> float:
@@ -243,13 +336,14 @@ def product_region_discrepancy(sigma: FNPoint, tau: FNPoint, gamma: Iterable[str
     The base factor of the product distance reuses the same estimator on
     the pinched marking, so the recursion terminates after one step; the
     pinched marking and its family come from ``product_model``, built
-    once per (marking, gamma).
+    once per (marking, gamma).  ``d_teich`` runs over ``family``, by
+    default the pair's ``pair_curve_family``.
     Pinched curves are expected to be thin at both points; violations
     are reported via ``thin_ok`` rather than rejected.
     """
     gamma = tuple(sorted(set(gamma)))
     if family is None:
-        family = default_curve_family(marking)
+        family = pair_curve_family(marking, sigma, tau)
     d_teich = kerckhoff_distance_estimate(sigma, tau, family, marking, params)
     model = product_model(marking, gamma)
     p = pi_map(sigma, gamma, marking)

@@ -259,9 +259,9 @@ def test_cli_round_trip_and_determinism(tmp_path):
         ("collar", str(surface), str(data / "genus2_thin.fn")),
         ("--format", "rows", "extremal", str(surface), str(data / "genus2_thin.fn"),
          str(data / "genus2_curves.crv")),
-        ("--family-b", "3", "distance", str(surface), str(data / "genus2_thin.fn"),
+        ("distance", str(surface), str(data / "genus2_thin.fn"),
          str(data / "genus2_twisted.fn")),
-        ("--family-b", "3", "product", str(surface), str(data / "genus2_thin.fn"),
+        ("product", str(surface), str(data / "genus2_thin.fn"),
          str(data / "genus2_twisted.fn"), "--gamma", "g1"),
         ("instability", "--space", "supprod:2", "--delta", "0",
          "--ladder", "1,10,100,1000,10000"),

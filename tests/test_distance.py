@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teichlen import (
     CurveFamily,
@@ -24,6 +26,7 @@ from teichlen import (
     hyp_distance,
     k_ratio_sup,
     kerckhoff_distance_estimate,
+    pair_curve_family,
     pi_map,
     pi_map_inverse,
     product_distance,
@@ -33,9 +36,9 @@ from teichlen import (
 
 from conftest import genus2_point
 from teichlen.distance import product_model
-from teichlen.distance import ProductPoint
-from teichlen.extremal import component_table
-from teichlen.files import parse_surface
+from teichlen.distance import ProductPoint, _curve_family
+from teichlen.extremal import _annulus_term, component_table
+from teichlen.files import parse_fn, parse_surface
 from teichlen.surface import CURVE, Marking
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "demos" / "data"
@@ -191,6 +194,73 @@ class TestDefaultCurveFamily:
             )
             assert kerckhoff_distance_estimate(sigma, tau, grouped, marking) == (
                 kerckhoff_distance_estimate(sigma, tau, blocks, marking))
+
+
+class TestPairCurveFamily:
+    @pytest.mark.parametrize("surface", ["genus2", "holed_torus", "punctured_torus"])
+    @pytest.mark.parametrize("i_max, twist_bound", [(1, 0), (2, 8), (3, 1)])
+    def test_default_is_the_builder_on_box_offsets(self, request, surface, i_max,
+                                                   twist_bound):
+        marking = request.getfixturevalue(surface)
+        box = np.arange(-twist_bound, twist_bound + 1)
+        built = _curve_family(marking, [box] * len(marking.curves), i_max)
+        default = default_curve_family(marking, i_max, twist_bound)
+        for name in ("cells", "index"):
+            assert all(np.array_equal(a, b) for a, b in
+                       zip(getattr(built, name), getattr(default, name), strict=True))
+        assert np.array_equal(built.key, default.key)
+        assert built.patterns == default.patterns
+
+    def test_offsets_untwist_both_points_and_reach_the_geodesic_endpoints(self, genus2):
+        # g1 10 apart in twist at l1 = 0.01: the annulus ratio peaks at
+        # b = -xi for the geodesic endpoints xi = 5 +- sqrt(25 + 100^2)
+        sigma, tau = genus2_point(l1=0.01, s1=0.0), genus2_point(l1=0.01, s1=10.0)
+        family = pair_curve_family(genus2, sigma, tau)
+        offsets = set(family.cells[genus2.curves.index("g1")][2:, 1].tolist())
+        assert {0, -10, 32, -32, -42, 22, -106, -105, 95, 96} <= offsets
+        assert offsets <= {0, -10, 32, -32, -42, 22, -107, -106, -105, -104, 94, 95, 96, 97}
+        for k, cells in enumerate(family.cells):
+            assert len(np.unique(cells, axis=0)) == len(cells)
+            assert np.array_equal(cells[family.index[k]], family.coords[:, k])
+        assert np.array_equal(np.array(family.patterns)[family.key], family.coords[:, :, 0])
+        assert family.patterns == default_curve_family(genus2, twist_bound=0).patterns
+
+    def test_not_below_the_box_on_demo_pairs_and_the_criterion_9_grid(self, genus2):
+        box = default_curve_family(genus2)
+        points = [parse_fn(path.read_text(), genus2) for path in sorted(DATA.glob("genus2_*.fn"))]
+        pairs = list(itertools.combinations(points, 2))
+        assert len(pairs) == 10
+        for l1 in (1e-2, 1e-3):
+            sigma = genus2_point(l1=l1)
+            for shift, ratio in itertools.product((2 ** j for j in range(4, 13)),
+                                                  (10.0, 100.0, 1000.0)):
+                pairs.append((sigma, genus2_point(l1=l1 / ratio, s1=shift)))
+        for sigma, tau in pairs:
+            family = pair_curve_family(genus2, sigma, tau)
+            assert len(family) < len(box)
+            assert (kerckhoff_distance_estimate(sigma, tau, family, genus2)
+                    >= kerckhoff_distance_estimate(sigma, tau, box, genus2))
+
+    # twists on a 2^-20 grid, so adding a power up to 10^4 is exact in floating
+    # point; with arbitrary floats a shift can merge two twists (0 and 1e-241
+    # both become 1.0 under one twist), which changes the pair itself
+    TWIST = st.integers(-30 * 2 ** 20, 30 * 2 ** 20).map(lambda n: n / 2 ** 20)
+    POINT = st.tuples(st.lists(st.floats(-3.0, 0.4), min_size=3, max_size=3),
+                      st.lists(TWIST, min_size=3, max_size=3))
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=100)
+    @given(POINT, POINT, st.sampled_from(["g1", "g2", "g3"]), st.integers(-10 ** 4, 10 ** 4))
+    def test_dehn_twist_of_both_points_keeps_the_estimate(self, genus2, first, second,
+                                                          curve, power):
+        sigma, tau = (FNPoint({c: 10.0 ** e for c, e in zip(genus2.curves, exponents)},
+                              dict(zip(genus2.curves, twists)))
+                      for exponents, twists in (first, second))
+        before = kerckhoff_distance_estimate(
+            sigma, tau, pair_curve_family(genus2, sigma, tau), genus2)
+        sigma, tau = (fn_dehn_twist(point, curve, power) for point in (sigma, tau))
+        after = kerckhoff_distance_estimate(
+            sigma, tau, pair_curve_family(genus2, sigma, tau), genus2)
+        assert after == pytest.approx(before, rel=1e-12)
 
 
 class TestKerckhoffDistanceEstimate:
@@ -449,7 +519,7 @@ class TestAnnulusRatioCheck:
             y1, y2 = rng.uniform(0.3, 4, size=2)
             target = k_ratio_sup(UHPoint(x1, y1), UHPoint(x2, y2))
             grid = np.linspace(-200, 200, 40001)
-            values = np.array([annulus_ratio_check(b, x1, y1, x2, y2) for b in grid])
+            values = _annulus_term(1, 0, y2, grid + x2) / _annulus_term(1, 0, y1, grid + x1)
             k = int(np.argmax(values))
             lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
             for _ in range(80):  # ternary refinement around the best sample
@@ -581,7 +651,7 @@ class TestArgumentValidation:
         sigma, tau = genus2_point(), genus2_point(l1=0.004, s1=3.0)
         assert (product_region_discrepancy(sigma, tau, ["g1"], genus2)
                 == product_region_discrepancy(sigma, tau, ["g1"], genus2,
-                                              family=default_curve_family(genus2)))
+                                              family=pair_curve_family(genus2, sigma, tau)))
 
 
 @pytest.mark.parametrize("call", [

@@ -11,9 +11,9 @@ from teichlen import ParseError
 from teichlen import ValidationError
 from teichlen import (
     UHPoint,
-    default_curve_family,
     hyp_distance,
     kerckhoff_distance_estimate,
+    pair_curve_family,
     sup_product_space,
 )
 from teichlen import cli
@@ -230,13 +230,13 @@ class TestCliExtremal:
 class TestCliDistance:
     def test_identical_points_give_zero(self):
         code, out = run_cli(
-            "--family-b", "2", "distance", str(SURFACE), str(FN_THIN), str(FN_THIN)
+            "distance", str(SURFACE), str(FN_THIN), str(FN_THIN)
         )
         assert code == 0
         assert "d_teich = 0\n" in out
 
     def test_symmetry_under_swap(self):
-        args = ("--family-b", "3", "distance", str(SURFACE))
+        args = ("distance", str(SURFACE))
         _, forward = run_cli(*args, str(FN_THIN), str(FN_TWISTED))
         _, backward = run_cli(*args, str(FN_TWISTED), str(FN_THIN))
         assert forward == backward
@@ -245,7 +245,7 @@ class TestCliDistance:
 class TestCliProduct:
     def test_twist_only_deformation(self):
         code, out = run_cli(
-            "--format", "rows", "--family-b", "3",
+            "--format", "rows",
             "product", str(SURFACE), str(FN_THIN), str(FN_TWISTED), "--gamma", "g1",
         )
         assert code == 0
@@ -375,7 +375,6 @@ class TestCliBadInput:
                     "--ladder", "1,10,100,1000,inf"), 3),
         (None, {}, ("instability", "--space", "euclidean:2", "--delta", "nan",
                     "--ladder", "1,10,100,1000,10000"), 3),
-        (None, {}, ("--family-b", "-1", "validate", str(SURFACE)), 3),
         (None, {}, ("--budget", "0", "validate", str(SURFACE)), 3),
         ("format = xml\n", {}, ("validate", str(SURFACE)), 3),
         ("eps1 0.2\n", {}, ("validate", str(SURFACE)), 2),
@@ -384,7 +383,7 @@ class TestCliBadInput:
             "config-torus_n", "config-family_i_max", "config-margulis",
             "config-repeated-key", "space-bad-size",
             "space-empty-size", "ladder-not-a-number",
-            "ladder-inf", "delta-nan", "family-b-negative", "budget-zero",
+            "ladder-inf", "delta-nan", "budget-zero",
             "config-format-xml", "config-no-equals", "gamma-empty"])
     def test_exit_codes(self, tmp_path, monkeypatch, config_text, env, argv, code):
         argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
@@ -427,6 +426,10 @@ class TestCliBadInput:
         with pytest.raises(SystemExit):
             run_cli("--torus-n", "5", "validate", str(SURFACE))
 
+    def test_family_b_flag_removed(self):
+        with pytest.raises(SystemExit):
+            run_cli("--family-b", "3", "validate", str(SURFACE))
+
 
 class TestCliOutputPaths:
     # The exact table texts pin the table format of each command.  Measuring
@@ -452,7 +455,7 @@ class TestCliOutputPaths:
         code, out = run_cli("product", str(SURFACE), str(FN_THIN), str(FN_TWISTED),
                             "--gamma", "g1")
         assert code == 0
-        assert out == "d_teich = 0\nd_product = 0.0499792\ndiscrepancy = 0.0499792\n"
+        assert out == "d_teich = 0.0506231\nd_product = 0.0499792\ndiscrepancy = 0.000643959\n"
 
     def test_instability_table(self):
         code, out = run_cli(*TestCliInstability.ARGS)
@@ -502,7 +505,7 @@ class TestCliOutputPaths:
                        "x: extremal length estimate 65.4624\n")
 
     def test_distance_rows_carry_the_estimate(self):
-        code, out = run_cli("--format", "rows", "--family-b", "2", "distance",
+        code, out = run_cli("--format", "rows", "distance",
                             str(SURFACE), str(DATA / "genus2_wide.fn"), str(FN_TWISTED))
         assert code == 0
         header, value = out.splitlines()
@@ -510,13 +513,13 @@ class TestCliOutputPaths:
         sigma, tau = (parse_fn(path.read_text(), marking)
                       for path in (DATA / "genus2_wide.fn", FN_TWISTED))
         expected = kerckhoff_distance_estimate(
-            sigma, tau, default_curve_family(marking, 2, 2), marking)
+            sigma, tau, pair_curve_family(marking, sigma, tau), marking)
         assert header == "#d_teich"
         assert float(value) == expected > 0
 
     def test_product_warns_when_gamma_is_not_thin(self):
         with pytest.warns(UserWarning):
-            code, out = run_cli("--family-b", "2", "product", str(SURFACE),
+            code, out = run_cli("product", str(SURFACE),
                                 str(DATA / "genus2_wide.fn"), str(FN_TWISTED), "--gamma", "g1")
         assert code == 0
         assert out.splitlines()[-1] == "warning: pinched curves are not thin at both points"

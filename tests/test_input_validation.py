@@ -1,4 +1,5 @@
-"""Invalid sizes, counts and non-finite inputs raise ValidationError."""
+"""Invalid sizes, counts and non-finite inputs raise ValidationError; extreme
+inputs to the pair curve family raise a TeichlenError or give a finite estimate."""
 
 import math
 
@@ -9,6 +10,7 @@ from teichlen import (
     CurveSystem,
     FlatAnnulus,
     FNPoint,
+    NumericDomainError,
     TorusLattice,
     UHPoint,
     ValidationError,
@@ -24,7 +26,9 @@ from teichlen import (
     fn_dehn_twist,
     hexagon_side,
     hyp_product_space,
+    kerckhoff_distance_estimate,
     lambda_annulus,
+    pair_curve_family,
     sup_product_space,
     torus_extremal_length,
     torus_family_estimate,
@@ -116,3 +120,26 @@ def test_numpy_coordinates_accepted():
     assert (point.length("g1"), point.twist("g1")) == (0.5, 1)
     beta = CurveSystem({"g1": (np.int64(2), np.int64(-1), 0)})
     assert [type(x) for x in beta.data["g1"]] == [int, int, int]  # stored as plain ints
+
+
+BALANCED = FNPoint({"g1": 0.5, "g2": 1.0, "g3": 1.0}, {"g1": 0.0, "g2": 0.0, "g3": 0.0})
+
+
+@pytest.mark.parametrize("twist", [1e200, 1e300])
+def test_pair_family_offset_outside_int64_rejected(twist):
+    far = FNPoint(BALANCED.lengths, {**BALANCED.twists, "g2": twist})
+    for pair in ((BALANCED, far), (far, BALANCED)):
+        with pytest.raises(NumericDomainError, match="g2"):
+            pair_curve_family(GENUS2, *pair)
+
+
+@pytest.mark.parametrize("twist", [0.0, 0.25])
+def test_pair_family_estimate_finite_at_height_1e300(twist):
+    # 1/l overflows the geodesic's far endpoint, which is left out; the box
+    # family gives 343.63 for this pair
+    thin = FNPoint({**BALANCED.lengths, "g1": 1e-300}, {**BALANCED.twists, "g1": twist})
+    box = kerckhoff_distance_estimate(BALANCED, thin, default_curve_family(GENUS2), GENUS2)
+    for sigma, tau in ((BALANCED, thin), (thin, BALANCED)):
+        value = kerckhoff_distance_estimate(sigma, tau, pair_curve_family(GENUS2, sigma, tau),
+                                            GENUS2)
+        assert math.isfinite(value) and value >= box > 343
