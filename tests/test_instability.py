@@ -26,31 +26,32 @@ from teichlen import (
     hyp_distance,
     hyp_product_space,
     instability_lower_bound,
-    is_delta_between,
     pi_image_space,
     segment_distance,
     sup_product_space,
 )
 from teichlen.distance import ProductPoint
+from teichlen.instability import _lengths_and_slacks
+
+
+def triangle_slack(space, x, y, z):
+    """d(x, z) + d(z, y) - d(x, y), from the space's own distance; z is
+    delta-between x and y when this is below delta."""
+    return space.distance(x, z) + space.distance(z, y) - space.distance(x, y)
 
 
 class TestIsDeltaBetween:
     def test_collinear_euclidean(self):
         space = euclidean_space(1)
-        ok, slack = is_delta_between(space, [0.0], [2.0], [1.0], 0.01)
-        assert ok
-        assert slack == pytest.approx(0.0, abs=1e-12)
+        assert triangle_slack(space, [0.0], [2.0], [1.0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_sup_metric_corner(self):
         space = sup_product_space(2)
-        ok, slack = is_delta_between(space, [0, 0], [10, 0], [5, 5], 0.01)
-        assert ok
-        assert slack == 0.0
+        assert triangle_slack(space, [0, 0], [10, 0], [5, 5]) == 0.0
 
     def test_euclidean_detour(self):
         space = euclidean_space(2)
-        ok, slack = is_delta_between(space, [0, 0], [10, 0], [5, 5], 0.01)
-        assert not ok
+        slack = triangle_slack(space, [0, 0], [10, 0], [5, 5])
         assert slack == pytest.approx(2 * math.sqrt(50) - 10, abs=1e-12)
 
 
@@ -146,8 +147,7 @@ class TestInstabilityLowerBound:
         space = sup_product_space(2)
         L = 8.0
         for h in np.linspace(0.5, L / 2, 9):
-            ok, slack = is_delta_between(space, [0, 0], [L, 0], [L / 2, h], 1e-9)
-            assert ok or slack == 0.0
+            assert triangle_slack(space, [0, 0], [L, 0], [L / 2, h]) < 1e-9
             assert segment_distance(space, [0, 0], [L, 0], [L / 2, h]) == pytest.approx(
                 h, abs=1e-9
             )
@@ -298,8 +298,8 @@ class TestKernelMetric:
         assert space.distance(2.0, 5.0) == 3.0
         assert segment_distance(space, 0.0, 4.0, 6.0) == 2.0
         assert segment_distance(space, 1.0, 1.0, 4.0) == 3.0
-        assert is_delta_between(space, 0.0, 4.0, 1.0, 0.1) == (True, 0.0)
-        assert is_delta_between(space, 0.0, 4.0, 5.0, 0.1) == (False, 2.0)
+        lengths, slacks = _lengths_and_slacks(space, [(0.0, 4.0, 1.0), (0.0, 4.0, 5.0)])
+        assert (lengths.tolist(), slacks.tolist()) == ([4.0, 4.0], [0.0, 2.0])
         assert instability_lower_bound(space, 0.1, 4.0, budget=5) == (0.0, None)
 
 
@@ -375,8 +375,8 @@ def sequential_search(space, delta, L, budget, seed=0):
     for x, y, z in candidates:
         if space.distance(x, y) > L * (1.0 + 1e-12):
             continue
-        ok, slack = is_delta_between(space, x, y, z, delta)
-        if not (ok or slack <= 1e-12):
+        slack = triangle_slack(space, x, y, z)
+        if not (slack < delta or slack <= 1e-12):
             continue
         value = segment_distance(space, x, y, z)
         if value > best:
