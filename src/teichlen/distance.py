@@ -8,7 +8,9 @@ a grouping of members by crossing pattern.  One builder, ``_curve_family``,
 makes a family from one array of twist offsets b per curve: crossing
 patterns with i <= 2 that meet the pants parity rule, each crossed curve
 taking its offsets, plus the cores.  It fills both indexes by pattern
-block, with no pass over the members.
+block, with no pass over the members.  It first counts the members from
+the patterns' sizes, and a family of more than _MAX_FAMILY_MEMBERS (10^6)
+raises ValidationError naming that count before any array is built.
 
 ``default_curve_family`` is the box family, |b| <= 8 on every curve.
 ``pair_curve_family`` picks each curve's offsets from the two points, so
@@ -62,6 +64,10 @@ from .surface import CURVE, FNPoint, Marking
 # the far offsets lie _FAR_OFFSET either side of each point's untwisting offset
 _FAR_OFFSET = 32
 _INT64_MAX = 2 ** 63 - 1
+# a family over this many members is refused before it is allocated: one genus-2
+# estimate on a 930,436-member box family takes about 0.07 s at 100 MB peak RSS,
+# and the largest family the demos build, the genus-2 box, has 21,440
+_MAX_FAMILY_MEMBERS = 10 ** 6
 
 
 def _curve_family(marking: Marking, offsets: list[np.ndarray], i_max: int = 2) -> CurveFamily:
@@ -69,35 +75,42 @@ def _curve_family(marking: Marking, offsets: list[np.ndarray], i_max: int = 2) -
 
     ``offsets`` holds one sorted int64 array of distinct offsets per curve
     of the marking.  Crossing patterns are filtered by the per-pants parity
-    constraint.  Curve k's cells are (0,0,0), (0,0,1), then (i, b, 0) in row
-    2 + (i-1) width_k + position of b.  The index is filled one block per
-    crossing pattern, offsets in ``itertools.product`` order, so the blocks
-    are the family's pattern groups and the cores the last one.
+    constraint.  The member count, the product of the crossed curves' widths
+    summed over patterns, is checked against _MAX_FAMILY_MEMBERS before any
+    array is built; a larger family raises ValidationError naming it.  Curve
+    k's cells are (0,0,0), (0,0,1), then (i, b, 0) in row 2 + (i-1) width_k +
+    position of b.  The index is filled one block per crossing pattern,
+    offsets in ``itertools.product`` order, so the blocks are the family's
+    pattern groups and the cores the last one.
     """
     curves = marking.curves
     pants_columns = [[curves.index(e.name) for e in p.ends if e.kind == CURVE]
                      for p in marking.decomposition.pants]
     widths = [len(column) for column in offsets]
+    patterns = [pattern for pattern in itertools.product(range(i_max + 1), repeat=len(curves))
+                if sum(pattern) and not any(sum(pattern[k] for k in cols) % 2
+                                            for cols in pants_columns)]
+    sizes = [math.prod(widths[k] for k, count in enumerate(pattern) if count)
+             for pattern in patterns] + [len(curves)]  # the cores last
+    if sum(sizes) > _MAX_FAMILY_MEMBERS:
+        raise ValidationError(f"the curve family would have {sum(sizes):,} members, "
+                              f"over the cap of {_MAX_FAMILY_MEMBERS:,}")
     cells = []
     for column in offsets:
         crossing = np.zeros((i_max * len(column), 3), dtype=np.int64)
         crossing[:, 0] = np.repeat(np.arange(1, i_max + 1), len(column))
         crossing[:, 1] = np.tile(column, i_max)
         cells.append(np.concatenate([[(0, 0, 0), (0, 0, 1)], crossing]))
-    blocks, patterns = [], []
-    for pattern in itertools.product(range(i_max + 1), repeat=len(curves)):
-        if sum(pattern) == 0 or any(sum(pattern[k] for k in cols) % 2
-                                    for cols in pants_columns):
-            continue
+    blocks = []
+    for pattern in patterns:
         crossing = [k for k, count in enumerate(pattern) if count > 0]
         grid = np.indices([widths[k] for k in crossing]).reshape(len(crossing), -1)
         block = np.zeros((len(curves), grid.shape[1]), dtype=np.int64)
         block[crossing] = grid + [[2 + (pattern[k] - 1) * widths[k]] for k in crossing]
         blocks.append(block)
-        patterns.append(pattern)
     blocks.append(np.eye(len(curves), dtype=np.int64))  # cell 1 on its own curve
     patterns.append((0,) * len(curves))
-    key = np.repeat(np.arange(len(blocks)), [block.shape[1] for block in blocks])
+    key = np.repeat(np.arange(len(blocks)), sizes)
     # valid and grouped by construction, so __init__'s checks and grouping pass are skipped
     return CurveFamily.__new__(CurveFamily)._store(
         tuple(cells), tuple(np.concatenate(blocks, axis=1)), curves, key, tuple(patterns))
@@ -121,7 +134,8 @@ def _ideal_endpoints(x1: float, y1: float, x2: float, y2: float) -> tuple[float,
     Scaled by a power of two so that the largest of |x2 - x1|, y1, y2 is
     about 1, the endpoints relative to x1 are the roots of
     xi^2 - 2 c xi - y1^2, c the center relative to x1: the root larger in
-    size without cancellation, the other as -y1^2 over it.  A vertical
+    size without cancellation, the other as -y1^2 over it, formed as
+    -y1 (h1 / far) so that no square underflows.  A vertical
     geodesic, or one whose twist difference vanishes at that scale, has
     the one finite endpoint x1.  An endpoint past double range comes out
     infinite.
@@ -133,7 +147,7 @@ def _ideal_endpoints(x1: float, y1: float, x2: float, y2: float) -> tuple[float,
     center = (u * u + (h2 - h1) * (h2 + h1)) / (2.0 * u)
     far = center + math.copysign(math.hypot(center, h1), center)
     with np.errstate(over="ignore"):
-        return tuple(x1 + float(xi) for xi in np.ldexp([far, -h1 * h1 / far], exponent))
+        return x1 + float(np.ldexp(far, exponent)), x1 - y1 * (h1 / far)
 
 
 def _pair_offsets(sigma: FNPoint, tau: FNPoint, curve: str) -> np.ndarray:

@@ -11,7 +11,8 @@ property tests, not by matching any particular multiplicative constant.
 
 A ``CurveFamily`` stores its curve systems by column, each distinct
 (i, b, n) cell of a curve once, and groups its members by crossing
-pattern when it is built, in one pass over the members.  It also owns
+pattern when it is built: ``CurveFamily(members)`` in one pass over the
+members, the builder in ``distance`` one block per pattern.  It also owns
 the arc multiplicities of its patterns in each pants curve-end triple,
 worked out on first use and kept, since they do not depend on the point.
 ``component_table``, the one place contributions are computed, takes a

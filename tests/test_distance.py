@@ -4,8 +4,10 @@ import dataclasses
 import itertools
 import math
 import pathlib
+import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,8 +36,9 @@ from teichlen import (
 )
 
 from conftest import genus2_point
+import teichlen.distance
 from teichlen.distance import product_model
-from teichlen.distance import ProductPoint, _curve_family
+from teichlen.distance import ProductPoint, _curve_family, _ideal_endpoints
 from teichlen.extremal import _annulus_term, component_table
 from teichlen.files import parse_fn, parse_surface
 from teichlen.surface import CURVE, Marking
@@ -110,6 +113,37 @@ class TestTorusFamilyEstimate:
                 previous = value
 
 
+# closed genus 3 in four pants; g4 separates pA from the rest
+GENUS3_SURF = """
+[surface]
+genus = 3
+punctures = 0
+boundary = 0
+
+[curves]
+g1 = +
+g2 = +
+g3 = +
+g4 = +
+g5 = +
+g6 = +
+
+[pants]
+pA = g1 g1 g4
+pB = g4 g2 g5
+pC = g6 g2 g5
+pD = g3 g3 g6
+
+[seams]
+g1 = 0
+g2 = 0
+g3 = 0
+g4 = 0
+g5 = 0
+g6 = 0
+"""
+
+
 class TestDefaultCurveFamily:
     def test_members_valid_and_parity_filtered(self, genus2):
         family = default_curve_family(genus2, i_max=1, twist_bound=1)
@@ -130,6 +164,25 @@ class TestDefaultCurveFamily:
         small = default_curve_family(genus2, i_max=1, twist_bound=1)
         large = default_curve_family(genus2, i_max=2, twist_bound=2)
         assert len(large) > len(small)
+
+    def test_size_cap_refuses_genus_3_before_allocating(self):
+        # 179 crossing patterns of up to 17^6 members each, plus 6 cores
+        marking = parse_surface(GENUS3_SURF)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=r"243,299,705 members"):
+                default_curve_family(marking)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_size_cap_counts_every_member(self, genus2, monkeypatch):
+        monkeypatch.setattr(teichlen.distance, "_MAX_FAMILY_MEMBERS", 21440)
+        assert len(default_curve_family(genus2)) == 21440
+        monkeypatch.setattr(teichlen.distance, "_MAX_FAMILY_MEMBERS", 21439)
+        with pytest.raises(ValidationError, match=r"21,440 members"):
+            default_curve_family(genus2)
 
     def test_matches_brute_force_enumeration(self, genus2, holed_torus):
         family = default_curve_family(genus2)
@@ -193,6 +246,43 @@ class TestDefaultCurveFamily:
             )
             assert kerckhoff_distance_estimate(sigma, tau, grouped, marking) == (
                 kerckhoff_distance_estimate(sigma, tau, blocks, marking))
+
+
+def ideal_endpoints_oracle(x1, y1, x2, y2):
+    """Both ideal endpoints at 60 digits, from the roots of xi^2 - 2 c xi - y1^2
+    relative to x1; their product -y1^2 gives the smaller root."""
+    with mpmath.workdps(60):
+        x1, y1, x2, y2 = (mpmath.mpf(v) for v in (x1, y1, x2, y2))
+        u = x2 - x1
+        center = (u * u + y2 * y2 - y1 * y1) / (2 * u)
+        far = center + mpmath.sign(center) * mpmath.sqrt(center * center + y1 * y1)
+        if far == 0:  # center 0: the roots are +-y1
+            far = y1
+        return sorted([x1 + far, x1 - y1 * y1 / far])
+
+
+class TestIdealEndpoints:
+    @settings(derandomize=True, deadline=None, database=None, max_examples=400)
+    @given(log_y1=st.floats(-100, 100), log_y2=st.floats(-100, 100),
+           log_gap=st.floats(-6, 6), log_x1=st.one_of(st.none(), st.floats(-6, 6)),
+           signs=st.tuples(st.sampled_from([-1, 1]), st.sampled_from([-1, 1])))
+    def test_relative_error_against_mpmath(self, log_y1, log_y2, log_gap, log_x1, signs):
+        # heights 1e-100..1e100; the twist gap and x1 span 12 decades of the larger height
+        y1, y2 = 10.0 ** log_y1, 10.0 ** log_y2
+        x1 = 0.0 if log_x1 is None else signs[0] * 10.0 ** log_x1 * max(y1, y2)
+        x2 = x1 + signs[1] * 10.0 ** log_gap * max(y1, y2)
+        if x2 == x1:  # the gap is below x1's last bit: a vertical geodesic
+            assert _ideal_endpoints(x1, y1, x2, y2) == (x1,)
+            return
+        got = sorted(_ideal_endpoints(x1, y1, x2, y2))
+        for value, exact in zip(got, ideal_endpoints_oracle(x1, y1, x2, y2), strict=True):
+            # the sum x1 + (xi - x1) can cancel, so the error is relative to its terms
+            scale = abs(x1) + abs(float(exact) - x1)
+            assert abs(value - exact) <= 1e-15 * scale
+
+    def test_vertical_geodesic_has_one_endpoint(self):
+        assert _ideal_endpoints(0.25, 1e-100, 0.25, 1e100) == (0.25,)
+        assert _ideal_endpoints(-3.0, 2.0, -3.0, 0.5) == (-3.0,)
 
 
 class TestPairCurveFamily:

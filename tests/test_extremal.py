@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from teichlen import (
@@ -453,3 +453,33 @@ class TestAnnulusOrthogonality:
             product = (lambda_surface_estimate(alpha, sigma, genus2).value
                        * lambda_surface_estimate(beta, sigma, genus2).value)
             assert 1.0 <= product / crossings ** 2 <= 1.01
+
+    # genus-2 crossing patterns: i <= 2 on each curve, even total, not all zero
+    PATTERNS = [p for p in itertools.product(range(3), repeat=3) if sum(p) and sum(p) % 2 == 0]
+
+    @SETTINGS
+    @given(log_lengths=st.lists(st.floats(-3.0, math.log10(2.0)), min_size=3, max_size=3),
+           twists=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+           patterns=st.tuples(st.sampled_from(PATTERNS), st.sampled_from(PATTERNS)),
+           offsets=st.lists(st.integers(-60, 60), min_size=6, max_size=6))
+    @example(log_lengths=[-1.12, -1.0, -1.07], twists=[-0.05, -0.95, -0.89],  # ratio 0.159
+             patterns=((2, 2, 2), (2, 2, 2)), offsets=[60, 55, 58, -60, -53, -56])
+    def test_surface_estimate_random_pair_lower_band(self, genus2, log_lengths, twists,
+                                                     patterns, offsets):
+        # lambda(alpha) lambda(beta) >= c I^2, I = sum i_a i_b max(0, |t_a - t_b| - 2)
+        # over the curves both cross.  The estimate is a max over components and
+        # I a sum over curves, so with k shared thin curves at orthogonal twists
+        # the ratio falls toward 1/k^2: 1/9 on genus 2.  Smallest ratio seen over
+        # these ranges: 0.377 in 30,000 random pairs, 0.157 by local search.
+        sigma = FNPoint({c: 10.0 ** v for c, v in zip(genus2.curves, log_lengths)},
+                        dict(zip(genus2.curves, twists)))
+        alpha, beta = (CurveSystem({c: (i, b if i else 0, 0) for c, i, b in
+                                    zip(genus2.curves, pattern, offsets[3 * k:3 * k + 3])})
+                       for k, pattern in enumerate(patterns))
+        gap_sum = sum(alpha.intersection(c) * beta.intersection(c)
+                      * max(0.0, abs(estimated_twist(alpha, sigma, c)
+                                     - estimated_twist(beta, sigma, c)) - 2)
+                      for c in genus2.curves if alpha.intersection(c) and beta.intersection(c))
+        product = (lambda_surface_estimate(alpha, sigma, genus2).value
+                   * lambda_surface_estimate(beta, sigma, genus2).value)
+        assert product >= 0.1 * gap_sum ** 2
