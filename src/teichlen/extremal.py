@@ -168,8 +168,9 @@ def component_table(decomposition: CollarDecomposition, sigma: FNPoint,
 
     One row per component, in the order of ``decomposition.labels``.  A
     thin annulus of modulus m is evaluated at height m / modulus_unit; a
-    peripheral one contributes 0.  Cuffs longer than the decomposition's
-    eps1 inside a thick component add the twist-travel term.  Annulus and
+    peripheral one contributes 0.  Every internal cuff of a thick
+    component adds the twist-travel term: the decomposition cuts every
+    curve of length at most eps1, so no such cuff is thin.  Annulus and
     twist-travel terms are computed once per cell of ``family.cells`` and
     gathered by ``family.index``; thick arc sums add count * d over the
     family's ``arc_counts`` once per pattern and are gathered by
@@ -180,7 +181,6 @@ def component_table(decomposition: CollarDecomposition, sigma: FNPoint,
     component.
     """
     pants_by_name = decomposition.marking.pants_by_name()
-    eps1 = decomposition.params.eps1
     column = {c: k for k, c in enumerate(family.curves)}
     cells = [c.T.astype(float) for c in family.cells]  # (i, b, n) rows per curve
     rows = []
@@ -212,12 +212,11 @@ def component_table(decomposition: CollarDecomposition, sigma: FNPoint,
                 sums.append(length)
             length = np.array(sums)[family.key]
             for cuff in comp.internal_cuffs:
-                ell = sigma.length(cuff)
-                if ell > eps1:
-                    k = column[cuff]
-                    i, b, _ = cells[k]
-                    length = length + np.where(
-                        i > 0, np.abs(b + sigma.twist(cuff)) * ell * i, 0.0)[family.index[k]]
+                k = column[cuff]
+                i, b, _ = cells[k]
+                length = length + np.where(
+                    i > 0, np.abs(b + sigma.twist(cuff)) * sigma.length(cuff) * i,
+                    0.0)[family.index[k]]
             rows.append(length * length)
     table = np.array(rows)
     if not np.isfinite(table).all():

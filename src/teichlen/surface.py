@@ -185,16 +185,21 @@ class Marking:
     def pants_by_name(self) -> dict[str, Pants]:
         return {p.name: p for p in self.decomposition.pants}
 
+    def pinch_set(self, gamma: Iterable[str]) -> tuple[str, ...]:
+        """The named curves sorted, without repeats; each must be an internal curve."""
+        gamma = tuple(sorted(set(gamma)))
+        unknown = [g for g in gamma if g not in self.curves]
+        if unknown:
+            raise ValidationError(f"cannot pinch unknown curves {unknown}")
+        return gamma
+
     def pinch(self, gamma: Iterable[str]) -> "Marking":
         """Marking of the surface obtained by pinching the named curves.
 
         Each pinched curve is removed and its two sides become punctures
         named ``<curve>.a`` and ``<curve>.b``.
         """
-        gamma = sorted(set(gamma))
-        unknown = [g for g in gamma if g not in self.curves]
-        if unknown:
-            raise ValidationError(f"cannot pinch unknown curves {unknown}")
+        gamma = self.pinch_set(gamma)
         sides = self.decomposition.sides()  # both sides of each curve, in end order
         punctures = {side: End(PUNCTURE, f"{g}.{label}")
                      for g in gamma for side, label in zip(sides[g], "ab")}

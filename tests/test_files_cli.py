@@ -538,6 +538,17 @@ class TestCliOutputPaths:
             assert 0 < s_lower <= L / 2
             assert math.isfinite(slope)
 
+    @pytest.mark.parametrize("surface, product", [("genus2.surf", "hyp-product:3"),
+                                                  ("holed_torus.surf", "hyp-product:1")])
+    def test_pi_image_prints_hyp_product_rows(self, surface, product):
+        # the pi-image space of k pinched curves is hyp-product:k under another name
+        outputs = [run_cli("--format", "rows", "--budget", "30", "instability",
+                           "--space", space, "--delta", "0",
+                           "--ladder", "1,10,100,1000,10000")
+                   for space in (f"pi-image:{DATA / surface}", product)]
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0
+
 
 class TestCliBoundaryBound:
     BIG = "[fn]\ng1 = 0.8 0.0\nboundary:b1 = 20.0\n"

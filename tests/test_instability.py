@@ -30,7 +30,6 @@ from teichlen import (
     segment_distance,
     sup_product_space,
 )
-from teichlen.distance import ProductPoint
 from teichlen.instability import _lengths_and_slacks
 
 
@@ -269,8 +268,7 @@ METRICS = {
                   lambda p, q: max(abs(a - b) for a, b in zip(p, q, strict=True))),
     "hyp-product:2": (lambda genus2: hyp_product_space(2), factor_max),
     "hyp-product:3": (lambda genus2: hyp_product_space(3), factor_max),
-    "pi-image": (lambda genus2: pi_image_space(genus2),
-                 lambda p, q: factor_max(p.factors, q.factors)),
+    "pi-image": (lambda genus2: pi_image_space(genus2), factor_max),
 }
 
 
@@ -326,9 +324,6 @@ class TestMalformedPoints:
 
 def scalar_path(x, y):
     """The chosen geodesic from x to y, one point at a time."""
-    if isinstance(x, ProductPoint):
-        factors = scalar_path(x.factors, y.factors)
-        return lambda t: ProductPoint(x.base, x.gamma, factors(t))
     if isinstance(x, tuple):
         return lambda t: tuple(geodesic_point(p, q, t) for p, q in zip(x, y))
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
@@ -359,8 +354,6 @@ def ternary_segment_distance(space, x, y, z, resolution=1e-13):
 
 def nearly_vertical(p, q):
     """q with every half-plane factor moved to 1e-9 (relative) right of p's."""
-    if isinstance(p, ProductPoint):
-        return dataclasses.replace(q, factors=nearly_vertical(p.factors, q.factors))
     return tuple(UHPoint(a.x + 1e-9 * a.y, b.y) for a, b in zip(p, q))
 
 

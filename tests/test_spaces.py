@@ -1,4 +1,8 @@
-"""Product-point metric space over a fixed pinched base."""
+"""The pi-image space: hyp-product:k over the k pinched curves, under its own name.
+
+Points are k-tuples of half-plane factors; every value and witness is
+that of hyp_product_space(k).
+"""
 
 import pathlib
 import random
@@ -7,7 +11,6 @@ import numpy as np
 import pytest
 
 from teichlen import (
-    FNPoint,
     UHPoint,
     ValidationError,
     growth_rate_estimate,
@@ -17,7 +20,6 @@ from teichlen import (
     pi_image_space,
     segment_distance,
 )
-from teichlen.distance import ProductPoint
 from teichlen.files import parse_surface
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "demos" / "data"
@@ -38,13 +40,8 @@ class TestPiImageSpace:
 
     def test_distance_is_max_of_factor_distances(self, genus2):
         space = pi_image_space(genus2, gamma=("g1", "g2", "g3"))
-        rng = random.Random(72)
-        template = space.random_triple(rng, 0.1, 1.0)[0]
-        base_factors = (UHPoint(0.0, 1.0),) * 3
-        moved = list(base_factors)
-        moved[1] = UHPoint(0.0, 4.0)
-        p = ProductPoint(template.base, template.gamma, base_factors)
-        q = ProductPoint(template.base, template.gamma, tuple(moved))
+        p = (UHPoint(0.0, 1.0),) * 3
+        q = (p[0], UHPoint(0.0, 4.0), p[2])
         assert space.distance(p, q) == pytest.approx(
             hyp_distance(UHPoint(0.0, 1.0), UHPoint(0.0, 4.0))
         )
@@ -56,16 +53,18 @@ class TestPiImageSpace:
             assert value >= L / 2 - 1e-9
             assert witness is not None
 
-    @pytest.mark.parametrize("L", [1.0, 100.0, 1000.0])
+    @pytest.mark.parametrize("L", [1.0, 10.0, 100.0, 1000.0, 10000.0])
     def test_factor_hooks_match_hyp_product(self, genus2, L):
-        # L = 1, 100 run the structured witnesses; L = 1000 only random triples
-        pi_value, pi_witness = instability_lower_bound(
-            pi_image_space(genus2, gamma=("g1", "g2")), 0.1, L, budget=50, seed=5)
-        hyp_value, hyp_witness = instability_lower_bound(
-            hyp_product_space(2), 0.1, L, budget=50, seed=5)
-        assert pi_value == hyp_value > 0.0
-        for name in ("x", "y", "z"):
-            assert getattr(pi_witness, name).factors == getattr(hyp_witness, name)
+        # L <= 100 runs the structured witnesses (k >= 2); L >= 1000 only random triples
+        for delta in (0.0, 0.1):
+            for gamma in (("g1",), ("g1", "g2"), ("g1", "g2", "g3")):
+                pi_value, pi_witness = instability_lower_bound(
+                    pi_image_space(genus2, gamma=gamma), delta, L, budget=50, seed=5)
+                hyp_value, hyp_witness = instability_lower_bound(
+                    hyp_product_space(len(gamma)), delta, L, budget=50, seed=5)
+                assert pi_value.hex() == hyp_value.hex() and pi_value > 0.0
+                assert ((pi_witness.x, pi_witness.y, pi_witness.z)
+                        == (hyp_witness.x, hyp_witness.y, hyp_witness.z))
 
     def test_growth_rate_slope_one(self, genus2):
         space = pi_image_space(genus2)
@@ -81,37 +80,23 @@ class TestPiImageSpace:
     def test_requires_a_pinched_curve(self, genus2):
         with pytest.raises(ValidationError):
             pi_image_space(genus2, gamma=())
+        with pytest.raises(ValidationError):  # pi_map's rule: internal curves only
+            pi_image_space(genus2, gamma=("g1", "b1"))
 
     def test_repeated_curves_pinched_once(self, genus2):
         space = pi_image_space(genus2, gamma=("g2", "g1", "g2", "g1"))
         assert space.name == "pi-image[g1,g2]"
         x, y, z = space.random_triple(random.Random(77), 0.1, 2.0)
-        assert x.gamma == ("g1", "g2")
-        assert len(x.factors) == len(y.factors) == len(z.factors) == 2
-
-    def test_point_off_the_base_rejected(self, genus2):
-        space = pi_image_space(genus2, gamma=("g1",))
-        rng = random.Random(74)
-        x, y, _ = space.random_triple(rng, 0.1, 2.0)
-        off = FNPoint({**x.base.lengths, "g2": 2.0}, x.base.twists)
-        with pytest.raises(ValidationError):
-            space.distance(x, ProductPoint(off, y.gamma, y.factors))
-
-
-def test_segment_distances_reject_a_point_off_the_base(genus2):
-    space = pi_image_space(genus2, gamma=("g1",))
-    x, y, z = space.random_triple(random.Random(75), 0.1, 2.0)
-    off = ProductPoint(FNPoint({**z.base.lengths, "g2": 2.0}, z.base.twists), z.gamma, z.factors)
-    assert space.segment_distances([(x, y, z)], np.full((1, 3), 0.5)).shape == (1, 3)
-    with pytest.raises(ValidationError):
-        space.segment_distances([(x, y, off)], np.full((1, 3), 0.5))
+        assert len(x) == len(y) == len(z) == 2
+        assert all(isinstance(f, UHPoint) for f in x + y + z)
 
 
 def test_a_malformed_point_rejected(genus2):
+    # a point is a tuple of exactly one factor per pinched curve
     space = pi_image_space(genus2, gamma=("g1", "g2"))
     x, y, z = space.random_triple(random.Random(76), 0.1, 2.0)
-    for other in (ProductPoint(z.base, ("g1",), z.factors[:1]),
-                  ProductPoint(z.base, ("g1", "g3"), z.factors), z.factors):
+    assert space.segment_distances([(x, y, z)], np.full((1, 3), 0.5)).shape == (1, 3)
+    for other in (z[:1], z + z[:1], z[0]):
         with pytest.raises(ValidationError):
             space.segment_distances([(x, y, other)], np.full((1, 3), 0.5))
         with pytest.raises(ValidationError):
@@ -123,8 +108,8 @@ def test_bordered_surface_base_and_single_factor():
     marking = parse_surface((DATA / "holed_torus.surf").read_text())
     space = pi_image_space(marking)
     x, y, _ = space.random_triple(random.Random(78), 0.1, 2.0)
-    assert x.base.lengths["b1"] == 1.0
+    assert space.name == "pi-image[g1]" and len(x) == len(y) == 1
     assert space.distance(x, y) == pytest.approx(
-        hyp_distance(x.factors[0], y.factors[0]), rel=1e-12, abs=0.0)
+        hyp_distance(x[0], y[0]), rel=1e-12, abs=0.0)
     value, _ = instability_lower_bound(space, 0.0, 4.0, budget=20, seed=1)
     assert value <= 1e-6
