@@ -12,9 +12,10 @@ property tests, not by matching any particular multiplicative constant.
 A ``CurveFamily`` stores its curve systems by column, each distinct
 (i, b, n) cell of a curve once, and groups its members by crossing
 pattern when it is built: ``CurveFamily(members)`` in one pass over the
-members, the builder in ``distance`` one block per pattern.  It also owns
-the arc multiplicities of its patterns in each pants curve-end triple,
-worked out on first use and kept, since they do not depend on the point.
+members, the builder in ``distance`` one block per pattern.  The arc
+multiplicities of its patterns in each pants curve-end triple depend only
+on the patterns and the triple's columns, not on the point or the family,
+so one module-level cache keeps them for every family with those patterns.
 ``component_table``, the one place contributions are computed, takes a
 whole family at one point over the point's collar decomposition: for the
 distance estimator, and with a one-member family for
@@ -26,6 +27,7 @@ evaluated at height m / modulus_unit: 1 here, pi in the distance estimator.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -80,6 +82,18 @@ def arc_multiplicities(m1: int, m2: int, m3: int) -> ArcMultiplicities:
                              (m2 + m3 - m1) // 2)
 
 
+@functools.lru_cache(maxsize=256)
+def _arc_table(patterns: tuple[tuple[int, ...], ...],
+               columns: tuple[int | None, ...]) -> tuple:
+    """Per pattern, the nonzero (arc, count) pairs for one pants' end columns."""
+    arcs = []
+    for pattern in patterns:
+        counts = [0 if k is None else pattern[k] for k in columns]
+        pairs = enumerate(arc_multiplicities(*counts)) if any(counts) else ()
+        arcs.append(tuple((arc, count) for arc, count in pairs if count))
+    return tuple(arcs)
+
+
 class CurveFamily:
     """Finite stand-in for the full set of curve classes, stored by column.
 
@@ -121,7 +135,6 @@ class CurveFamily:
             array.flags.writeable = False
         self.cells, self.index, self.curves = cells, index, curves
         self.key, self.patterns = key, patterns
-        self._arcs: dict[tuple[str | None, ...], tuple] = {}
         return self
 
     def arc_counts(self, curve_ends: tuple[str | None, ...]) -> tuple:
@@ -129,19 +142,11 @@ class CurveFamily:
 
         ``curve_ends`` names the curve on each end of the pants, None for
         a boundary or puncture; arcs are numbered in ``ArcMultiplicities``
-        order.  Built on first use for each triple and kept.
+        order.  Cached by (patterns, columns), so families sharing their
+        patterns share the table.
         """
-        arcs = self._arcs.get(curve_ends)
-        if arcs is None:
-            columns = [None if name is None else self.curves.index(name)
-                       for name in curve_ends]
-            arcs = []
-            for pattern in self.patterns:
-                counts = [0 if k is None else pattern[k] for k in columns]
-                pairs = enumerate(arc_multiplicities(*counts)) if any(counts) else ()
-                arcs.append(tuple((arc, count) for arc, count in pairs if count))
-            arcs = self._arcs[curve_ends] = tuple(arcs)
-        return arcs
+        columns = tuple(None if name is None else self.curves.index(name) for name in curve_ends)
+        return _arc_table(self.patterns, columns)
 
     @property
     def coords(self) -> np.ndarray:

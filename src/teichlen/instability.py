@@ -9,9 +9,11 @@ parameterized proportionally, so reported values are relative to that
 representative (still valid lower bounds for the supremum over paths).
 
 A space states its metric once, in its ``segment_distances`` kernel:
-d(p, q) is the kernel on the constant path at p, and a search computes
-d(x, y), d(x, z) and d(z, y) for every candidate in one kernel call of
-3n rows before filtering with array masks.
+d(p, q) is the kernel on the constant path at p.  A search stacks its n
+candidates once into one (n, 3, width) array and hands the kernel
+slices of it: d(x, y), d(x, z) and d(z, y) for every candidate come from
+one call on 3n constant-path rows, picked by fancy indexing, before
+filtering with array masks.
 
 The distance from z to [xy] is refined by zooming, for all rows of a
 search at once: each round evaluates 65 evenly spaced parameters per row
@@ -41,29 +43,33 @@ from .errors import ValidationError, check_count
 from .halfplane import UHPoint, geodesic_distances, geodesic_point
 
 Point = Any
+Triples = Sequence[tuple] | np.ndarray  # n triples (x, y, z), or their (n, 3, width) stack
 _BETWEEN_ATOL = 1e-12  # closure tolerance so exact-slack witnesses count at delta = 0
 _ZOOM_GRID = np.linspace(0.0, 1.0, 65)  # samples per row and zoom round
 _RESOLUTION = 1e-6  # zooming stops once every bracket is this narrow
+_CONSTANT_PATHS = np.array([(0, 0, 1), (0, 0, 2), (2, 2, 1)])  # rows for d(x,y), d(x,z), d(z,y)
 
 
 @dataclass
 class MetricSpaceHandle:
     """A metric space presented by one segment-distance kernel.
 
-    ``segment_distances(triples, ts)`` takes n triples (x, y, z) and an
+    ``segment_distances(triples, ts)`` takes n triples (x, y, z), as a
+    sequence or as one (n, 3, width) array of stacked points, and an
     (n, m) array of parameters in [0, 1] and returns the (n, m) array of
     distances from each z to the point at each of its row's parameters on
     the chosen geodesic from x to y; an entry that is not finite means a
     path point left the space.  The kernel must accept x == y, the
     constant path, and it is the space's only metric: ``distance`` and
-    the betweenness filter evaluate it on constant paths.  Optional hooks
-    drive the witness search: ``witnesses(delta, L)`` yields structured
-    candidate triples and ``random_triple(rng, delta, L)`` samples one
-    candidate from a ``random.Random``.
+    the betweenness filter evaluate it on constant paths.  A search
+    stacks its candidates once and passes every call an array.  Optional
+    hooks drive the witness search: ``witnesses(delta, L)`` yields
+    structured candidate triples and ``random_triple(rng, delta, L)``
+    samples one candidate from a ``random.Random``.
     """
 
     name: str
-    segment_distances: Callable[[Sequence[tuple], np.ndarray], np.ndarray]
+    segment_distances: Callable[[Triples, np.ndarray], np.ndarray]
     witnesses: Callable[[float, float], Iterable[tuple]] | None = None
     random_triple: Callable[[random.Random, float, float], tuple] | None = None
 
@@ -82,15 +88,19 @@ class BetweennessWitness:
 
 
 def _lengths_and_slacks(space: MetricSpaceHandle,
-                        triples: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray]:
-    """d(x, y) and the slack d(x, z) + d(z, y) - d(x, y) per triple, from one kernel call."""
-    rows = ([(x, x, y) for x, y, _ in triples] + [(x, x, z) for x, _, z in triples]
-            + [(z, z, y) for _, y, z in triples])
+                        triples: Triples) -> tuple[np.ndarray, np.ndarray]:
+    """d(x, y) and the slack d(x, z) + d(z, y) - d(x, y) per triple, from one kernel call.
+
+    The kernel gets the 3n constant-path rows (x, x, y), (x, x, z) and
+    (z, z, y), each block in triple order, gathered from the stacked points.
+    """
+    points = _stacked(triples)
+    rows = points[:, _CONSTANT_PATHS].swapaxes(0, 1).reshape(-1, *points.shape[1:])
     d_xy, d_xz, d_zy = space.segment_distances(rows, np.zeros((len(rows), 1))).reshape(3, -1)
     return d_xy, d_xz + d_zy - d_xy
 
 
-def _segment_distances(space: MetricSpaceHandle, triples: Sequence[tuple]) -> np.ndarray:
+def _segment_distances(space: MetricSpaceHandle, triples: Triples) -> np.ndarray:
     """Distance from each z to its chosen geodesic [xy], all rows zoomed together.
 
     A constant path (x == y) needs no branch: the kernel returns d(z, x)
@@ -136,11 +146,12 @@ def instability_lower_bound(space: MetricSpaceHandle, delta: float, L: float,
     """Certified lower bound for s(delta, L) with its best witness.
 
     Up to ``budget`` candidates are collected, structured witnesses from
-    the space handle first, then random triples from ``random.Random(seed)``.
-    Those within the diameter and betweenness constraints (betweenness
-    accepted up to closure tolerance, so exact-geodesic witnesses count
-    at delta = 0) are refined together; the witness is the first
-    candidate attaining the largest distance.
+    the space handle first, then random triples from ``random.Random(seed)``,
+    and stacked once into one array; a ragged or non-numeric candidate
+    raises ValidationError.  Those within the diameter and betweenness
+    constraints (betweenness accepted up to closure tolerance, so
+    exact-geodesic witnesses count at delta = 0) are refined together;
+    the witness holds the first candidate attaining the largest distance.
     """
     if not (0 <= delta < math.inf and 0 < L < math.inf):
         raise ValidationError("need finite delta >= 0 and L > 0")
@@ -154,12 +165,13 @@ def instability_lower_bound(space: MetricSpaceHandle, delta: float, L: float,
             candidates.append(space.random_triple(rng, delta, L))
     if not candidates:
         return 0.0, None
-    lengths, slacks = _lengths_and_slacks(space, candidates)
+    points = _stacked(candidates)
+    lengths, slacks = _lengths_and_slacks(space, points)
     keep = np.flatnonzero((lengths <= L * (1.0 + 1e-12))
                           & ((slacks < delta) | (slacks <= _BETWEEN_ATOL)))
     if not len(keep):
         return 0.0, None
-    values = _segment_distances(space, [candidates[k] for k in keep])
+    values = _segment_distances(space, points[keep])
     k = int(values.argmax())  # the first maximum
     value = float(values[k])
     if not value > 0.0:
@@ -267,43 +279,50 @@ def distortion_transfer_check(s_x: dict, s_y: dict, c: float) -> TransferReport:
 # Built-in spaces
 
 
-def _stacked(triples: Sequence[tuple], dtype, width: int) -> np.ndarray:
-    """Triples as one (n, 3, width) array; a malformed point raises ValidationError."""
+def _stacked(triples: Triples, dtype=None, width: int | None = None) -> np.ndarray:
+    """Triples as one (n, 3, ...) array, not copied if already one of ``dtype``.
+
+    A malformed point raises ValidationError: ragged or non-numeric
+    points, and with ``width`` a point of any other number of coordinates.
+    """
     try:
-        points = np.array(triples, dtype=dtype)
+        points = np.asarray(triples, dtype=dtype)
     except (TypeError, ValueError):  # ragged or non-numeric points
         points = np.empty(0)
-    if points.shape[1:] != (3, width):
+    if width is not None and points.shape[1:] != (3, width):
         raise ValidationError(f"points of this space have {width} coordinates")
+    if points.shape[1:2] != (3,):
+        raise ValidationError("candidates must be triples of points of one shape")
     return points
 
 
-def _normed_space(name: str, dim: int, norm: Callable[[np.ndarray], np.ndarray],
+def _normed_space(name: str, dim: int,
+                  norm: Callable[[Iterable[np.ndarray]], np.ndarray],
                   h_cap: Callable[[float, float], float],
-                  random_triple: Callable[[random.Random, float, float], tuple],
+                  random_triple: Callable[[random.Random, float, float], np.ndarray],
                   ) -> MetricSpaceHandle:
     """R^dim under ``norm`` with straight segments x + t (y - x).
 
+    ``norm`` combines the dim coordinate arrays of the offsets elementwise.
+    A candidate is one (3, dim) array whose rows are x, y and z.
     Structured witnesses (dim >= 2) are the midpoint offsets x = 0,
     y = L e1, z = (L/2) e1 + h e2 for 40 heights h up to ``h_cap(delta, L)``.
     """
     check_count(dim, "dimension", 1)
 
     def segment_distances(triples, ts):
-        x, y, z = _stacked(triples, float, dim).transpose(1, 0, 2)[:, :, None, :]
-        return norm(z - (x + ts[:, :, None] * (y - x)))
+        # points indexed (coordinate, point of the triple, row, 1)
+        points = _stacked(triples, float, dim).transpose(2, 1, 0)[..., None]
+        return norm(z - (x + ts * (y - x)) for x, y, z in points)
 
     def witnesses(delta: float, L: float):
         cap = h_cap(delta, L)
         for frac in np.linspace(0.05, 1.0, 40):
-            h = cap * frac
-            x = np.zeros(dim)
-            y = np.zeros(dim)
-            y[0] = L
-            z = np.zeros(dim)
-            z[0] = L / 2.0
-            z[1] = h
-            yield x, y, z
+            triple = np.zeros((3, dim))
+            triple[1, 0] = L
+            triple[2, 0] = L / 2.0
+            triple[2, 1] = cap * frac
+            yield triple
 
     return MetricSpaceHandle(
         name=f"{name}:{dim}",
@@ -321,15 +340,13 @@ def euclidean_space(dim: int) -> MetricSpaceHandle:
         return euclidean_instability_exact(delta, L) * (1.0 - 1e-9)
 
     def random_triple(rng, delta, L):
-        def normal(scale):
-            return np.array([rng.gauss(0.0, scale) for _ in range(dim)])
+        x = [rng.gauss(0.0, L / 4.0) for _ in range(dim)]
+        y = [p + rng.gauss(0.0, L / 4.0) for p in x]
+        z = [0.5 * (p + q) + rng.gauss(0.0, delta) for p, q in zip(x, y)]
+        return np.array((x, y, z))
 
-        x = normal(L / 4.0)
-        y = x + normal(L / 4.0)
-        z = 0.5 * (x + y) + normal(delta)
-        return x, y, z
-
-    return _normed_space("euclidean", dim, lambda v: np.sqrt(np.sum(v * v, axis=-1)),
+    return _normed_space("euclidean", dim,
+                         lambda vs: np.sqrt(functools.reduce(np.add, (v * v for v in vs))),
                          h_cap, random_triple)
 
 
@@ -341,15 +358,13 @@ def sup_product_space(dim: int) -> MetricSpaceHandle:
         return (L + delta) / 2.0 * (1.0 - 1e-9) if delta > 0 else L / 2.0
 
     def random_triple(rng, delta, L):
-        def uniform():
-            return np.array([rng.uniform(-L / 2.0, L / 2.0) for _ in range(dim)])
+        x = [rng.uniform(-L / 2.0, L / 2.0) for _ in range(dim)]
+        y = [rng.uniform(-L / 2.0, L / 2.0) for _ in range(dim)]
+        z = [0.5 * (p + q) + rng.uniform(-L / 2.0, L / 2.0) for p, q in zip(x, y)]
+        return np.array((x, y, z))
 
-        x = uniform()
-        y = uniform()
-        z = 0.5 * (x + y) + uniform()
-        return x, y, z
-
-    return _normed_space("supprod", dim, lambda v: np.abs(v).max(axis=-1),
+    return _normed_space("supprod", dim,
+                         lambda vs: functools.reduce(np.maximum, (np.abs(v) for v in vs)),
                          h_cap, random_triple)
 
 

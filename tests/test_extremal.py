@@ -294,6 +294,7 @@ class TestFamilyArcCounts:
         original = extremal.arc_multiplicities
         monkeypatch.setattr(extremal, "arc_multiplicities",
                             lambda *counts: calls.append(counts) or original(*counts))
+        extremal._arc_table.cache_clear()  # the tables are cached across families
         family = default_curve_family(genus2)
         sigma = genus2_point()
         dec = collar_decomposition(genus2, sigma)
@@ -304,6 +305,10 @@ class TestFamilyArcCounts:
         assert component_table(dec, sigma, family, math.pi).tolist() == first.tolist()
         other = genus2_point(l1=0.3, s2=2.0)
         component_table(collar_decomposition(genus2, other), other, family)
+        assert calls == []
+        second = default_curve_family(genus2)  # a new family with the same patterns
+        assert second is not family and second.patterns == family.patterns
+        assert component_table(dec, sigma, second, math.pi).tolist() == first.tolist()
         assert calls == []
 
     def test_cores_only_family_ignores_an_overflowed_pants(self, holed_torus):

@@ -264,6 +264,7 @@ def factor_max(p, q):
 
 METRICS = {
     "euclidean:3": (lambda genus2: euclidean_space(3), math.dist),
+    "euclidean:9": (lambda genus2: euclidean_space(9), math.dist),
     "supprod:3": (lambda genus2: sup_product_space(3),
                   lambda p, q: max(abs(a - b) for a, b in zip(p, q, strict=True))),
     "hyp-product:2": (lambda genus2: hyp_product_space(2), factor_max),
@@ -451,6 +452,79 @@ class TestZoomRefinement:
         x, y = (UHPoint(0.0, 1e-300),), (UHPoint(1.0, 1e300),)
         with pytest.raises(ValidationError):
             segment_distance(space, x, y, (UHPoint(0.0, 1.0),))
+
+
+# float.hex of instability_lower_bound(space, delta, L, budget=200, seed=3) for
+# delta in (0, 0.05) and L in (0.5, 3, 50), pinned bit for bit; dim 1 has
+# random candidates only
+PINNED = {
+    ("euclidean", 1): ["0x1.0000000000000p-54", "0x1.0000000000000p-53", "0x1.0000000000000p-48",
+                       "0x1.8540507a2b796p-6", "0x1.8a25af676ca20p-6", "0x1.acd8545928000p-8"],
+    ("euclidean", 2): ["0x1.1e3779b97f4a8p-54", "0x1.0000000000000p-52", "0x1.0000000000000p-48",
+                       "0x1.d54178e0a39d4p-4", "0x1.19999994e0233p-2", "0x1.1e49ca7e86a86p+0"],
+    ("euclidean", 3): ["0x1.0000000000000p-54", "0x1.2548eb9151e85p-52", "0x1.6a09e667f3bcdp-48",
+                       "0x1.d54178e0a39d4p-4", "0x1.19999994e0233p-2", "0x1.1e49ca7e86a86p+0"],
+    ("supprod", 1): ["0x1.47b8b53000000p-24", "0x1.eb950fc800000p-22", "0x1.00084d8f00000p-17",
+                     "0x1.97e59c41b8b58p-6", "0x1.b898b2068ae00p-7", "0x1.00084d8f00000p-17"],
+    ("supprod", 2): ["0x1.0000000000000p-2", "0x1.8000000000000p+0", "0x1.9000000000000p+4",
+                     "0x1.19999994e0233p-2", "0x1.8666665fd9a51p+0", "0x1.9066665faeb1fp+4"],
+    ("supprod", 3): ["0x1.0000000000000p-2", "0x1.8000000000000p+0", "0x1.9000000000000p+4",
+                     "0x1.19999994e0233p-2", "0x1.8666665fd9a51p+0", "0x1.9066665faeb1fp+4"],
+}
+NORMED = {"euclidean": euclidean_space, "supprod": sup_product_space}
+
+
+class TestNormedSearch:
+    @pytest.mark.parametrize("name, dim", PINNED)
+    def test_values_match_pinned_bits(self, name, dim):
+        space = NORMED[name](dim)
+        values = [instability_lower_bound(space, delta, L, budget=200, seed=3)[0].hex()
+                  for delta in (0.0, 0.05) for L in (0.5, 3.0, 50.0)]
+        assert values == PINNED[name, dim]
+
+    @pytest.mark.parametrize("name, dim", PINNED)
+    def test_witness_points_are_float_vectors(self, name, dim):
+        _, witness = instability_lower_bound(NORMED[name](dim), 0.05, 3.0, budget=200, seed=3)
+        for point in (witness.x, witness.y, witness.z):
+            assert isinstance(point, np.ndarray)
+            assert point.dtype == np.float64 and point.shape == (dim,)
+
+    @pytest.mark.parametrize("name", SPACES)
+    def test_one_filter_call_and_four_zoom_rounds_on_stacked_arrays(self, genus2, name):
+        space = SPACES[name](genus2)
+        calls = []
+
+        def kernel(triples, ts):
+            calls.append(triples)
+            return space.segment_distances(triples, ts)
+
+        counted = dataclasses.replace(space, segment_distances=kernel)
+        instability_lower_bound(counted, 0.1, 10.0, budget=60, seed=4)
+        assert len(calls) == 5
+        assert all(isinstance(triples, np.ndarray) for triples in calls)
+        assert len(calls[0]) == 3 * 60  # d(x, y), d(x, z) and d(z, y) per candidate
+
+    @pytest.mark.parametrize("triple", [
+        (np.zeros(2), np.zeros(3), np.zeros(2)),
+        (np.zeros(2), np.zeros(2)),
+        ("x", "y", "z"),
+    ], ids=["ragged", "pair", "strings"])
+    def test_a_malformed_random_candidate_raises_validation_error(self, triple):
+        space = dataclasses.replace(sup_product_space(2), witnesses=None,
+                                    random_triple=lambda rng, delta, L: triple)
+        with pytest.raises(ValidationError):
+            instability_lower_bound(space, 0.0, 1.0, budget=5)
+
+    def test_candidates_of_two_dimensions_raise_validation_error(self):
+        dims = itertools.cycle((2, 3))
+
+        def random_triple(rng, delta, L):
+            return np.zeros((3, next(dims)))
+
+        space = dataclasses.replace(sup_product_space(2), witnesses=None,
+                                    random_triple=random_triple)
+        with pytest.raises(ValidationError):
+            instability_lower_bound(space, 0.0, 1.0, budget=5)
 
 
 def test_cli_instability_never_imports_numpy_random():
