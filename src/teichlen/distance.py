@@ -339,7 +339,7 @@ def product_region_discrepancy(sigma: FNPoint, tau: FNPoint, gamma: Iterable[str
     Pinched curves are expected to be thin at both points; violations
     are reported via ``thin_ok`` rather than rejected.
     """
-    gamma = tuple(sorted(set(gamma)))
+    gamma = marking.pinch_set(gamma)
     if family is None:
         family = pair_curve_family(marking, sigma, tau)
     d_teich = kerckhoff_distance_estimate(sigma, tau, family, marking, params)

@@ -1,12 +1,12 @@
-"""Line-oriented text formats for surfaces, coordinates, curves and run settings.
+"""Line-oriented text formats for surfaces, coordinates and curves.
 
 This module alone knows how a text file is laid out: a run of sections of
 ``key = value`` lines with ``#`` comments.  Surface files hold ``[surface]``,
 ``[curves]``, ``[pants]`` and ``[seams]``; coordinate files one ``[fn]``;
-curve files one ``[curve "<name>"]`` per curve system; config files have no
-header.  Only ``curve`` headers take a label, and every section a format
-lists must appear.  Serialization is canonical: parsing a canonical file
-and re-serializing reproduces it byte for byte.
+curve files one ``[curve "<name>"]`` per curve system.  Only ``curve``
+headers take a label, and every section a format lists must appear.
+Serialization is canonical: parsing a canonical file and re-serializing
+reproduces it byte for byte.
 """
 
 from __future__ import annotations
@@ -41,20 +41,20 @@ def parse_sections(text: str, layout: dict) -> Iterator[tuple]:
     """Yield (header line_no, section, label, [(line_no, key, value), ...]) in file order.
 
     ``layout`` maps each allowed section to whether its header carries a
-    label; the key None stands for lines before any header.  An unknown
-    section, a missing or stray label, or a repeated header or key is an
-    error at its line; a listed section the file lacks is an error of the
-    file.  Each section is yielded as it ends, so errors come in file order.
+    label.  Content before the first header, an unknown section, a missing
+    or stray label, or a repeated header or key is an error at its line; a
+    listed section the file lacks is an error of the file.  Each section
+    is yielded as it ends, so errors come in file order.
     """
     seen, keys = set(), set()
-    current = (None, None, None, [])
+    current = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = _strip(raw)
         if not line:
             continue
         match = _SECTION_RE.match(line)
         if match:
-            if current[1] in layout:
+            if current is not None:
                 yield current
             section, label = match.groups()
             if section not in layout:
@@ -67,7 +67,7 @@ def parse_sections(text: str, layout: dict) -> Iterator[tuple]:
             seen.add((section, label))
             current, keys = (line_no, section, label, []), set()
             continue
-        if current[1] not in layout:
+        if current is None:
             raise ParseError("content before any section header", line_no)
         if "=" not in line:
             raise ParseError(f"expected 'key = value', got {line!r}", line_no)
@@ -76,9 +76,9 @@ def parse_sections(text: str, layout: dict) -> Iterator[tuple]:
             raise ParseError(f"repeated key {key!r}", line_no)
         keys.add(key)
         current[3].append((line_no, key, value))
-    if current[1] in layout:
+    if current is not None:
         yield current
-    missing = set(layout) - {section for section, _ in seen} - {None}
+    missing = set(layout) - {section for section, _ in seen}
     if missing:
         raise ParseError(f"missing sections {sorted(missing)}")
 

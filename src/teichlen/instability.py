@@ -147,11 +147,12 @@ def instability_lower_bound(space: MetricSpaceHandle, delta: float, L: float,
 
     Up to ``budget`` candidates are collected, structured witnesses from
     the space handle first, then random triples from ``random.Random(seed)``,
-    and stacked once into one array; a ragged or non-numeric candidate
-    raises ValidationError.  Those within the diameter and betweenness
-    constraints (betweenness accepted up to closure tolerance, so
-    exact-geodesic witnesses count at delta = 0) are refined together;
-    the witness holds the first candidate attaining the largest distance.
+    and stacked once into one array; a ragged candidate, or one with a
+    coordinate that is not a finite number, raises ValidationError.
+    Those within the diameter and betweenness constraints (betweenness
+    accepted up to closure tolerance, so exact-geodesic witnesses count
+    at delta = 0) are refined together; the witness holds the first
+    candidate attaining the largest distance.
     """
     if not (0 <= delta < math.inf and 0 < L < math.inf):
         raise ValidationError("need finite delta >= 0 and L > 0")
@@ -282,8 +283,9 @@ def distortion_transfer_check(s_x: dict, s_y: dict, c: float) -> TransferReport:
 def _stacked(triples: Triples, dtype=None, width: int | None = None) -> np.ndarray:
     """Triples as one (n, 3, ...) array, not copied if already one of ``dtype``.
 
-    A malformed point raises ValidationError: ragged or non-numeric
-    points, and with ``width`` a point of any other number of coordinates.
+    A malformed point raises ValidationError: ragged points, a coordinate
+    that is not a finite number (``None`` and nan included), and with
+    ``width`` a point of any other number of coordinates.
     """
     try:
         points = np.asarray(triples, dtype=dtype)
@@ -293,6 +295,8 @@ def _stacked(triples: Triples, dtype=None, width: int | None = None) -> np.ndarr
         raise ValidationError(f"points of this space have {width} coordinates")
     if points.shape[1:2] != (3,):
         raise ValidationError("candidates must be triples of points of one shape")
+    if not (np.issubdtype(points.dtype, np.number) and np.isfinite(points).all()):
+        raise ValidationError("point coordinates must be finite numbers")
     return points
 
 

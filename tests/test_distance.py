@@ -742,6 +742,16 @@ class TestArgumentValidation:
                 == product_region_discrepancy(sigma, tau, ["g1"], genus2,
                                               family=pair_curve_family(genus2, sigma, tau)))
 
+    def test_unknown_gamma_rejected_before_any_estimate(self, genus2, monkeypatch):
+        calls = []
+        estimate = teichlen.distance.kerckhoff_distance_estimate
+        monkeypatch.setattr(teichlen.distance, "kerckhoff_distance_estimate",
+                            lambda *a, **k: calls.append(a) or estimate(*a, **k))
+        sigma = genus2_point()
+        with pytest.raises(ValidationError, match="unknown curves"):
+            product_region_discrepancy(sigma, sigma, ["x"], genus2)
+        assert calls == []
+
 
 @pytest.mark.parametrize("call", [
     lambda: ProductPoint(FNPoint({}, {}), ("g1",), ()),

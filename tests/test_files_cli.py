@@ -124,11 +124,12 @@ class TestFileRoundTrip:
         (lambda m: parse_fn(FN.replace("[fn]", '[fn "x"]'), m), ParseError, 1),
         (lambda m: parse_surface(GENUS2.replace("[pants]", '[pants "x"]')), ParseError, 11),
         (lambda m: parse_surface(GENUS2.replace("[surface]", '[surface "s"]')), ParseError, 1),
+        (lambda m: parse_fn("eps1 = 0.2\n" + FN, m), ParseError, 1),
     ], ids=["no-equals", "end-kind", "surface-field", "orientation", "two-ends",
             "surface-section", "serialize-derived", "fn-number", "fn-then-curve",
             "curve-then-fn", "fn-empty", "fn-boundary-twist", "fn-no-twist", "curve-then-fn-section",
             "curve-no-label", "curve-one-token", "curves-empty", "fn-label", "pants-label",
-            "surface-label"])
+            "surface-label", "content-before-header"])
     def test_malformed_input_rejected(self, call, error, line):
         # a whole-file error has no line; any other names the line at fault
         with pytest.raises(error) as err:
@@ -327,23 +328,16 @@ class TestCliInstability:
 
 
 class TestConfigResolution:
-    def test_config_file_and_flag_precedence(self, tmp_path):
-        config = tmp_path / "run.cfg"
-        config.write_text("eps1 = 0.2\nformat = rows\n")
-        # flag overrides the file value of eps1; format comes from the file
-        code, out = run_cli(
-            "--config", str(config), "--eps1", "0.04",
-            "collar", str(SURFACE), str(FN_CORE),
-        )
-        assert code == 0
-        assert out.startswith("#kind")
-        assert "thin" not in out.split("\n", 1)[1]  # 0.04 threshold: no thin curves
-
-    def test_env_override(self, tmp_path, monkeypatch):
+    def test_settings_come_from_flags_alone(self, monkeypatch):
+        # no environment variable sets a run setting, and there is no --config flag
+        argvs = (("validate", str(SURFACE)), ("collar", str(SURFACE), str(FN_THIN)))
+        plain = [run_cli(*argv) for argv in argvs]
         monkeypatch.setenv("TEICHLEN_FORMAT", "rows")
-        code, out = run_cli("validate", str(SURFACE))
-        assert code == 0
-        assert out.startswith("#curves")
+        monkeypatch.setenv("TEICHLEN_EPS1", "0.005")  # would leave g1 (0.01) thick
+        assert [run_cli(*argv) for argv in argvs] == plain
+        with pytest.raises(SystemExit) as exit_:
+            run_cli("--config", os.devnull, "validate", str(SURFACE))
+        assert exit_.value.code == 2
 
     def test_boundary_length_bound_enforced(self, tmp_path):
         marking_path = DATA / "holed_torus.surf"
@@ -351,62 +345,38 @@ class TestConfigResolution:
         fn.write_text("[fn]\ng1 = 0.8 0.0\nboundary:b1 = 20.0\n")
         code, _ = run_cli("collar", str(marking_path), str(fn))
         assert code == 3
-        code, _ = run_cli("--config", os.devnull, "collar",
-                          str(marking_path), str(DATA / "holed_torus.fn"))
+        code, _ = run_cli("collar", str(marking_path), str(DATA / "holed_torus.fn"))
         assert code == 0
 
 
 class TestCliBadInput:
     INSTABILITY = ("instability", "--delta", "0", "--ladder", "1,10,100,1000,10000")
 
-    @pytest.mark.parametrize("config_text, env, argv, code", [
-        (None, {}, ("--config", "{tmp}/missing.cfg", "validate", str(SURFACE)), 2),
-        ("eps1 = abc\n", {}, ("validate", str(SURFACE)), 2),
-        (None, {"TEICHLEN_EPS1": "abc"}, ("validate", str(SURFACE)), 2),
-        ("torus_n = 5\n", {}, ("validate", str(SURFACE)), 3),
-        ("family_i_max = 3\n", {}, ("validate", str(SURFACE)), 3),
-        ("margulis = 1.7\n", {}, ("validate", str(SURFACE)), 3),
-        ("eps1 = 0.005\neps1 = 0.2\n", {}, ("collar", str(SURFACE), str(FN_THIN)), 2),
-        (None, {}, INSTABILITY + ("--space", "supprod:x"), 3),
-        (None, {}, INSTABILITY + ("--space", "euclidean:"), 3),
-        (None, {}, ("instability", "--space", "supprod:2", "--delta", "0",
-                    "--ladder", "1,a"), 3),
-        (None, {}, ("instability", "--space", "euclidean:2", "--delta", "0",
-                    "--ladder", "1,10,100,1000,inf"), 3),
-        (None, {}, ("instability", "--space", "euclidean:2", "--delta", "nan",
-                    "--ladder", "1,10,100,1000,10000"), 3),
-        (None, {}, ("--budget", "0", "validate", str(SURFACE)), 3),
-        ("format = xml\n", {}, ("validate", str(SURFACE)), 3),
-        ("eps1 0.2\n", {}, ("validate", str(SURFACE)), 2),
-        (None, {}, ("product", str(SURFACE), str(FN_THIN), str(FN_CORE), "--gamma", ","), 3),
-    ], ids=["missing-config", "config-not-a-number", "env-not-a-number",
-            "config-torus_n", "config-family_i_max", "config-margulis",
-            "config-repeated-key", "space-bad-size",
-            "space-empty-size", "ladder-not-a-number",
-            "ladder-inf", "delta-nan", "budget-zero",
-            "config-format-xml", "config-no-equals", "gamma-empty"])
-    def test_exit_codes(self, tmp_path, monkeypatch, config_text, env, argv, code):
-        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
-        if config_text is not None:
-            config = tmp_path / "run.cfg"
-            config.write_text(config_text)
-            argv = ["--config", str(config), *argv]
-        for key, value in env.items():
-            monkeypatch.setenv(key, value)
+    @pytest.mark.parametrize("argv, code", [
+        (INSTABILITY + ("--space", "supprod:x"), 3),
+        (INSTABILITY + ("--space", "euclidean:"), 3),
+        (("instability", "--space", "supprod:2", "--delta", "0", "--ladder", "1,a"), 3),
+        (("instability", "--space", "euclidean:2", "--delta", "0",
+          "--ladder", "1,10,100,1000,inf"), 3),
+        (("instability", "--space", "euclidean:2", "--delta", "nan",
+          "--ladder", "1,10,100,1000,10000"), 3),
+        (("--budget", "0", "validate", str(SURFACE)), 3),
+        (("product", str(SURFACE), str(FN_THIN), str(FN_CORE), "--gamma", ","), 3),
+    ], ids=["space-bad-size", "space-empty-size", "ladder-not-a-number", "ladder-inf",
+            "delta-nan", "budget-zero", "gamma-empty"])
+    def test_exit_codes(self, argv, code):
         assert run_cli(*argv)[0] == code
 
     @pytest.mark.parametrize("command, suffix, text, line", [
         ("validate", ".surf", GENUS2.replace("boundary = 0\n", "boundary = 0\nholes = 1\n"), 5),
         ("collar", ".fn", FN + '\n[curve "x"]\ng1 = 0 0 1\n', 6),
         ("extremal", ".crv", '[curve "x"]\ng1 = 0 0 1\n\n[fn]\ng1 = 0.5 0.0\n', 4),
-        ("--config", ".cfg", "# a config value that is not a number\neps1 = abc\n", 2),
-    ], ids=["surface-field", "fn-then-curve", "curve-then-fn", "config-not-a-number"])
+    ], ids=["surface-field", "fn-then-curve", "curve-then-fn"])
     def test_section_errors_name_their_line(self, tmp_path, capsys, command, suffix, text,
                                             line):
         bad = tmp_path / f"bad{suffix}"
         bad.write_text(text)
         paths = {"validate": [bad], "collar": [SURFACE, bad], "extremal": [SURFACE, FN_THIN, bad]}
-        paths["--config"] = [bad, "validate", SURFACE]
         assert run_cli(command, *map(str, paths[command]))[0] == 2
         assert f"error: line {line}: " in capsys.readouterr().err
 
@@ -563,7 +533,3 @@ class TestCliBoundaryBound:
         for pair in ((fine, str(big)), (str(big), fine)):
             assert run_cli(command, surface, *pair, *gamma)[0] == 3
             assert "> ell0 = 10.0" in capsys.readouterr().err
-
-    def test_nan_bound_rejected(self, monkeypatch):
-        monkeypatch.setenv("TEICHLEN_ELL0", "nan")
-        assert run_cli("collar", *self.HOLED)[0] == 3

@@ -1,6 +1,7 @@
 """Invalid sizes, counts and non-finite inputs raise ValidationError; extreme
 inputs to the pair curve family raise a TeichlenError or give a finite estimate."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from teichlen import (
     fn_dehn_twist,
     hexagon_side,
     hyp_product_space,
+    instability_lower_bound,
     kerckhoff_distance_estimate,
     pair_curve_family,
     sup_product_space,
@@ -106,6 +108,22 @@ def test_non_finite_kernel_input_rejected(call):
         "FNPoint-bool-length", "FNPoint-str-twist"])
 def test_non_number_point_coordinates_rejected(call):
     with pytest.raises(ValidationError):
+        call()
+
+
+def _search_with_random_triple(triple):
+    space = dataclasses.replace(sup_product_space(2), witnesses=None,
+                                random_triple=lambda rng, delta, L: triple)
+    return instability_lower_bound(space, 0.0, 1.0, budget=5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sup_product_space(2).distance((0.0, math.nan), (1.0, 1.0)),
+    lambda: _search_with_random_triple(((0.0, 1.0), (1.0, None), (2.0, 0.0))),
+], ids=["distance-nan", "search-None"])
+def test_non_finite_normed_point_coordinates_rejected(call):
+    # nan once came back as a distance, and None was read as nan and filtered out
+    with pytest.raises(ValidationError, match="finite"):
         call()
 
 
