@@ -18,7 +18,7 @@ import argparse
 import functools
 import sys
 
-from .collar import CollarParams, collar_decomposition
+from .collar import DEFAULT_PARAMS, CollarParams, collar_decomposition
 from .distance import (
     kerckhoff_distance_estimate,
     pair_curve_family,
@@ -188,8 +188,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="teichlen",
         description="Hyperbolic surface geometry from length/twist coordinates.",
     )
-    parser.add_argument("--eps0", type=float, default=0.5, help="collar boundary length")
-    parser.add_argument("--eps1", type=float, default=0.1, help="thin threshold")
+    parser.add_argument("--eps0", type=float, default=DEFAULT_PARAMS.eps0,
+                        help="collar boundary length")
+    parser.add_argument("--eps1", type=float, default=DEFAULT_PARAMS.eps1,
+                        help="thin threshold")
     parser.add_argument("--format", choices=("table", "rows"), default="table")
     parser.add_argument("--seed", type=int, default=0, help="search seed")
     parser.add_argument("--budget", type=int, default=400, help="search budget")

@@ -71,15 +71,6 @@ class CollarDecomposition:
         return tuple([(a.curve, "annulus") for a in self.thin]
                      + [(c.component_id, "thick") for c in self.thick])
 
-    def thin_curves(self) -> tuple[str, ...]:
-        return tuple(a.curve for a in self.thin if not a.peripheral)
-
-    def annulus(self, curve: str) -> ThinAnnulus:
-        for a in self.thin:
-            if a.curve == curve:
-                return a
-        raise ValidationError(f"{curve!r} is not a thin curve of this decomposition")
-
 
 def _components(marking: Marking, removed: set[str]) -> tuple[ThickComponent, ...]:
     """Connected components of the pants graph after cutting the removed curves."""

@@ -48,7 +48,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -350,10 +349,4 @@ def product_region_discrepancy(sigma: FNPoint, tau: FNPoint, gamma: Iterable[str
     thin_ok = all(
         point.length(g) <= params.eps1 for g in gamma for point in (sigma, tau)
     )
-    if not thin_ok:
-        warnings.warn(
-            "pinched curves are not thin at both points; the product model "
-            "only tracks the distance estimate on the thin region",
-            stacklevel=2,
-        )
     return DiscrepancyReport(d_teich, d_product, model.gamma, thin_ok)

@@ -103,8 +103,7 @@ class CurveFamily:
     of its cell.  The family also groups its members by crossing pattern,
     the i-counts of a member: ``patterns`` holds each distinct pattern
     once and the read-only ``key`` gives each member the index of its
-    pattern.  ``coords``, shape (members, curves, 3), and ``members``
-    rebuild the full rows on each access.
+    pattern.  Member j's (i, b, n) on curve k is ``cells[k][index[k][j]]``.
     """
 
     def __init__(self, members: Iterable[CurveSystem]):
@@ -137,34 +136,8 @@ class CurveFamily:
         self.key, self.patterns = key, patterns
         return self
 
-    def arc_counts(self, curve_ends: tuple[str | None, ...]) -> tuple:
-        """Per pattern, the nonzero (arc, count) pairs of one pants' arc pairing.
-
-        ``curve_ends`` names the curve on each end of the pants, None for
-        a boundary or puncture; arcs are numbered in ``ArcMultiplicities``
-        order.  Cached by (patterns, columns), so families sharing their
-        patterns share the table.
-        """
-        columns = tuple(None if name is None else self.curves.index(name) for name in curve_ends)
-        return _arc_table(self.patterns, columns)
-
-    @property
-    def coords(self) -> np.ndarray:
-        coords = np.empty((len(self), len(self.curves), 3), dtype=np.int64)
-        for k, (cells, index) in enumerate(zip(self.cells, self.index)):
-            coords[:, k] = cells[index]
-        return coords
-
-    @property
-    def members(self) -> tuple[CurveSystem, ...]:
-        return tuple(CurveSystem(dict(zip(self.curves, row)))
-                     for row in self.coords.tolist())
-
     def __len__(self):
         return len(self.key)
-
-    def __iter__(self):
-        return iter(self.members)
 
 
 def component_table(decomposition: CollarDecomposition, sigma: FNPoint,
@@ -177,8 +150,8 @@ def component_table(decomposition: CollarDecomposition, sigma: FNPoint,
     component adds the twist-travel term: the decomposition cuts every
     curve of length at most eps1, so no such cuff is thin.  Annulus and
     twist-travel terms are computed once per cell of ``family.cells`` and
-    gathered by ``family.index``; thick arc sums add count * d over the
-    family's ``arc_counts`` once per pattern and are gathered by
+    gathered by ``family.index``; thick arc sums add count * d over each
+    pants' cached arc table once per pattern and are gathered by
     ``family.key``.  Terms are summed in the scalar order, so values are
     bit-identical to a per-member loop.  A pants whose orthogeodesics leave
     double range is a row of inf that only the patterns entering it meet;
@@ -206,8 +179,8 @@ def component_table(decomposition: CollarDecomposition, sigma: FNPoint,
                         *(0.0 if e.kind == PUNCTURE else sigma.length(e.name) for e in ends)))
                 except NumericDomainError:  # raised below for the patterns entering it
                     ortho = (math.inf,) * 6
-                curve_ends = tuple(e.name if e.kind == CURVE else None for e in ends)
-                arcs.append((family.arc_counts(curve_ends), ortho))
+                columns = tuple(column[e.name] if e.kind == CURVE else None for e in ends)
+                arcs.append((_arc_table(family.patterns, columns), ortho))
             sums = []
             for p in range(len(family.patterns)):
                 length = 0.0
@@ -243,12 +216,6 @@ class ComponentLength:
 class EstimateResult:
     value: float
     components: tuple[ComponentLength, ...]
-
-    def component_value(self, component: str) -> float:
-        for row in self.components:
-            if row.component == component:
-                return row.value
-        raise ValidationError(f"no component {component!r} in this estimate")
 
 
 def lambda_surface_estimate(beta: CurveSystem, sigma: FNPoint, marking: Marking,

@@ -33,7 +33,6 @@ import functools
 import itertools
 import math
 import random
-import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
@@ -61,7 +60,10 @@ class MetricSpaceHandle:
     the chosen geodesic from x to y; an entry that is not finite means a
     path point left the space.  The kernel must accept x == y, the
     constant path, and it is the space's only metric: ``distance`` and
-    the betweenness filter evaluate it on constant paths.  A search
+    the betweenness filter evaluate it on constant paths.  The path must
+    be parametrized proportionally to arclength, so moving t by w moves
+    the path point by at most w * d(x, y); a search counts a distance
+    only above that bound for its final bracket width w.  A search
     stacks its candidates once and passes every call an array.  Optional
     hooks drive the witness search: ``witnesses(delta, L)`` yields
     structured candidate triples and ``random_triple(rng, delta, L)``
@@ -100,9 +102,11 @@ def _lengths_and_slacks(space: MetricSpaceHandle,
     return d_xy, d_xz + d_zy - d_xy
 
 
-def _segment_distances(space: MetricSpaceHandle, triples: Triples) -> np.ndarray:
+def _segment_distances(space: MetricSpaceHandle,
+                       triples: Triples) -> tuple[np.ndarray, np.ndarray]:
     """Distance from each z to its chosen geodesic [xy], all rows zoomed together.
 
+    Returns the smallest sample of each row and its final bracket width.
     A constant path (x == y) needs no branch: the kernel returns d(z, x)
     at every sample.
     """
@@ -121,7 +125,7 @@ def _segment_distances(space: MetricSpaceHandle, triples: Triples) -> np.ndarray
         lo = ts[at, np.maximum(k - 1, 0)]
         width = ts[at, np.minimum(k + 1, last)] - lo
         if (width <= _RESOLUTION).all():
-            return best
+            return best, width
 
 
 def segment_distance(space: MetricSpaceHandle, x: Point, y: Point, z: Point) -> float:
@@ -130,7 +134,7 @@ def segment_distance(space: MetricSpaceHandle, x: Point, y: Point, z: Point) -> 
     The one-triple case of the search's zoom: an upper bound on the true
     minimum for the chosen representative, attained at a point of the path.
     """
-    return float(_segment_distances(space, [(x, y, z)])[0])
+    return float(_segment_distances(space, [(x, y, z)])[0][0])
 
 
 def euclidean_instability_exact(delta: float, L: float) -> float:
@@ -151,8 +155,10 @@ def instability_lower_bound(space: MetricSpaceHandle, delta: float, L: float,
     coordinate that is not a finite number, raises ValidationError.
     Those within the diameter and betweenness constraints (betweenness
     accepted up to closure tolerance, so exact-geodesic witnesses count
-    at delta = 0) are refined together; the witness holds the first
-    candidate attaining the largest distance.
+    at delta = 0) are refined together.  A refined distance no larger
+    than its bracket width times d(x, y) is within sampling error of 0 and
+    counts as 0.  The witness holds the first candidate attaining the
+    largest distance.
     """
     if not (0 <= delta < math.inf and 0 < L < math.inf):
         raise ValidationError("need finite delta >= 0 and L > 0")
@@ -172,7 +178,8 @@ def instability_lower_bound(space: MetricSpaceHandle, delta: float, L: float,
                           & ((slacks < delta) | (slacks <= _BETWEEN_ATOL)))
     if not len(keep):
         return 0.0, None
-    values = _segment_distances(space, points[keep])
+    values, width = _segment_distances(space, points[keep])
+    values = np.where(values > width * lengths[keep], values, 0.0)
     k = int(values.argmax())  # the first maximum
     value = float(values[k])
     if not value > 0.0:
@@ -195,7 +202,8 @@ def growth_rate_estimate(space: MetricSpaceHandle | None, delta: float,
 
     The ladder needs at least 5 values spanning at least 3 decades.
     ``s_values`` short-circuits the search (for exact formulas or
-    synthetic data).  Zero estimates are excluded with a warning.
+    synthetic data).  Zero estimates are left out of the fit and of
+    ``points``.
     """
     L_values = [float(L) for L in L_values]
     if not (math.isfinite(delta) and all(0 < L < math.inf for L in L_values)):
@@ -215,12 +223,7 @@ def growth_rate_estimate(space: MetricSpaceHandle | None, delta: float,
         raise ValidationError("s_values must match the ladder")
     elif not all(math.isfinite(s) for s in s_values):
         raise ValidationError("s_values must be finite")
-    points = []
-    for L, s in zip(L_values, s_values):
-        if s <= 0.0:
-            warnings.warn(f"s estimate vanished at L={L}; point excluded", stacklevel=2)
-            continue
-        points.append((L, s))
+    points = [(L, s) for L, s in zip(L_values, s_values) if s > 0.0]
     if len(points) < 2:
         raise ValidationError("not enough nonzero points to fit a growth rate")
     log_l = np.log([p[0] for p in points])

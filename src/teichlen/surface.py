@@ -117,11 +117,6 @@ class PantsDecomposition:
             sorted(e.name for p in self.pants for e in p.ends if e.kind == BOUNDARY)
         )
 
-    def puncture_names(self) -> tuple[str, ...]:
-        return tuple(
-            sorted(e.name for p in self.pants for e in p.ends if e.kind == PUNCTURE)
-        )
-
 
 @dataclass(frozen=True)
 class Marking:
@@ -303,12 +298,6 @@ class CurveSystem:
 
     def intersection(self, name: str) -> int:
         return self._entry(name)[0]
-
-    def twist_offset(self, name: str) -> int:
-        return self._entry(name)[1]
-
-    def core_copies(self, name: str) -> int:
-        return self._entry(name)[2]
 
     def validate_for(self, marking: Marking) -> "CurveSystem":
         if set(self.data) != set(marking.curves):

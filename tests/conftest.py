@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from teichlen import CurveSystem, FNPoint, Marking, SurfaceSpec
@@ -59,3 +60,34 @@ def genus2_point(l1=0.01, l2=1.2, l3=0.8, s1=0.0, s2=0.1, s3=-0.2):
 
 def genus2_curve(i1=0, b1=0, n1=0, i2=0, b2=0, n2=0, i3=0, b3=0, n3=0):
     return CurveSystem({"g1": (i1, b1, n1), "g2": (i2, b2, n2), "g3": (i3, b3, n3)})
+
+
+def family_rows(family):
+    """Every member's (i, b, n) per curve, shape (members, curves, 3): cells[k][index[k]]."""
+    rows = np.empty((len(family), len(family.curves), 3), dtype=np.int64)
+    for k, (cells, index) in enumerate(zip(family.cells, family.index)):
+        rows[:, k] = cells[index]
+    return rows
+
+
+def family_members(family):
+    """The members of a CurveFamily as curve systems, in member order."""
+    return tuple(CurveSystem(dict(zip(family.curves, row)))
+                 for row in family_rows(family).tolist())
+
+
+def component_value(result, component):
+    """The value of the named component of an EstimateResult."""
+    (value,) = [row.value for row in result.components if row.component == component]
+    return value
+
+
+def thin_annulus(decomposition, curve):
+    """The thin annulus of a collar decomposition around the named curve."""
+    (annulus,) = [a for a in decomposition.thin if a.curve == curve]
+    return annulus
+
+
+def thin_curves(decomposition):
+    """Names of the non-peripheral thin annuli of a collar decomposition."""
+    return tuple(a.curve for a in decomposition.thin if not a.peripheral)

@@ -15,7 +15,7 @@ from teichlen import (
     collar_modulus,
 )
 
-from conftest import genus2_point, fn_point
+from conftest import fn_point, genus2_point, thin_annulus, thin_curves
 
 
 def thick_components_oracle(marking, removed):
@@ -46,8 +46,8 @@ class TestCollarDecomposition:
     def test_single_thin_curve(self, genus2):
         sigma = genus2_point(l1=0.05, l2=1.2, l3=0.8)
         dec = collar_decomposition(genus2, sigma)
-        assert dec.thin_curves() == ("g1",)
-        assert dec.annulus("g1").modulus == pytest.approx(20 * math.pi - 4, abs=1e-12)
+        assert thin_curves(dec) == ("g1",)
+        assert thin_annulus(dec, "g1").modulus == pytest.approx(20 * math.pi - 4, abs=1e-12)
         assert len(dec.thick) == 1
         assert dec.thick[0].pants == ("pA", "pB")
         assert dec.thick[0].internal_cuffs == ("g2", "g3")
@@ -59,7 +59,7 @@ class TestCollarDecomposition:
 
     def test_all_thin_splits_into_pants(self, genus2):
         dec = collar_decomposition(genus2, genus2_point(l1=0.05, l2=0.05, l3=0.05))
-        assert dec.thin_curves() == ("g1", "g2", "g3")
+        assert thin_curves(dec) == ("g1", "g2", "g3")
         assert [c.pants for c in dec.thick] == [("pA",), ("pB",)]
         assert all(c.internal_cuffs == () for c in dec.thick)
 
@@ -78,7 +78,7 @@ class TestCollarDecomposition:
             previous = None
             for eps1 in (0.4, 0.2, 0.1, 0.05, 0.02):
                 dec = collar_decomposition(genus2, sigma, CollarParams(0.5, eps1))
-                thin = set(dec.thin_curves())
+                thin = set(thin_curves(dec))
                 if previous is not None:
                     assert thin <= previous
                 previous = thin
@@ -92,12 +92,12 @@ class TestCollarDecomposition:
                 sigma = fn_point(marking, lengths, {c: 0.0 for c in names})
                 dec = collar_decomposition(marking, sigma)
                 got = sorted(c.pants for c in dec.thick)
-                assert got == thick_components_oracle(marking, set(dec.thin_curves()))
+                assert got == thick_components_oracle(marking, set(thin_curves(dec)))
 
     def test_self_glued_curve_never_disconnects(self, punctured_torus):
         sigma = fn_point(punctured_torus, {"g1": 0.05}, {"g1": 0.0})
         dec = collar_decomposition(punctured_torus, sigma)
-        assert dec.thin_curves() == ("g1",)
+        assert thin_curves(dec) == ("g1",)
         assert len(dec.thick) == 1
 
     def test_low_modulus_rejected(self, genus2):
@@ -111,8 +111,3 @@ class TestCollarDecomposition:
         dec = collar_decomposition(holed_torus, sigma)
         assert [a.curve for a in dec.thin] == ["b1"]
         assert dec.thin[0].peripheral
-
-    def test_annulus_of_a_thick_curve_rejected(self, genus2):
-        dec = collar_decomposition(genus2, genus2_point(l1=0.05))
-        with pytest.raises(ValidationError):
-            dec.annulus("g2")

@@ -255,12 +255,15 @@ class TestCliProduct:
         assert float(row[1]) == pytest.approx(0.04997919006934813, abs=1e-12)
         assert row[3] == "1"
 
-    def test_surface_without_base_curve(self, tmp_path):
+    @pytest.mark.filterwarnings("error")
+    def test_surface_without_base_curve(self, tmp_path, capsys):
         holed = DATA / "holed_torus.surf"
-        with pytest.warns(UserWarning):  # g1 = 0.8 is not thin
-            code, _ = run_cli("product", str(holed), str(DATA / "holed_torus.fn"),
-                              str(DATA / "holed_torus.fn"), "--gamma", "g1")
+        code, out = run_cli("--format", "rows", "product", str(holed),
+                            str(DATA / "holed_torus.fn"), str(DATA / "holed_torus.fn"),
+                            "--gamma", "g1")
         assert code == 0
+        assert out.splitlines()[1].split("\t")[3] == "0"  # g1 = 0.8 is not thin
+        assert capsys.readouterr().err == ""
         # the pinched surface has no internal curve: d_product is the g1 factor distance
         (tmp_path / "a.fn").write_text("[fn]\ng1 = 0.05 0.25\nboundary:b1 = 1.5\n")
         (tmp_path / "b.fn").write_text("[fn]\ng1 = 0.004 -3\nboundary:b1 = 1.5\n")
@@ -487,12 +490,14 @@ class TestCliOutputPaths:
         assert header == "#d_teich"
         assert float(value) == expected > 0
 
-    def test_product_warns_when_gamma_is_not_thin(self):
-        with pytest.warns(UserWarning):
-            code, out = run_cli("product", str(SURFACE),
-                                str(DATA / "genus2_wide.fn"), str(FN_TWISTED), "--gamma", "g1")
+    @pytest.mark.filterwarnings("error")
+    def test_product_warns_when_gamma_is_not_thin(self, capsys):
+        # the table's warning line is the one report: stderr stays empty
+        code, out = run_cli("product", str(SURFACE),
+                            str(DATA / "genus2_wide.fn"), str(FN_TWISTED), "--gamma", "g1")
         assert code == 0
         assert out.splitlines()[-1] == "warning: pinched curves are not thin at both points"
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("space", ["hyp-product:2", f"pi-image:{SURFACE}"])
     def test_instability_on_half_plane_spaces(self, space):
@@ -517,7 +522,9 @@ class TestCliOutputPaths:
                            "--ladder", "1,10,100,1000,10000")
                    for space in (f"pi-image:{DATA / surface}", product)]
         assert outputs[0] == outputs[1]
-        assert outputs[0][0] == 0
+        # one factor: each random z lies on its geodesic, so every rung reads
+        # 0 within sampling error and the fit has no point (exit 3)
+        assert outputs[0][0] == (3 if product == "hyp-product:1" else 0)
 
 
 class TestCliBoundaryBound:

@@ -1,5 +1,6 @@
-"""Every module-level import in the package is used by its module, and
-only ``collar`` builds a ``CollarDecomposition``."""
+"""Every module-level import in the package is used by its module, only
+``collar`` builds a ``CollarDecomposition``, and every export and public
+class member has a reader outside the tests."""
 
 import ast
 import pathlib
@@ -88,10 +89,12 @@ def names_read(source: str) -> set[str]:
     return read
 
 
+SCRIPTS = sorted((REPO / "demos").glob("*.py")) + sorted((REPO / "perfbench").glob("*.py"))
+
+
 def unread_exports() -> list[str]:
     """Exported names that no package module, demo or benchmark script reads."""
-    scripts = sorted((REPO / "demos").glob("*.py")) + sorted((REPO / "perfbench").glob("*.py"))
-    read = set().union(*(names_read(path.read_text()) for path in MODULES + scripts))
+    read = set().union(*(names_read(path.read_text()) for path in MODULES + SCRIPTS))
     return [name for name in exported_names() if name not in read]
 
 
@@ -104,3 +107,50 @@ def test_every_export_has_a_reader():
 def test_own_definition_is_not_a_reader():
     source = "def f(n):\n    return f(n - 1)\n\ndef g():\n    return h\n"
     assert names_read(source) == {"n", "h"}
+
+
+# public class members kept with no reader outside the tests, each with its reason
+KEEP_MEMBERS: dict[str, str] = {}
+
+
+def public_members(source: str) -> list[str]:
+    """``Class.name`` of each method or property a class defines, for names not
+    starting with an underscore."""
+    return [f"{node.name}.{item.name}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef) for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not item.name.startswith("_")]
+
+
+def attributes_read(source: str) -> set[str]:
+    """Names loaded as attributes, ``obj.name``, outside a definition of that name."""
+    read = set()
+
+    def visit(node, defining):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defining = defining | {node.name}
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+              and node.attr not in defining):
+            read.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, defining)
+
+    visit(ast.parse(source), frozenset())
+    return read
+
+
+def test_every_public_member_has_a_reader():
+    members = [member for path in MODULES for member in public_members(path.read_text())]
+    assert set(KEEP_MEMBERS) <= set(members)
+    read = set().union(*(attributes_read(path.read_text()) for path in MODULES + SCRIPTS))
+    unread = [member for member in members
+              if member.split(".")[1] not in read and member not in KEEP_MEMBERS]
+    assert not unread, f"public members read nowhere outside the tests: {unread}"
+
+
+def test_own_member_definition_is_not_a_reader():
+    source = ("class A:\n    def f(self):\n        return self.f()\n\n"
+              "    @property\n    def g(self):\n        return self.h\n\n"
+              "    def _k(self):\n        self.m = 1\n")
+    assert public_members(source) == ["A.f", "A.g"]
+    assert attributes_read(source) == {"h"}

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from teichlen import (
     segment_distance,
     sup_product_space,
 )
-from teichlen.instability import _lengths_and_slacks
+from teichlen.instability import _lengths_and_slacks, _segment_distances
 
 
 def triangle_slack(space, x, y, z):
@@ -196,12 +197,14 @@ class TestGrowthRateEstimate:
             growth_rate_estimate(euclidean_space(2), delta, ladder, budget=5)
 
     def test_zero_points_excluded_with_warning(self):
-        with pytest.warns(UserWarning):
+        # the excluded rung is absent from fit.points, the one report of it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             fit = growth_rate_estimate(
                 None, 0.0, self.LADDER, s_values=[0.0, 10.0, 100.0, 1000.0, 10000.0]
             )
         assert fit.slope == pytest.approx(1.0, abs=1e-9)
-        assert len(fit.points) == 4
+        assert [L for L, _ in fit.points] == self.LADDER[1:]
 
 
 class TestDistortionTransferCheck:
@@ -359,7 +362,11 @@ def nearly_vertical(p, q):
 
 
 def sequential_search(space, delta, L, budget, seed=0):
-    """Reference search: one segment_distance per accepted candidate, kept if larger."""
+    """Reference search: one refinement per accepted candidate, kept if larger.
+
+    A refined distance counts only above its sampling error, the final
+    bracket width times d(x, y).
+    """
     candidates = list(itertools.islice(space.witnesses(delta, L), budget)
                       if space.witnesses else [])
     rng = random.Random(seed)
@@ -372,9 +379,9 @@ def sequential_search(space, delta, L, budget, seed=0):
         slack = triangle_slack(space, x, y, z)
         if not (slack < delta or slack <= 1e-12):
             continue
-        value = segment_distance(space, x, y, z)
-        if value > best:
-            best, best_triple = value, (x, y, z)
+        (value,), (width,) = _segment_distances(space, [(x, y, z)])
+        if value > width * space.distance(x, y) and value > best:
+            best, best_triple = float(value), (x, y, z)
     return best, best_triple
 
 
@@ -415,6 +422,9 @@ class TestZoomRefinement:
         value, witness = instability_lower_bound(space, delta, L, budget=60, seed=4)
         expected, triple = sequential_search(space, delta, L, budget=60, seed=4)
         assert value == expected
+        if witness is None:  # euclidean:3 at delta 0, whose exact value is 0
+            assert value == 0.0 and triple is None
+            return
         assert value == witness.offline_distance
         assert all(same_point(p, q) for p, q in zip((witness.x, witness.y, witness.z), triple))
 
@@ -456,16 +466,20 @@ class TestZoomRefinement:
 
 # float.hex of instability_lower_bound(space, delta, L, budget=200, seed=3) for
 # delta in (0, 0.05) and L in (0.5, 3, 50), pinned bit for bit; dim 1 has
-# random candidates only
+# random candidates only.  An entry of 0 means every candidate passing the
+# filters has its z within the zoom's sampling error of its path: at delta 0
+# in Euclidean space and in dimension 1, where the exact value is 0, and for
+# supprod-1 at delta 0.05 and L = 50, whose delta-between random z all lie on
+# their segments
+ZERO = "0x0.0p+0"
 PINNED = {
-    ("euclidean", 1): ["0x1.0000000000000p-54", "0x1.0000000000000p-53", "0x1.0000000000000p-48",
+    ("euclidean", 1): [ZERO, ZERO, ZERO,
                        "0x1.8540507a2b796p-6", "0x1.8a25af676ca20p-6", "0x1.acd8545928000p-8"],
-    ("euclidean", 2): ["0x1.1e3779b97f4a8p-54", "0x1.0000000000000p-52", "0x1.0000000000000p-48",
+    ("euclidean", 2): [ZERO, ZERO, ZERO,
                        "0x1.d54178e0a39d4p-4", "0x1.19999994e0233p-2", "0x1.1e49ca7e86a86p+0"],
-    ("euclidean", 3): ["0x1.0000000000000p-54", "0x1.2548eb9151e85p-52", "0x1.6a09e667f3bcdp-48",
+    ("euclidean", 3): [ZERO, ZERO, ZERO,
                        "0x1.d54178e0a39d4p-4", "0x1.19999994e0233p-2", "0x1.1e49ca7e86a86p+0"],
-    ("supprod", 1): ["0x1.47b8b53000000p-24", "0x1.eb950fc800000p-22", "0x1.00084d8f00000p-17",
-                     "0x1.97e59c41b8b58p-6", "0x1.b898b2068ae00p-7", "0x1.00084d8f00000p-17"],
+    ("supprod", 1): [ZERO, ZERO, ZERO, "0x1.97e59c41b8b58p-6", "0x1.b898b2068ae00p-7", ZERO],
     ("supprod", 2): ["0x1.0000000000000p-2", "0x1.8000000000000p+0", "0x1.9000000000000p+4",
                      "0x1.19999994e0233p-2", "0x1.8666665fd9a51p+0", "0x1.9066665faeb1fp+4"],
     ("supprod", 3): ["0x1.0000000000000p-2", "0x1.8000000000000p+0", "0x1.9000000000000p+4",
@@ -553,8 +567,7 @@ LADDER = [1.0, 10.0, 100.0, 1000.0, 10000.0]
     lambda: euclidean_instability_exact(1.0, math.inf),
     lambda: growth_rate_estimate(None, 0.0, LADDER),
     lambda: growth_rate_estimate(None, 0.0, LADDER, s_values=[1, 2, 3]),
-    pytest.param(lambda: growth_rate_estimate(None, 0.0, LADDER, s_values=[0, 0, 0, 0, 5]),
-                 marks=pytest.mark.filterwarnings("ignore:s estimate vanished")),
+    lambda: growth_rate_estimate(None, 0.0, LADDER, s_values=[0, 0, 0, 0, 5]),
 ], ids=["float-budget", "nan-s", "inf-s", "nan-delta", "inf-L", "no-space", "short-s",
         "one-nonzero-s"])
 def test_bad_arguments_raise_validation_error(call):
