@@ -15,16 +15,16 @@ slices of it: d(x, y), d(x, z) and d(z, y) for every candidate come from
 one call on 3n constant-path rows, picked by fancy indexing, before
 filtering with array masks.
 
-The distance from z to [xy] is refined by zooming, for all rows of a
-search at once: each round evaluates 65 evenly spaced parameters per row
-in one ``segment_distances`` call, first on [0, 1], then on the bracket
-[t_{k-1}, t_{k+1}] around the row's best sample t_k, until every bracket
-is at most a fixed 1e-6 wide (4 zoom rounds).  The bracket keeps
-the minimiser because t -> d(z, gamma(t)) is convex: distance to a point
-is convex along geodesics of the CAT(0) half-plane factors and along
-affine paths of normed spaces, and a maximum of convex functions is
-convex.  The reported value is the smallest sample seen, the distance to
-an actual point of the path.
+The distance from z to [xy] is refined by zooming the live rows together:
+each round evaluates 65 evenly spaced parameters per row in one
+``segment_distances`` call, on [0, 1] for every row first, then on the
+bracket [t_{k-1}, t_{k+1}] around each live row's best sample t_k, until
+those brackets are at most 1e-6 wide (4 rounds).  Distance to a point is
+convex along CAT(0) half-plane geodesics and affine normed paths, and so
+is a maximum of convex functions, so the bracket keeps the minimiser and
+a row's floor (``_floors``) stays below its later samples.  A row stays
+live while its best sample reaches every floor exceeding its own row's
+sampling error; the value is the smallest sample, at a point of the path.
 """
 
 from __future__ import annotations
@@ -63,11 +63,13 @@ class MetricSpaceHandle:
     the betweenness filter evaluate it on constant paths.  The path must
     be parametrized proportionally to arclength, so moving t by w moves
     the path point by at most w * d(x, y); a search counts a distance
-    only above that bound for its final bracket width w.  A search
-    stacks its candidates once and passes every call an array.  Optional
-    hooks drive the witness search: ``witnesses(delta, L)`` yields
-    structured candidate triples and ``random_triple(rng, delta, L)``
-    samples one candidate from a ``random.Random``.
+    only above that bound for its final bracket width w.  Each row's
+    t -> d(z, path(t)) must be convex: the zoom's bracket and its floor
+    rely on it, and a kernel that is not convex may change results.  A
+    search stacks its candidates once and passes every call an array.
+    Optional hooks drive the witness search: ``witnesses(delta, L)``
+    yields structured candidate triples and ``random_triple(rng, delta,
+    L)`` samples one candidate from a ``random.Random``.
     """
 
     name: str
@@ -102,29 +104,41 @@ def _lengths_and_slacks(space: MetricSpaceHandle,
     return d_xy, d_xz + d_zy - d_xy
 
 
-def _segment_distances(space: MetricSpaceHandle,
-                       triples: Triples) -> tuple[np.ndarray, np.ndarray]:
-    """Distance from each z to its chosen geodesic [xy], all rows zoomed together.
+def _floors(d: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Per row of samples d with argmin k, a bound below the row on [t_{k-1}, t_{k+1}].
 
-    Returns the smallest sample of each row and its final bracket width.
-    A constant path (x == y) needs no branch: the kernel returns d(z, x)
-    at every sample.
+    2 f_j - max(f_{j-1}, f_{j+1}) at j = clip(k, 1, 63), less 1e-9 of that
+    max for rounding: a convex row lies above its secants through f_j.
     """
-    lo = np.zeros(len(triples))
-    width = np.ones(len(triples))
-    best = np.full(len(triples), np.inf)
-    at = np.arange(len(triples))
-    last = len(_ZOOM_GRID) - 1
+    at, j = np.arange(len(d)), np.clip(k, 1, d.shape[1] - 2)
+    return 2.0 * d[at, j] - (1.0 + 1e-9) * np.maximum(d[at, j - 1], d[at, j + 1])
+
+
+def _segment_distances(space: MetricSpaceHandle, triples: Triples,
+                       lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distance from each z to its chosen geodesic [xy], the live rows zoomed together.
+
+    Returns the smallest sample of each row and its last bracket width; a
+    row that is no longer live keeps those of its last round.  A constant
+    path (x == y) needs no branch: the kernel returns d(z, x) throughout.
+    """
+    triples = _stacked(triples)
+    live = np.arange(len(triples))
+    lo, width, best = np.zeros(len(live)), np.ones(len(live)), np.full(len(live), np.inf)
+    sure = -np.inf  # the largest floor above its row's sampling error
     while True:
-        ts = lo[:, None] + width[:, None] * _ZOOM_GRID
-        d = space.segment_distances(triples, ts)
+        ts = lo[live, None] + width[live, None] * _ZOOM_GRID
+        d = space.segment_distances(triples[live], ts)
         if not np.isfinite(d).all():
             raise ValidationError("a segment sample leaves the space")
-        k = d.argmin(axis=1)
-        best = np.minimum(best, d[at, k])
-        lo = ts[at, np.maximum(k - 1, 0)]
-        width = ts[at, np.minimum(k + 1, last)] - lo
-        if (width <= _RESOLUTION).all():
+        at, k = np.arange(len(live)), d.argmin(axis=1)
+        best[live] = np.minimum(best[live], d[at, k])
+        lo[live] = ts[at, np.maximum(k - 1, 0)]
+        width[live] = ts[at, np.minimum(k + 1, ts.shape[1] - 1)] - lo[live]
+        floors = _floors(d, k)
+        sure = floors[floors > _RESOLUTION * lengths[live]].max(initial=sure)
+        live = live[best[live] >= sure]
+        if (width[live] <= _RESOLUTION).all():
             return best, width
 
 
@@ -134,7 +148,8 @@ def segment_distance(space: MetricSpaceHandle, x: Point, y: Point, z: Point) -> 
     The one-triple case of the search's zoom: an upper bound on the true
     minimum for the chosen representative, attained at a point of the path.
     """
-    return float(_segment_distances(space, [(x, y, z)])[0][0])
+    # with an infinite length no floor is sure: the one row is zoomed to the end
+    return float(_segment_distances(space, [(x, y, z)], np.full(1, np.inf))[0][0])
 
 
 def euclidean_instability_exact(delta: float, L: float) -> float:
@@ -178,7 +193,7 @@ def instability_lower_bound(space: MetricSpaceHandle, delta: float, L: float,
                           & ((slacks < delta) | (slacks <= _BETWEEN_ATOL)))
     if not len(keep):
         return 0.0, None
-    values, width = _segment_distances(space, points[keep])
+    values, width = _segment_distances(space, points[keep], lengths[keep])
     values = np.where(values > width * lengths[keep], values, 0.0)
     k = int(values.argmax())  # the first maximum
     value = float(values[k])

@@ -2,6 +2,7 @@
 and the distortion-transfer inequality."""
 
 import dataclasses
+import functools
 import itertools
 import math
 import os
@@ -13,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import teichlen
 from teichlen import (
@@ -31,7 +34,7 @@ from teichlen import (
     segment_distance,
     sup_product_space,
 )
-from teichlen.instability import _lengths_and_slacks, _segment_distances
+from teichlen.instability import _floors, _lengths_and_slacks, _segment_distances
 
 
 def triangle_slack(space, x, y, z):
@@ -361,26 +364,36 @@ def nearly_vertical(p, q):
     return tuple(UHPoint(a.x + 1e-9 * a.y, b.y) for a, b in zip(p, q))
 
 
-def sequential_search(space, delta, L, budget, seed=0):
-    """Reference search: one refinement per accepted candidate, kept if larger.
-
-    A refined distance counts only above its sampling error, the final
-    bracket width times d(x, y).
-    """
+def accepted_candidates(space, delta, L, budget, seed=0):
+    """The candidates a search draws that pass its filters, one scalar check each."""
     candidates = list(itertools.islice(space.witnesses(delta, L), budget)
                       if space.witnesses else [])
     rng = random.Random(seed)
     while space.random_triple is not None and len(candidates) < budget:
         candidates.append(space.random_triple(rng, delta, L))
-    best, best_triple = 0.0, None
+    accepted = []
     for x, y, z in candidates:
-        if space.distance(x, y) > L * (1.0 + 1e-12):
+        length = space.distance(x, y)
+        if length > L * (1.0 + 1e-12):
             continue
-        slack = triangle_slack(space, x, y, z)
-        if not (slack < delta or slack <= 1e-12):
-            continue
-        (value,), (width,) = _segment_distances(space, [(x, y, z)])
-        if value > width * space.distance(x, y) and value > best:
+        slack = space.distance(x, z) + space.distance(z, y) - length
+        if slack < delta or slack <= 1e-12:
+            accepted.append((x, y, z))
+    return accepted
+
+
+def sequential_search(space, delta, L, budget, seed=0):
+    """Reference search: one refinement per accepted candidate, kept if larger.
+
+    Each refinement zooms its one row to the end.  A refined distance
+    counts only above its sampling error, the final bracket width times
+    d(x, y).
+    """
+    best, best_triple = 0.0, None
+    for x, y, z in accepted_candidates(space, delta, L, budget, seed):
+        length = space.distance(x, y)
+        (value,), (width,) = _segment_distances(space, [(x, y, z)], np.full(1, length))
+        if value > width * length and value > best:
             best, best_triple = float(value), (x, y, z)
     return best, best_triple
 
@@ -416,17 +429,37 @@ class TestZoomRefinement:
             assert segment_distance(space, x, x, z) == space.distance(z, x)
 
     @pytest.mark.parametrize("name", SPACES)
-    @pytest.mark.parametrize("delta, L", [(0.0, 10.0), (0.1, 10.0), (0.1, 1000.0)])
-    def test_batched_search_matches_sequential_loop(self, genus2, name, delta, L):
+    @pytest.mark.parametrize("delta, L, budget", [
+        pytest.param(delta, L, 60, id=f"{delta}-{L}")
+        for delta, L in ((0.0, 1.0), (0.0, 10.0), (0.1, 10.0), (0.1, 100.0), (0.1, 1000.0),
+                         (0.0, 10000.0))
+    ] + [(0.0, 1.0, 200), (0.1, 100.0, 200), (0.0, 10000.0, 200)])
+    def test_batched_search_matches_sequential_loop(self, genus2, name, delta, L, budget):
+        # the search zooms only the rows that can still win; the oracle zooms every one
         space = SPACES[name](genus2)
-        value, witness = instability_lower_bound(space, delta, L, budget=60, seed=4)
-        expected, triple = sequential_search(space, delta, L, budget=60, seed=4)
+        value, witness = instability_lower_bound(space, delta, L, budget=budget, seed=4)
+        expected, triple = sequential_search(space, delta, L, budget=budget, seed=4)
         assert value == expected
         if witness is None:  # euclidean:3 at delta 0, whose exact value is 0
             assert value == 0.0 and triple is None
             return
         assert value == witness.offline_distance
         assert all(same_point(p, q) for p, q in zip((witness.x, witness.y, witness.z), triple))
+
+    def test_later_rounds_zoom_only_rows_that_can_still_win(self):
+        space = hyp_product_space(2)
+        rows = []
+
+        def kernel(triples, ts):
+            rows.append(len(triples))
+            return space.segment_distances(triples, ts)
+
+        counted = dataclasses.replace(space, segment_distances=kernel)
+        instability_lower_bound(counted, 0.0, 1.0, budget=60, seed=4)
+        accepted = len(accepted_candidates(space, 0.0, 1.0, budget=60, seed=4))
+        assert len(rows) == 5  # the filter call and 4 zoom rounds
+        assert rows[1] == accepted
+        assert all(n < accepted for n in rows[2:])
 
     def test_ties_go_to_the_first_candidate(self):
         x, y = np.zeros(2), np.array([8.0, 0.0])
@@ -463,6 +496,69 @@ class TestZoomRefinement:
         with pytest.raises(ValidationError):
             segment_distance(space, x, y, (UHPoint(0.0, 1.0),))
 
+    def test_an_accepted_row_off_the_half_plane_raises(self):
+        # the triple above as the only candidate: at delta = L = 1000 the
+        # filters accept it, and its first zoom round leaves the half-plane
+        triple = (UHPoint(0.0, 1e-300),), (UHPoint(1.0, 1e300),), (UHPoint(0.0, 1.0),)
+        space = dataclasses.replace(hyp_product_space(1), random_triple=None,
+                                    witnesses=lambda delta, L: iter([triple]))
+        assert accepted_candidates(space, 1000.0, 1000.0, budget=1) == [triple]
+        with pytest.raises(ValidationError):
+            instability_lower_bound(space, 1000.0, 1000.0, budget=1)
+
+
+GRID = np.linspace(0.0, 1.0, 65)  # one zoom round's samples, on its bracket
+FINE = np.linspace(0.0, 1.0, 64 * 64 + 1)
+
+
+def factor_profile(factors, ts):
+    """max over factors (h, s, c) of acosh(cosh h cosh(s (t - c))) / 2.
+
+    The shape of a half-plane product's distance along a path: factor
+    by factor, the path passes closest at t = c, at distance h / 2, with
+    speed s / 2.  Computed as asinh(sqrt(sinh(h/2)^2 cosh x +
+    sinh(x/2)^2)) at x = s (t - c), which keeps its digits near 0.
+    """
+    return functools.reduce(np.maximum, (
+        np.arcsinh(np.sqrt(np.sinh(h / 2) ** 2 * np.cosh(s * (ts - c))
+                           + np.sinh(s * (ts - c) / 2) ** 2))
+        for h, s, c in factors))
+
+
+def floor_and_next_bracket(f):
+    """The floor of samples f on GRID and the bracket the next round samples."""
+    k = int(f.argmin())
+    return _floors(f[None], np.array([k]))[0], k, (GRID[max(k - 1, 0)], GRID[min(k + 1, 64)])
+
+
+# closest points inside the path, before it (argmin at t = 0) and after it (t = 1)
+CENTRES = {"inside": (0.05, 0.95, range(1, 64)), "start": (-2.0, 0.0, [0]),
+           "end": (1.0, 3.0, [64])}
+
+
+class TestFloors:
+    @pytest.mark.parametrize("where", CENTRES)
+    @settings(derandomize=True, deadline=None, database=None, max_examples=100)
+    @given(data=st.data())
+    def test_floor_stays_below_the_next_bracket(self, where, data):
+        lo, hi, argmins = CENTRES[where]
+        factors = data.draw(st.lists(
+            st.tuples(st.floats(0.0, 3.0), st.floats(0.1, 30.0), st.floats(lo, hi)),
+            min_size=1, max_size=3))
+        floor, k, (start, end) = floor_and_next_bracket(factor_profile(factors, GRID))
+        assert k in argmins
+        inside = FINE[(FINE >= start) & (FINE <= end)]
+        assert floor <= factor_profile(factors, inside).min()
+
+    def test_edge_form_that_clips_the_neighbours_is_no_bound(self):
+        # a V with its minimum 0 at 0.4 / 64: the best sample is t_0, and
+        # 2 f_0 - f_1 = 0.2 / 64 lies above it, where 2 f_1 - max(f_0, f_2) does not
+        f = factor_profile([(0.0, 2.0, 0.4 / 64)], GRID)
+        floor, k, _ = floor_and_next_bracket(f)
+        assert k == 0
+        assert 2.0 * f[0] - f[1] == pytest.approx(0.2 / 64)
+        assert floor <= 0.0
+
 
 # float.hex of instability_lower_bound(space, delta, L, budget=200, seed=3) for
 # delta in (0, 0.05) and L in (0.5, 3, 50), pinned bit for bit; dim 1 has
@@ -470,8 +566,11 @@ class TestZoomRefinement:
 # filters has its z within the zoom's sampling error of its path: at delta 0
 # in Euclidean space and in dimension 1, where the exact value is 0, and for
 # supprod-1 at delta 0.05 and L = 50, whose delta-between random z all lie on
-# their segments
+# their segments.  The half-plane rows are hyp-product:2 and pi-image of
+# genus 2 pinched along g1 and g2, which share one handle and so their bits
 ZERO = "0x0.0p+0"
+HALF_PLANE_BITS = ["0x1.0000000000001p-2", "0x1.8000000000000p+0", "0x1.9000000000000p+4",
+                   "0x1.1544877baaedep-2", "0x1.8322655988cbdp+0", "0x1.870973ca6fda4p+4"]
 PINNED = {
     ("euclidean", 1): [ZERO, ZERO, ZERO,
                        "0x1.8540507a2b796p-6", "0x1.8a25af676ca20p-6", "0x1.acd8545928000p-8"],
@@ -484,19 +583,27 @@ PINNED = {
                      "0x1.19999994e0233p-2", "0x1.8666665fd9a51p+0", "0x1.9066665faeb1fp+4"],
     ("supprod", 3): ["0x1.0000000000000p-2", "0x1.8000000000000p+0", "0x1.9000000000000p+4",
                      "0x1.19999994e0233p-2", "0x1.8666665fd9a51p+0", "0x1.9066665faeb1fp+4"],
+    ("hyp-product", 2): HALF_PLANE_BITS,
+    ("pi-image", 2): HALF_PLANE_BITS,
 }
 NORMED = {"euclidean": euclidean_space, "supprod": sup_product_space}
 
 
+def pinned_space(genus2, name, dim):
+    if name == "pi-image":
+        return pi_image_space(genus2, gamma=("g1", "g2"))
+    return {**NORMED, "hyp-product": hyp_product_space}[name](dim)
+
+
 class TestNormedSearch:
     @pytest.mark.parametrize("name, dim", PINNED)
-    def test_values_match_pinned_bits(self, name, dim):
-        space = NORMED[name](dim)
+    def test_values_match_pinned_bits(self, genus2, name, dim):
+        space = pinned_space(genus2, name, dim)
         values = [instability_lower_bound(space, delta, L, budget=200, seed=3)[0].hex()
                   for delta in (0.0, 0.05) for L in (0.5, 3.0, 50.0)]
         assert values == PINNED[name, dim]
 
-    @pytest.mark.parametrize("name, dim", PINNED)
+    @pytest.mark.parametrize("name, dim", [key for key in PINNED if key[0] in NORMED])
     def test_witness_points_are_float_vectors(self, name, dim):
         _, witness = instability_lower_bound(NORMED[name](dim), 0.05, 3.0, budget=200, seed=3)
         for point in (witness.x, witness.y, witness.z):
