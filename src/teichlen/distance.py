@@ -2,15 +2,13 @@
 
 The distance estimator takes the supremum of extremal-length ratios over
 a finite family of curve systems, symmetrized over the two directions,
-and returns half its log.  A family (``extremal.CurveFamily``) keeps per
-curve each distinct (i, b, n) cell once, an index of cells by member and
-a grouping of members by crossing pattern.  One builder, ``_curve_family``,
-makes a family from one array of twist offsets b per curve: crossing
-patterns with i <= 2 that meet the pants parity rule, each crossed curve
-taking its offsets, plus the cores.  It fills both indexes by pattern
-block, with no pass over the members.  It first counts the members from
-the patterns' sizes, and a family of more than _MAX_FAMILY_MEMBERS (10^6)
-raises ValidationError naming that count before any array is built.
+and returns half its log.  A family (``extremal.CurveFamily``) is built
+from blocks, each one crossing pattern over per-curve arrays of twist
+offsets, and the constructor alone lays out and size-caps it.  One
+builder, ``_curve_family``, makes a family from one array of twist
+offsets b per curve: one block per crossing pattern with i <= 2 that
+meets the pants parity rule, each crossed curve taking its offsets, and
+one block per core.
 
 ``default_curve_family`` is the box family, |b| <= 8 on every curve.
 ``pair_curve_family`` picks each curve's offsets from the two points, so
@@ -38,9 +36,10 @@ modulus.  For the torus the exact formula is available as
 
 The product model's base factor is the same estimator on the pinched
 marking, over the box family of the pinched marking.  ``product_model``
-builds the pinched marking and its base family once per (marking, gamma)
-and keeps the last few; when pinching leaves no internal curve the base
-factor is a single point and its distance is 0.
+returns the pinched marking and its base family, built once per
+(marking, gamma) and kept for the last few; when pinching leaves no
+internal curve the family is None, the base factor is a single point
+and its distance is 0.
 """
 
 from __future__ import annotations
@@ -63,10 +62,6 @@ from .surface import CURVE, FNPoint, Marking
 # the far offsets lie _FAR_OFFSET either side of each point's untwisting offset
 _FAR_OFFSET = 32
 _INT64_MAX = 2 ** 63 - 1
-# a family over this many members is refused before it is allocated: one genus-2
-# estimate on a 930,436-member box family takes about 0.07 s at 100 MB peak RSS,
-# and the largest family the demos build, the genus-2 box, has 21,440
-_MAX_FAMILY_MEMBERS = 10 ** 6
 
 
 def _curve_family(marking: Marking, offsets: list[np.ndarray], i_max: int = 2) -> CurveFamily:
@@ -74,45 +69,20 @@ def _curve_family(marking: Marking, offsets: list[np.ndarray], i_max: int = 2) -
 
     ``offsets`` holds one sorted int64 array of distinct offsets per curve
     of the marking.  Crossing patterns are filtered by the per-pants parity
-    constraint.  The member count, the product of the crossed curves' widths
-    summed over patterns, is checked against _MAX_FAMILY_MEMBERS before any
-    array is built; a larger family raises ValidationError naming it.  Curve
-    k's cells are (0,0,0), (0,0,1), then (i, b, 0) in row 2 + (i-1) width_k +
-    position of b.  The index is filled one block per crossing pattern,
-    offsets in ``itertools.product`` order, so the blocks are the family's
-    pattern groups and the cores the last one.
+    constraint and taken in ``itertools.product`` order.  Each pattern is
+    one block, its crossed curves taking their offsets and the others
+    (0, 0, 0); each core is one more block, last.  ``CurveFamily`` builds
+    and size-caps the family from these blocks.
     """
     curves = marking.curves
     pants_columns = [[curves.index(e.name) for e in p.ends if e.kind == CURVE]
                      for p in marking.decomposition.pants]
-    widths = [len(column) for column in offsets]
     patterns = [pattern for pattern in itertools.product(range(i_max + 1), repeat=len(curves))
                 if sum(pattern) and not any(sum(pattern[k] for k in cols) % 2
                                             for cols in pants_columns)]
-    sizes = [math.prod(widths[k] for k, count in enumerate(pattern) if count)
-             for pattern in patterns] + [len(curves)]  # the cores last
-    if sum(sizes) > _MAX_FAMILY_MEMBERS:
-        raise ValidationError(f"the curve family would have {sum(sizes):,} members, "
-                              f"over the cap of {_MAX_FAMILY_MEMBERS:,}")
-    cells = []
-    for column in offsets:
-        crossing = np.zeros((i_max * len(column), 3), dtype=np.int64)
-        crossing[:, 0] = np.repeat(np.arange(1, i_max + 1), len(column))
-        crossing[:, 1] = np.tile(column, i_max)
-        cells.append(np.concatenate([[(0, 0, 0), (0, 0, 1)], crossing]))
-    blocks = []
-    for pattern in patterns:
-        crossing = [k for k, count in enumerate(pattern) if count > 0]
-        grid = np.indices([widths[k] for k in crossing]).reshape(len(crossing), -1)
-        block = np.zeros((len(curves), grid.shape[1]), dtype=np.int64)
-        block[crossing] = grid + [[2 + (pattern[k] - 1) * widths[k]] for k in crossing]
-        blocks.append(block)
-    blocks.append(np.eye(len(curves), dtype=np.int64))  # cell 1 on its own curve
-    patterns.append((0,) * len(curves))
-    key = np.repeat(np.arange(len(blocks)), sizes)
-    # valid and grouped by construction, so __init__'s checks and grouping pass are skipped
-    return CurveFamily.__new__(CurveFamily)._store(
-        tuple(cells), tuple(np.concatenate(blocks, axis=1)), curves, key, tuple(patterns))
+    blocks = [{c: (count, column, 0) if count else (0, 0, 0)
+               for c, count, column in zip(curves, pattern, offsets)} for pattern in patterns]
+    return CurveFamily(blocks + [{c: (0, 0, int(c == core)) for c in curves} for core in curves])
 
 
 def default_curve_family(marking: Marking, i_max: int = 2,
@@ -197,11 +167,6 @@ def kerckhoff_distance_estimate(sigma: FNPoint, tau: FNPoint,
     contributions is conventionally 1).  The result is a lower-bound
     style estimate: enlarging the family can only increase it.
     """
-    if set(family.curves) != set(marking.curves):
-        raise ValidationError(
-            f"curve family over {sorted(family.curves)} does not match "
-            f"marking curves {sorted(marking.curves)}"
-        )
     a, b = (
         component_table(collar_decomposition(marking, point, params), point, family,
                         modulus_unit=math.pi).max(0)
@@ -295,32 +260,16 @@ class DiscrepancyReport:
         return abs(self.d_teich - self.d_product)
 
 
-@dataclass(frozen=True, slots=True)
-class ProductModel:
-    """The pinched marking of one (marking, gamma) and its base family.
-
-    ``base_family`` is None when pinching leaves no internal curve: the
-    base factor is then a single point, at distance 0 from itself.  The
-    reports of one model share its ``gamma`` tuple.
-    """
-
-    gamma: tuple[str, ...]
-    pinched: Marking
-    base_family: CurveFamily | None
-
-    def base_distance(self, rho1: FNPoint, rho2: FNPoint,
-                      params: CollarParams = DEFAULT_PARAMS) -> float:
-        if self.base_family is None:
-            return 0.0
-        return kerckhoff_distance_estimate(rho1, rho2, self.base_family, self.pinched, params)
-
-
 @functools.lru_cache(maxsize=16)
-def product_model(marking: Marking, gamma: tuple[str, ...]) -> ProductModel:
-    """Product model of pinching gamma (sorted, no repeats) on the marking, built once."""
+def product_model(marking: Marking,
+                  gamma: tuple[str, ...]) -> tuple[Marking, CurveFamily | None]:
+    """The pinched marking of gamma (sorted, no repeats) and its box family, built once.
+
+    The family is None when pinching leaves no internal curve: the base
+    factor is then a single point.
+    """
     pinched = marking.pinch(gamma)
-    return ProductModel(gamma, pinched,
-                        default_curve_family(pinched) if pinched.curves else None)
+    return pinched, default_curve_family(pinched) if pinched.curves else None
 
 
 def product_region_discrepancy(sigma: FNPoint, tau: FNPoint, gamma: Iterable[str],
@@ -333,8 +282,9 @@ def product_region_discrepancy(sigma: FNPoint, tau: FNPoint, gamma: Iterable[str
     The base factor of the product distance reuses the same estimator on
     the pinched marking, so the recursion terminates after one step; the
     pinched marking and its family come from ``product_model``, built
-    once per (marking, gamma).  ``d_teich`` runs over ``family``, by
-    default the pair's ``pair_curve_family``.
+    once per (marking, gamma), and a base factor of one point is at
+    distance 0.  ``d_teich`` runs over ``family``, by default the pair's
+    ``pair_curve_family``.
     Pinched curves are expected to be thin at both points; violations
     are reported via ``thin_ok`` rather than rejected.
     """
@@ -342,11 +292,15 @@ def product_region_discrepancy(sigma: FNPoint, tau: FNPoint, gamma: Iterable[str
     if family is None:
         family = pair_curve_family(marking, sigma, tau)
     d_teich = kerckhoff_distance_estimate(sigma, tau, family, marking, params)
-    model = product_model(marking, gamma)
-    p = pi_map(sigma, gamma, marking)
-    q = pi_map(tau, gamma, marking)
-    d_product = product_distance(p, q, functools.partial(model.base_distance, params=params))
+    pinched, base = product_model(marking, gamma)
+
+    def base_metric(rho1: FNPoint, rho2: FNPoint) -> float:
+        return 0.0 if base is None else kerckhoff_distance_estimate(rho1, rho2, base,
+                                                                     pinched, params)
+
+    d_product = product_distance(pi_map(sigma, gamma, marking), pi_map(tau, gamma, marking),
+                                 base_metric)
     thin_ok = all(
         point.length(g) <= params.eps1 for g in gamma for point in (sigma, tau)
     )
-    return DiscrepancyReport(d_teich, d_product, model.gamma, thin_ok)
+    return DiscrepancyReport(d_teich, d_product, gamma, thin_ok)

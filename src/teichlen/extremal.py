@@ -9,10 +9,9 @@ orthogeodesic arc lengths inside each pants plus a twist-travel term
 |t| * l * i on moderate internal cuffs.  The proxy is validated by
 property tests, not by matching any particular multiplicative constant.
 
-A ``CurveFamily`` stores its curve systems by column, each distinct
-(i, b, n) cell of a curve once, and groups its members by crossing
-pattern when it is built: ``CurveFamily(members)`` in one pass over the
-members, the builder in ``distance`` one block per pattern.  The arc
+A ``CurveFamily`` is built from blocks, each a crossing pattern over
+per-curve arrays of twist offsets; its constructor alone lays the family
+out by column, groups its members by pattern and caps its size.  The arc
 multiplicities of its patterns in each pants curve-end triple depend only
 on the patterns and the triple's columns, not on the point or the family,
 so one module-level cache keeps them for every family with those patterns.
@@ -28,9 +27,10 @@ evaluated at height m / modulus_unit: 1 here, pi in the distance estimator.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -43,6 +43,12 @@ from .collar import (
 from .errors import NumericDomainError, ValidationError, check_count
 from .pants import PantsCuffs, pants_orthogeodesics
 from .surface import CURVE, PUNCTURE, CurveSystem, FNPoint, Marking
+
+
+# a family over this many members is refused before it is allocated: one genus-2
+# estimate on a 930,436-member box family takes about 0.07 s at 100 MB peak RSS,
+# and the largest family the demos build, the genus-2 box, has 21,440
+_MAX_FAMILY_MEMBERS = 10 ** 6
 
 
 def _annulus_term(i, n, height, t):
@@ -95,46 +101,74 @@ def _arc_table(patterns: tuple[tuple[int, ...], ...],
 
 
 class CurveFamily:
-    """Finite stand-in for the full set of curve classes, stored by column.
+    """Finite stand-in for the full set of curve classes, built from blocks.
 
-    ``curves`` names the columns.  For curve k, ``cells[k]`` is an int
-    array of shape (cells, 3) holding each distinct (i, b, n) of that
-    column once, and the read-only ``index[k]`` gives each member the row
-    of its cell.  The family also groups its members by crossing pattern,
-    the i-counts of a member: ``patterns`` holds each distinct pattern
-    once and the read-only ``key`` gives each member the index of its
-    pattern.  Member j's (i, b, n) on curve k is ``cells[k][index[k][j]]``.
+    A block maps every curve to (i, b, n), as ``CurveSystem.data`` does,
+    except that b may be a 1-D signed integer array of twist offsets.  Its
+    members are every choice of one offset per curve, in C order over
+    ``curves`` (the first block's curve order), numbered block by block.
+    For curve k, ``cells[k]`` is an int array of shape (cells, 3) holding
+    each block's (i, b, n) rows, one per offset, and the read-only
+    ``index[k]`` gives each member the row of its cell.  ``patterns``
+    holds each distinct crossing pattern, the i-counts of a member, once,
+    and the read-only ``key`` gives each member the index of its pattern.
+    Member j's (i, b, n) on curve k is ``cells[k][index[k][j]]``.  A
+    family of more than _MAX_FAMILY_MEMBERS members, counted from the
+    offset widths, raises ValidationError before any array is built.
     """
 
-    def __init__(self, members: Iterable[CurveSystem]):
-        members = tuple(members)
-        curves = members[0].data.keys() if members else {}.keys()
-        if any(beta.data.keys() != curves for beta in members):
-            raise ValidationError("curve family members must share one curve set")
-        # one pass over the members numbers each distinct cell of a column and
-        # each distinct pattern in first-seen order; a CurveSystem keeps its
-        # curves sorted, so all rows share one column order
-        cells, patterns = [{} for _ in curves], {}
-        index, key = [[] for _ in curves], []
-        for beta in members:
-            row = tuple(beta.data.values())
-            for seen, rows, cell in zip(cells, index, row):
-                rows.append(seen.setdefault(cell, len(seen)))
-            key.append(patterns.setdefault(tuple(i for i, _, _ in row), len(patterns)))
-        self._store(tuple(np.array(list(seen), dtype=np.int64) for seen in cells),
-                    tuple(np.array(rows, dtype=np.int64) for rows in index),
-                    tuple(curves), np.array(key, dtype=np.int64), tuple(patterns))
-
-    def _store(self, cells: tuple[np.ndarray, ...], index: tuple[np.ndarray, ...],
-               curves: tuple[str, ...], key: np.ndarray,
-               patterns: tuple[tuple[int, ...], ...]) -> "CurveFamily":
-        if len(key) == 0:
-            raise ValidationError("curve family must be nonempty")
-        for array in (*cells, *index, key):
+    def __init__(self, blocks: Iterable[Mapping[str, tuple]]):
+        blocks = tuple(blocks)
+        if not blocks or not blocks[0]:
+            raise ValidationError("curve family must have members and curves")
+        curves = blocks[0].keys()
+        if any(block.keys() != curves for block in blocks):
+            raise ValidationError("curve family blocks must share one curve set")
+        self.curves = curves = tuple(curves)
+        rows = [[block[c] for c in curves] for block in blocks]
+        try:
+            widths = [[len(b) if isinstance(b, np.ndarray) else 1 for _, b, _ in row]
+                      for row in rows]
+        except (TypeError, ValueError):
+            raise ValidationError("a block maps every curve to three values (i, b, n)") from None
+        sizes = [math.prod(row) for row in widths]
+        if sum(sizes) > _MAX_FAMILY_MEMBERS:
+            raise ValidationError(f"the curve family would have {sum(sizes):,} members, "
+                                  f"over the cap of {_MAX_FAMILY_MEMBERS:,}")
+        # (i, b, n) of each block and curve, an array of offsets as 0 for now
+        counts, offsets, cores = zip(*[cell for row in rows for cell in row])
+        base = np.array([counts, [0 if isinstance(b, np.ndarray) else b for b in offsets], cores])
+        if (base.dtype.kind != "i" or min(counts) < 0 or min(cores) < 0
+                or any(i and n for i, n in zip(counts, cores))
+                or any(b.ndim != 1 or b.dtype.kind != "i" or not len(b)
+                       for b in offsets if isinstance(b, np.ndarray))):
+            raise ValidationError("curve family cells must be integers (i, b, n), i, n >= 0, "
+                                  "no core copies where i > 0, b a nonempty 1-D signed integer "
+                                  "array or int")
+        patterns = {}
+        key = [patterns.setdefault(counts[j:j + len(curves)], len(patterns))
+               for j in range(0, len(counts), len(curves))]
+        # cells[k] holds each block's cells on curve k, block j's from row first[k][j];
+        # a member's index moves from its block's first row to its offset's row
+        first = [list(itertools.accumulate(column, initial=0)) for column in zip(*widths)]
+        cells = [np.repeat(base[:, k::len(curves)].T, column, axis=0)
+                 for k, column in enumerate(zip(*widths))]
+        index = np.repeat(np.array([column[:-1] for column in first]), sizes, axis=1)
+        lo, positions = 0, np.arange(max(map(max, widths)))[:, None]
+        for j, (row, size) in enumerate(zip(rows, sizes)):
+            inner = size
+            for k, (_, b, _) in enumerate(row):
+                if isinstance(b, np.ndarray):
+                    cells[k][first[k][j]:first[k][j + 1], 1] = b
+                    # curve k's offsets run along axis 1 of this view of the block
+                    inner //= len(b)
+                    grid = index[k, lo:lo + size].reshape(-1, len(b), inner)
+                    grid += positions[:len(b)]
+            lo += size
+        self.key = np.repeat(np.array(key, dtype=np.int64), sizes)
+        for array in (*cells, index, self.key):
             array.flags.writeable = False
-        self.cells, self.index, self.curves = cells, index, curves
-        self.key, self.patterns = key, patterns
-        return self
+        self.cells, self.index, self.patterns = tuple(cells), tuple(index), tuple(patterns)
 
     def __len__(self):
         return len(self.key)
@@ -156,22 +190,31 @@ def component_table(decomposition: CollarDecomposition, sigma: FNPoint,
     bit-identical to a per-member loop.  A pants whose orthogeodesics leave
     double range is a row of inf that only the patterns entering it meet;
     a value outside double range raises NumericDomainError naming its
-    component.
+    component.  A family over other curves than the decomposition's
+    marking raises ValidationError.
     """
+    curves = decomposition.marking.curves
+    if set(family.curves) != set(curves):
+        raise ValidationError(f"curve family over {sorted(family.curves)} does not match "
+                              f"marking curves {sorted(curves)}")
     pants_by_name = decomposition.marking.pants_by_name()
     column = {c: k for k, c in enumerate(family.curves)}
     cells = [c.T.astype(float) for c in family.cells]  # (i, b, n) rows per curve
-    rows = []
+    # one member-sized allocation, its last row scratch: a fresh temporary per row
+    # faults its pages in again whenever the allocator returned the last one
+    table = np.empty((len(decomposition.labels) + 1, len(family)))
+    table, gathered = table[:-1], table[-1]
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        for a in decomposition.thin:
+        for row, a in zip(table, decomposition.thin):
             if a.peripheral:
-                rows.append(np.zeros(len(family)))
+                row.fill(0.0)
                 continue
             k = column[a.curve]
             i, b, n = cells[k]
-            rows.append(_annulus_term(i, n, a.modulus / modulus_unit,
-                                      b + sigma.twist(a.curve))[family.index[k]])
-        for comp in decomposition.thick:
+            # "clip" writes straight into row; every index is in range by construction
+            _annulus_term(i, n, a.modulus / modulus_unit, b + sigma.twist(a.curve)).take(
+                family.index[k], out=row, mode="clip")
+        for row, comp in zip(table[len(decomposition.thin):], decomposition.thick):
             arcs = []
             for ends in (pants_by_name[name].ends for name in comp.pants):
                 try:
@@ -188,15 +231,14 @@ def component_table(decomposition: CollarDecomposition, sigma: FNPoint,
                     for arc, count in counts[p]:
                         length += count * ortho[arc]
                 sums.append(length)
-            length = np.array(sums)[family.key]
+            np.array(sums).take(family.key, out=row, mode="clip")
             for cuff in comp.internal_cuffs:
                 k = column[cuff]
                 i, b, _ = cells[k]
-                length = length + np.where(
-                    i > 0, np.abs(b + sigma.twist(cuff)) * sigma.length(cuff) * i,
-                    0.0)[family.index[k]]
-            rows.append(length * length)
-    table = np.array(rows)
+                np.where(i > 0, np.abs(b + sigma.twist(cuff)) * sigma.length(cuff) * i,
+                         0.0).take(family.index[k], out=gathered, mode="clip")
+                row += gathered
+            row *= row
     if not np.isfinite(table).all():
         component = decomposition.labels[np.isfinite(table).all(axis=1).argmin()][0]
         raise NumericDomainError(f"the contribution of {component} leaves double range")
@@ -227,7 +269,7 @@ def lambda_surface_estimate(beta: CurveSystem, sigma: FNPoint, marking: Marking,
     """
     beta.validate_for(marking)
     decomposition = collar_decomposition(marking, sigma, params)
-    values = component_table(decomposition, sigma, CurveFamily((beta,)))[:, 0].tolist()
+    values = component_table(decomposition, sigma, CurveFamily([beta.data]))[:, 0].tolist()
     rows = tuple(
         ComponentLength(component, kind, value)
         for (component, kind), value in zip(decomposition.labels, values)

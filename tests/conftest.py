@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from teichlen import CurveSystem, FNPoint, Marking, SurfaceSpec
+from teichlen import CurveFamily, CurveSystem, FNPoint, Marking, SurfaceSpec
 from teichlen.surface import CURVE, BOUNDARY, PUNCTURE, End, Pants, PantsDecomposition
 
 
@@ -74,6 +74,11 @@ def family_members(family):
     """The members of a CurveFamily as curve systems, in member order."""
     return tuple(CurveSystem(dict(zip(family.curves, row)))
                  for row in family_rows(family).tolist())
+
+
+def members_family(members):
+    """A CurveFamily of one one-member block per curve system, in order."""
+    return CurveFamily(beta.data for beta in members)
 
 
 def component_value(result, component):

@@ -35,8 +35,9 @@ from teichlen import (
     torus_family_estimate,
 )
 
-from conftest import family_members, family_rows, genus2_point
+from conftest import family_members, family_rows, genus2_point, members_family
 import teichlen.distance
+import teichlen.extremal
 from teichlen.distance import product_model
 from teichlen.distance import ProductPoint, _curve_family, _ideal_endpoints
 from teichlen.extremal import _annulus_term, component_table
@@ -178,9 +179,9 @@ class TestDefaultCurveFamily:
         assert peak < 2 ** 20
 
     def test_size_cap_counts_every_member(self, genus2, monkeypatch):
-        monkeypatch.setattr(teichlen.distance, "_MAX_FAMILY_MEMBERS", 21440)
+        monkeypatch.setattr(teichlen.extremal, "_MAX_FAMILY_MEMBERS", 21440)
         assert len(default_curve_family(genus2)) == 21440
-        monkeypatch.setattr(teichlen.distance, "_MAX_FAMILY_MEMBERS", 21439)
+        monkeypatch.setattr(teichlen.extremal, "_MAX_FAMILY_MEMBERS", 21439)
         with pytest.raises(ValidationError, match=r"21,440 members"):
             default_curve_family(genus2)
 
@@ -198,35 +199,38 @@ class TestDefaultCurveFamily:
     @pytest.mark.parametrize("surface", ["genus2", "holed_torus", "punctured_torus"])
     @pytest.mark.parametrize("i_max, twist_bound", [(1, 0), (2, 3), (3, 1)])
     def test_patterns_group_the_members(self, request, surface, i_max, twist_bound):
-        # the block grouping of default_curve_family and the one-pass one
-        # of CurveFamily(members) both index each member's i-counts
+        # a block per crossing pattern, or a one-member block per member: the
+        # patterns index each member's i-counts either way
         marking = request.getfixturevalue(surface)
         blocks = default_curve_family(marking, i_max, twist_bound)
-        for family in (blocks, CurveFamily(reversed(family_members(blocks)))):
+        for family in (blocks, members_family(reversed(family_members(blocks)))):
             assert np.array_equal(np.array(family.patterns)[family.key],
                                   family_rows(family)[:, :, 0])
             assert len(set(family.patterns)) == len(family.patterns)
             assert not family.key.flags.writeable
-        assert len(CurveFamily(family_members(blocks)).patterns) == len(blocks.patterns)
+        assert len(members_family(family_members(blocks)).patterns) == len(blocks.patterns)
 
     @pytest.mark.parametrize("surface", ["genus2", "holed_torus", "punctured_torus"])
     @pytest.mark.parametrize("i_max, twist_bound", [(1, 0), (2, 8), (3, 1)])
     def test_columns_rebuild_the_enumeration_in_order(self, request, surface, i_max,
                                                       twist_bound):
-        # each column holds each (i, b, n) cell once; gathering the cells by
-        # the index gives the brute-force rows, in order, for both constructors
+        # gathering the cells by the index gives the brute-force rows, in
+        # order, from pattern blocks and from one-member blocks
         marking = request.getfixturevalue(surface)
         reference = reference_family(marking, i_max, twist_bound)
         blocks = default_curve_family(marking, i_max, twist_bound)
         rows = np.array([[beta.data[c] for c in blocks.curves] for beta in reference])
         for family, expected in ((blocks, rows),
-                                 (CurveFamily(reversed(reference)), rows[::-1])):
+                                 (members_family(reversed(reference)), rows[::-1])):
             assert np.array_equal(family_rows(family), expected)
             for k, (cells, index) in enumerate(zip(family.cells, family.index)):
                 assert np.array_equal(cells[index], expected[:, k])
-                assert len(np.unique(cells, axis=0)) == len(cells)
-                assert not index.flags.writeable
-        assert max(len(cells) for cells in blocks.cells) == 2 + i_max * (2 * twist_bound + 1)
+                assert not index.flags.writeable and not cells.flags.writeable
+        # a column holds one cell per offset of each block: a crossing block
+        # 2 twist_bound + 1, any other block one
+        for k, cells in enumerate(blocks.cells):
+            assert len(cells) == sum(2 * twist_bound + 1 if pattern[k] else 1
+                                     for pattern in blocks.patterns[:-1]) + len(blocks.curves)
 
     @pytest.mark.parametrize("surface", ["genus2", "holed_torus", "punctured_torus"])
     @pytest.mark.parametrize("i_max, twist_bound", [(1, 2), (2, 4), (3, 1)])
@@ -234,7 +238,7 @@ class TestDefaultCurveFamily:
                                                      twist_bound):
         marking = request.getfixturevalue(surface)
         blocks = default_curve_family(marking, i_max, twist_bound)
-        grouped = CurveFamily(reversed(family_members(blocks)))
+        grouped = members_family(reversed(family_members(blocks)))
         names = marking.curves + marking.decomposition.boundary_names()
         rng = np.random.default_rng(46)
         for _ in range(4):
@@ -302,12 +306,10 @@ class TestPairCurveFamily:
         # b = -xi for the geodesic endpoints xi = 5 +- sqrt(25 + 100^2)
         sigma, tau = genus2_point(l1=0.01, s1=0.0), genus2_point(l1=0.01, s1=10.0)
         family = pair_curve_family(genus2, sigma, tau)
-        offsets = set(family.cells[genus2.curves.index("g1")][2:, 1].tolist())
+        cells = family.cells[genus2.curves.index("g1")]
+        offsets = set(cells[cells[:, 0] > 0, 1].tolist())
         assert {0, -10, 32, -32, -42, 22, -106, -105, 95, 96} <= offsets
         assert offsets <= {0, -10, 32, -32, -42, 22, -107, -106, -105, -104, 94, 95, 96, 97}
-        for k, cells in enumerate(family.cells):
-            assert len(np.unique(cells, axis=0)) == len(cells)
-            assert np.array_equal(cells[family.index[k]], family_rows(family)[:, k])
         assert np.array_equal(np.array(family.patterns)[family.key], family_rows(family)[:, :, 0])
         assert family.patterns == default_curve_family(genus2, twist_bound=0).patterns
 
@@ -368,7 +370,7 @@ class TestKerckhoffDistanceEstimate:
         sigma = genus2_point(l1=0.05)
         tau = fn_dehn_twist(sigma, "g1", 40)
         small = default_curve_family(genus2, i_max=1, twist_bound=2)
-        large = CurveFamily(
+        large = members_family(
             family_members(small)
             + family_members(default_curve_family(genus2, i_max=2, twist_bound=6))
         )
@@ -381,15 +383,14 @@ class TestKerckhoffDistanceEstimate:
             CurveFamily(())
 
     def test_member_missing_a_curve_rejected(self, genus2):
-        family = CurveFamily((CurveSystem({"g1": (1, 0, 0), "g2": (1, 0, 0)}),))
+        family = CurveFamily([{"g1": (1, 0, 0), "g2": (1, 0, 0)}])
         sigma = genus2_point()
         with pytest.raises(ValidationError):
             kerckhoff_distance_estimate(sigma, sigma, family, genus2)
 
     def test_member_with_extra_curve_rejected(self, genus2):
-        family = CurveFamily((CurveSystem(
-            {"g1": (1, 0, 0), "g2": (1, 0, 0), "g3": (0, 0, 0), "g4": (2, 0, 0)}
-        ),))
+        family = CurveFamily([
+            {"g1": (1, 0, 0), "g2": (1, 0, 0), "g3": (0, 0, 0), "g4": (2, 0, 0)}])
         sigma = genus2_point()
         with pytest.raises(ValidationError):
             kerckhoff_distance_estimate(sigma, sigma, family, genus2)
@@ -397,11 +398,11 @@ class TestKerckhoffDistanceEstimate:
     def test_members_over_different_curves_rejected(self, genus2):
         members = family_members(default_curve_family(genus2, i_max=1, twist_bound=0))
         with pytest.raises(ValidationError):
-            CurveFamily(members + (CurveSystem({"g1": (0, 0, 1)}),))
+            members_family(members + (CurveSystem({"g1": (0, 0, 1)}),))
 
     def test_family_from_members_gives_the_same_estimate(self, genus2):
         family = default_curve_family(genus2, twist_bound=3)
-        rebuilt = CurveFamily(reversed(family_members(family)))
+        rebuilt = members_family(reversed(family_members(family)))
         sigma = genus2_point(l1=0.05, s1=0.2)
         tau = genus2_point(l1=0.008, s1=3.7, l2=0.9)
         assert kerckhoff_distance_estimate(sigma, tau, rebuilt, genus2) == (
@@ -454,8 +455,8 @@ class TestKerckhoffDistanceEstimate:
             d_sigma, d_tau = scaled(sigma), scaled(tau)
             sup = 1.0
             for beta in family_members(family):
-                a = component_table(d_sigma, sigma, CurveFamily((beta,))).max()
-                b = component_table(d_tau, tau, CurveFamily((beta,))).max()
+                a = component_table(d_sigma, sigma, CurveFamily([beta.data])).max()
+                b = component_table(d_tau, tau, CurveFamily([beta.data])).max()
                 if a > 0.0 and b > 0.0:
                     sup = max(sup, a / b, b / a)
             assert kerckhoff_distance_estimate(sigma, tau, family, genus2) == (
@@ -678,7 +679,7 @@ class TestProductModel:
                    for k in range(20)]
         assert len(pinches) == 1 and len(builds) == 1
         assert builds[0] == genus2.pinch(["g1"])
-        assert all(report.gamma is reports[0].gamma for report in reports)
+        assert all(report.gamma == ("g1",) for report in reports)
         for k, report in enumerate(reports):
             product_model.cache_clear()  # a fresh model for every pair
             tau = genus2_point(l1=0.01 / (k + 2), s1=k)
@@ -708,7 +709,8 @@ class TestProductModel:
         assert first == second and hash(first) == hash(second)
         assert product_model(first, ("g1",)) is product_model(second, ("g1",))
         assert product_model(first, ("g1",)) is not product_model(first, ("g1", "g2"))
-        assert product_model(first, ("g1", "g2")).pinched.curves == ("g3",)
+        pinched, base = product_model(first, ("g1", "g2"))
+        assert pinched.curves == base.curves == ("g3",)
 
     @pytest.mark.parametrize("surface", ["holed_torus", "punctured_torus"])
     def test_no_base_curve_left(self, request, surface):
@@ -716,9 +718,8 @@ class TestProductModel:
         boundary = {name: 1.5 for name in marking.decomposition.boundary_names()}
         sigma = FNPoint({"g1": 0.05, **boundary}, {"g1": 0.25})
         tau = FNPoint({"g1": 0.004, **boundary}, {"g1": -3.0})
-        model = product_model(marking, ("g1",))
-        assert model.base_family is None
-        assert model.base_distance(sigma, tau) == 0.0
+        pinched, base = product_model(marking, ("g1",))
+        assert pinched.curves == () and base is None
         report = product_region_discrepancy(sigma, tau, ["g1"], marking)
         assert report.d_product == hyp_distance(UHPoint(0.25, 1 / 0.05),
                                                 UHPoint(-3.0, 1 / 0.004))

@@ -25,6 +25,7 @@ from teichlen import (
     default_curve_family,
     estimated_twist,
     fn_dehn_twist,
+    kerckhoff_distance_estimate,
     lambda_surface_estimate,
     pants_orthogeodesics,
 )
@@ -36,6 +37,9 @@ from conftest import (
     fn_point,
     genus2_curve,
     genus2_point,
+    make_genus2_marking,
+    make_holed_torus_marking,
+    make_punctured_torus_marking,
     thin_annulus,
 )
 
@@ -187,7 +191,7 @@ class TestComponentEvaluator:
         dec = collar_decomposition(holed_torus, sigma)
         assert dec.labels == (("g1", "annulus"), ("b1", "annulus"), ("thick[p]", "thick"))
         values = component_table(
-            dec, sigma, CurveFamily([CurveSystem({"g1": (2, 1, 0)})]))[:, 0].tolist()
+            dec, sigma, CurveFamily([{"g1": (2, 1, 0)}]))[:, 0].tolist()
         m, t = thin_annulus(dec, "g1").modulus, 1.3
         assert values[0] == 2 * 2 * (m + t * t / m)
         assert values[1] == 0.0
@@ -197,13 +201,19 @@ class TestComponentEvaluator:
         dec = collar_decomposition(genus2, sigma)
         m = thin_annulus(dec, "g1").modulus
         beta = genus2_curve(i1=2, b1=3, i2=2)
-        scaled = component_table(dec, sigma, CurveFamily([beta]),
+        scaled = component_table(dec, sigma, CurveFamily([beta.data]),
                                  modulus_unit=math.pi)[:, 0].tolist()
-        raw = component_table(dec, sigma, CurveFamily([beta]))[:, 0].tolist()
+        raw = component_table(dec, sigma, CurveFamily([beta.data]))[:, 0].tolist()
         h, t = m / math.pi, 3.2
         assert scaled[0] == 2 * 2 * (h + t * t / h)
         assert raw[0] == 2 * 2 * (m + t * t / m)
         assert scaled[1:] == raw[1:]
+
+    def test_family_over_other_curves_raises(self, genus2, holed_torus):
+        sigma = genus2_point()
+        dec = collar_decomposition(genus2, sigma)
+        with pytest.raises(ValidationError, match=r"curve family over \['g1'\]"):
+            component_table(dec, sigma, default_curve_family(holed_torus))
 
     def test_overflowing_pants_raises_only_for_systems_entering_it(self, holed_torus):
         # b1 = 2000 pushes the orthogeodesics of the one pants out of double range
@@ -244,7 +254,7 @@ class TestComponentEvaluator:
             genus2_curve(b2=5),
             genus2_curve(i1=2, b1=3, i2=2, b2=-1, b3=4),
         ]
-        family = CurveFamily(members)
+        family = CurveFamily(beta.data for beta in members)
         points = [genus2_point(), genus2_point(l1=0.002, l3=0.03, s1=2.5, s3=-1.1),
                   genus2_point(l1=0.3, l2=0.9, l3=1.7, s2=-3.3)]
         for sigma in points:
@@ -254,7 +264,7 @@ class TestComponentEvaluator:
                 assert table.T.tolist() == [reference_contributions(dec, sigma, beta, unit)
                                             for beta in members]
                 for column, beta in zip(table.T.tolist(), members):
-                    single = component_table(dec, sigma, CurveFamily([beta]), unit)
+                    single = component_table(dec, sigma, CurveFamily([beta.data]), unit)
                     assert single[:, 0].tolist() == column
 
     def test_family_and_table_keep_no_full_float_copy(self, genus2):
@@ -323,10 +333,113 @@ class TestFamilyArcCounts:
         sigma = FNPoint({"g1": 0.05, "b1": 2000.0}, {"g1": 0.0})
         members = [core_curve(holed_torus, "g1", n) for n in (1, 2, 3)]
         dec = collar_decomposition(holed_torus, sigma)
-        table = component_table(dec, sigma, CurveFamily(members))
+        table = component_table(dec, sigma, CurveFamily(beta.data for beta in members))
         assert np.isfinite(table).all()
         assert table.T.tolist() == [reference_contributions(dec, sigma, beta)
                                     for beta in members]
+
+
+MARKINGS = (make_genus2_marking(), make_holed_torus_marking(), make_punctured_torus_marking())
+
+
+@st.composite
+def block_families(draw):
+    """A marking and 1-4 blocks on it: crossing patterns with i <= 3 that pass
+    the parity rule, cores on uncrossed curves, an int or 1-5 offsets per curve."""
+    marking = draw(st.sampled_from(MARKINGS))
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        pattern = draw(st.lists(st.integers(0, 3), min_size=len(marking.curves),
+                                max_size=len(marking.curves)).filter(
+            lambda counts: is_valid_pattern(marking, counts)))
+        block = {}
+        for curve, i in zip(marking.curves, pattern):
+            b = draw(st.one_of(
+                st.integers(-20, 20),
+                st.lists(st.integers(-20, 20), min_size=1, max_size=5).map(
+                    lambda offsets: np.array(offsets, dtype=np.int64))))
+            block[curve] = (i, b, 0 if i else draw(st.integers(0, 3)))
+        blocks.append(block)
+    return marking, blocks
+
+
+def is_valid_pattern(marking, counts):
+    try:
+        CurveSystem({c: (i, 0, 0) for c, i in zip(marking.curves, counts)}).validate_for(marking)
+    except ValidationError:
+        return False
+    return True
+
+
+def block_members(blocks):
+    """Every member of the blocks as a curve system: one offset per curve, C order."""
+    members = []
+    for block in blocks:
+        curves = list(block)
+        choices = [np.atleast_1d(b).tolist() for _, b, _ in block.values()]
+        for offsets in itertools.product(*choices):
+            members.append(CurveSystem({c: (block[c][0], b, block[c][2])
+                                        for c, b in zip(curves, offsets)}))
+    return members
+
+
+# lengths 10^U(-3, 0.4) and twists U(+-5) for at most three curves and boundaries
+POINT_EXPONENTS = st.lists(st.floats(-3.0, 0.4), min_size=3, max_size=3)
+POINT_TWISTS = st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3)
+
+
+class TestBlockFamilies:
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @given(block_families(), POINT_EXPONENTS, POINT_TWISTS, POINT_EXPONENTS, POINT_TWISTS)
+    def test_members_match_the_scalar_loop_and_one_member_blocks(
+            self, family_blocks, exponents1, twists1, exponents2, twists2):
+        marking, blocks = family_blocks
+        family = CurveFamily(blocks)
+        members = block_members(blocks)
+        assert len(family) == len(members)
+        names = marking.curves + marking.decomposition.boundary_names()
+        sigma, tau = (FNPoint({c: 10.0 ** e for c, e in zip(names, exponents)},
+                              dict(zip(marking.curves, twists)))
+                      for exponents, twists in ((exponents1, twists1), (exponents2, twists2)))
+        dec = collar_decomposition(marking, sigma)
+        for unit in (1.0, math.pi):
+            assert component_table(dec, sigma, family, unit).T.tolist() == [
+                reference_contributions(dec, sigma, beta, unit) for beta in members]
+        single = CurveFamily(beta.data for beta in members)
+        assert (kerckhoff_distance_estimate(sigma, tau, family, marking).hex()
+                == kerckhoff_distance_estimate(sigma, tau, single, marking).hex())
+
+    def test_block_over_the_cap_raises_before_allocating(self, genus2):
+        # 101^3 = 1,030,301 members in one block
+        block = {c: (2, np.arange(-50, 51, dtype=np.int64), 0) for c in genus2.curves}
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=r"1,030,301 members"):
+                CurveFamily([block])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    @pytest.mark.parametrize("blocks, message", [
+        ([{"g1": (1, np.zeros((2, 2), dtype=np.int64), 0)}], "nonempty 1-D signed integer array or int"),
+        ([{"g1": (1, np.zeros(3), 0)}], "nonempty 1-D signed integer array or int"),
+        ([{"g1": (1, np.zeros(3, dtype=np.uint64), 0)}], "nonempty 1-D signed integer array or int"),
+        ([{"g1": (1, np.zeros(0, dtype=np.int64), 0)}], "nonempty 1-D signed integer array or int"),
+        ([{"g1": (1, 0)}], "three values"),
+        ([{"g1": 1}], "three values"),
+        ([{"g1": (1.5, 0, 0)}], "must be integers"),
+        ([{"g1": (1, None, 0)}], "must be integers"),
+        ([{"g1": (-2, 0, 0)}], "must be integers"),
+        ([{"g1": (0, 0, -1)}], "must be integers"),
+        ([{"g1": (2, np.arange(3), 1)}], "no core copies"),
+        ([{}], "members and curves"),
+    ], ids=["2-d-offsets", "float-offsets", "unsigned-offsets", "empty-offsets", "two-values",
+            "not-a-triple", "float-count", "none-offset", "negative-count", "negative-cores",
+            "cores-beside-crossings", "no-curves"])
+    def test_malformed_block_rejected(self, blocks, message):
+        with pytest.raises(ValidationError, match=message):
+            CurveFamily(blocks)
 
 
 class TestLambdaSurfaceEstimate:
@@ -436,7 +549,7 @@ class TestAnnulusOrthogonality:
     def test_thin_annulus_rows_at_height_m_over_pi(self, genus2, l1, s, b_a, b_b):
         sigma = genus2_point(l1=l1, s1=s)
         dec = collar_decomposition(genus2, sigma)
-        family = CurveFamily([genus2_curve(i1=2, b1=b_a), genus2_curve(i1=2, b1=b_b)])
+        family = CurveFamily(genus2_curve(i1=2, b1=b).data for b in (b_a, b_b))
         table = component_table(dec, sigma, family, modulus_unit=math.pi)
         lam_a, lam_b = table[dec.labels.index(("g1", "annulus"))].tolist()
         h = thin_annulus(dec, "g1").modulus / math.pi
